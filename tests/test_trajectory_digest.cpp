@@ -1,32 +1,25 @@
-// Twin-run determinism across shard counts — the acceptance oracle for the
-// sharded engine (DESIGN.md "Sharded deterministic execution").
+// Golden trajectory digests — the determinism oracle for the engine
+// (DESIGN.md §8 "Deterministic rounds & struct-of-arrays node state").
 //
-// The contract under test: EngineConfig::shards is a pure wall-clock knob.
-// Because every random decision is drawn from a per-process stream (derived
-// from the trial seed and the process id) and cross-lane sends are merged
-// at the round barrier in canonical sender-rank order, the trajectory is a
-// function of (initial state, seed) only — shard count must not leak into
-// a single bit of it.  Each test runs the same trial at shards ∈ {1, 2, 4,
-// 8} and asserts the full trajectory digest matches the shards=1 baseline:
-// round count, an FNV-1a fold of EngineCounters, and an FNV-1a fold of the
-// final topology (every node's l/r/ring/lrl/age state in id order).
+// The contract under test: a trajectory is a pure function of (initial
+// state, seed).  Each test runs one adversarial trial and compares its full
+// trajectory digest with literal constants: the round count, an FNV-1a fold
+// of EngineCounters, an FNV-1a fold of the final topology (every node's
+// l/r/ring/lrl/age state in id order) and an FNV-1a fold of the lookup
+// manager's totals.  Any engine change that moves a single send, drain
+// shuffle, coin flip or fault draw moves at least one of these numbers, so
+// a refactor that claims "same trajectories" must leave them untouched.
 //
 // The trials deliberately stack every nondeterminism source the engine
 // owns: message loss, fault injection (duplication, delay, replay), the
-// active probe/ack failure detector with its timers, and mid-run
-// crash-stops.  If any of those drew from a shared stream, or if lane
-// merge order depended on the partition, these digests would diverge.
+// active probe/ack failure detector with its timers, open-loop lookups with
+// retries and hedging, and mid-run crash-stops.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <string>
 #include <vector>
 
-#include "analysis/fuzz.hpp"
 #include "core/network.hpp"
 #include "service/lookup_manager.hpp"
 #include "topology/initial_states.hpp"
@@ -34,16 +27,6 @@
 
 namespace sssw::core {
 namespace {
-
-constexpr std::size_t kShardCounts[] = {1, 2, 4, 8};
-
-constexpr sim::SchedulerKind kAllSchedulers[] = {
-    sim::SchedulerKind::kSynchronous,
-    sim::SchedulerKind::kRandomAsync,
-    sim::SchedulerKind::kDelayedRandom,
-    sim::SchedulerKind::kAdversarialLifo,
-    sim::SchedulerKind::kAdversarialOldestLast,
-};
 
 std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
   for (int byte = 0; byte < 8; ++byte) {
@@ -91,8 +74,8 @@ std::uint64_t state_digest(const SmallWorldNetwork& net) {
 
 /// Folds the lookup manager's lifetime totals — every issued attempt, retry,
 /// hedge, success, and typed dead-letter.  The service plane routes through
-/// whatever pointers each round's merge produced, so a shard-dependent merge
-/// would surface here even if the structural digests happened to agree.
+/// whatever pointers each round produced, so a moved send would surface
+/// here even if the structural digests happened to agree.
 std::uint64_t lookup_digest(const service::LookupManager::Totals& t) {
   std::uint64_t hash = 14695981039346656037ull;
   hash = fnv1a(hash, t.issued);
@@ -123,12 +106,10 @@ struct TrialDigest {
 /// One adversarial trial: 32 nodes from a random tree, loss + duplication +
 /// delay + replay faults, the active detector, open-loop lookup load with
 /// retries and hedging, two mid-run crash-stops.
-TrialDigest run_trial(sim::SchedulerKind scheduler, std::size_t shards,
-                      std::uint64_t seed) {
+TrialDigest run_trial(sim::SchedulerKind scheduler, std::uint64_t seed) {
   NetworkOptions options;
   options.scheduler = scheduler;
   options.seed = seed;
-  options.shards = shards;
   options.message_loss = 0.05;
   options.delivery_probability = 0.5;
   options.adversary_delay = 3;
@@ -155,8 +136,8 @@ TrialDigest run_trial(sim::SchedulerKind scheduler, std::size_t shards,
 
   net.run_rounds(30);
 
-  // Crash two deterministic picks (same for every shard count: the id list
-  // is fixed at build time) so detector timers and quarantine are in play.
+  // Crash two deterministic picks (the id list is fixed at build time) so
+  // detector timers and quarantine are in play.
   const auto span = net.engine().id_span();
   const std::vector<sim::Id> victims{span[span.size() / 3],
                                      span[(2 * span.size()) / 3]};
@@ -171,63 +152,51 @@ TrialDigest run_trial(sim::SchedulerKind scheduler, std::size_t shards,
   return digest;
 }
 
-TEST(Shards, TwinRunsMatchAcrossShardCountsForEveryScheduler) {
-  for (const sim::SchedulerKind scheduler : kAllSchedulers) {
-    const TrialDigest baseline = run_trial(scheduler, 1, 20120521);
-    for (const std::size_t shards : kShardCounts) {
-      const TrialDigest twin = run_trial(scheduler, shards, 20120521);
-      EXPECT_EQ(twin.rounds, baseline.rounds)
-          << "scheduler " << static_cast<int>(scheduler) << " shards " << shards;
-      EXPECT_EQ(twin.counters, baseline.counters)
-          << "scheduler " << static_cast<int>(scheduler) << " shards " << shards;
-      EXPECT_EQ(twin.state, baseline.state)
-          << "scheduler " << static_cast<int>(scheduler) << " shards " << shards;
-      EXPECT_EQ(twin.lookups, baseline.lookups)
-          << "scheduler " << static_cast<int>(scheduler) << " shards " << shards;
-    }
-  }
+void expect_digest(sim::SchedulerKind scheduler, std::uint64_t seed,
+                   const TrialDigest& golden) {
+  const TrialDigest actual = run_trial(scheduler, seed);
+  const auto where = ::testing::Message()
+                     << sim::to_string(scheduler) << " seed " << seed;
+  EXPECT_EQ(actual.rounds, golden.rounds) << where;
+  EXPECT_EQ(actual.counters, golden.counters) << where;
+  EXPECT_EQ(actual.state, golden.state) << where;
+  EXPECT_EQ(actual.lookups, golden.lookups) << where;
 }
 
-TEST(Shards, SeedStillSelectsTheTrajectory) {
+TEST(TrajectoryDigest, PinnedForEveryScheduler) {
+  struct Golden {
+    sim::SchedulerKind scheduler;
+    TrialDigest digest;
+  };
+  constexpr Golden kGolden[] = {
+      {sim::SchedulerKind::kSynchronous,
+       {150, 0x7e0c287cfdf87041, 0x1535de993f7ffb22, 0x3ece868228014c08}},
+      {sim::SchedulerKind::kRandomAsync,
+       {150, 0x17fb34d2742cd641, 0xd79c7bf5dfc090e3, 0x99f2658dcd427389}},
+      {sim::SchedulerKind::kDelayedRandom,
+       {150, 0xa8c6d824845a1f80, 0xa32a2d65b898928a, 0x5e0b6586a10b009e}},
+      {sim::SchedulerKind::kAdversarialLifo,
+       {150, 0x78e32ab29688d5b7, 0x37a8c77cce08da12, 0x52ba3f004a3f04e9}},
+      {sim::SchedulerKind::kAdversarialOldestLast,
+       {150, 0xc2ce65ee5df467c2, 0x306da03150fa24d6, 0x949ae3394f0ca079}},
+  };
+  for (const Golden& golden : kGolden)
+    expect_digest(golden.scheduler, 20120521, golden.digest);
+}
+
+TEST(TrajectoryDigest, SynchronousSeed7IsPinned) {
+  expect_digest(
+      sim::SchedulerKind::kSynchronous, 7,
+      {150, 0x037c1d08e602b59d, 0x3ec13a0c93ec17ab, 0x598340e45f7da85f});
+}
+
+TEST(TrajectoryDigest, SeedStillSelectsTheTrajectory) {
   // Sanity for the oracle itself: the digests are not constants — a
-  // different seed must produce a different trajectory at every shard
-  // count, or the equalities above would be vacuous.
-  const TrialDigest a = run_trial(sim::SchedulerKind::kSynchronous, 4, 20120521);
-  const TrialDigest b = run_trial(sim::SchedulerKind::kSynchronous, 4, 424242);
+  // different seed must produce a different trajectory, or the pins above
+  // would be vacuous.
+  const TrialDigest a = run_trial(sim::SchedulerKind::kSynchronous, 20120521);
+  const TrialDigest b = run_trial(sim::SchedulerKind::kSynchronous, 424242);
   EXPECT_NE(a.state, b.state);
-}
-
-TEST(Shards, MoreShardsThanProcessesIsStillIdentical) {
-  // Lane count clamps to the process count; a gross oversubscription must
-  // degrade to the same trajectory, not crash or skew the partition.
-  const TrialDigest baseline =
-      run_trial(sim::SchedulerKind::kSynchronous, 1, 7);
-  const TrialDigest oversub =
-      run_trial(sim::SchedulerKind::kSynchronous, 64, 7);
-  EXPECT_EQ(oversub, baseline);
-}
-
-TEST(Shards, CorpusReplaysIdenticallyAtFourShards) {
-  // The committed fuzz corpus pins full verdicts (outcome, rounds, digest)
-  // at shards=1.  Replaying every case at shards=4 must reproduce each
-  // recorded verdict byte for byte — the cross-revision determinism pin
-  // doubles as a cross-shard-count pin.
-  const std::filesystem::path dir =
-      std::filesystem::path(SSSW_SOURCE_DIR) / "tests" / "corpus";
-  std::size_t replayed = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".json") continue;
-    std::ifstream in(entry.path());
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    auto repro = analysis::parse_repro(buffer.str());
-    ASSERT_TRUE(repro.has_value()) << entry.path();
-    repro->options.shards = 4;
-    EXPECT_EQ(analysis::run_case(repro->c, repro->options), repro->expected)
-        << entry.path();
-    ++replayed;
-  }
-  EXPECT_GT(replayed, 0u);
 }
 
 }  // namespace
