@@ -32,11 +32,11 @@ BENCHMARK(BM_Engine_StableRound)->Arg(100)->Arg(1000)->Arg(10000)
 
 // Scaling series: actions/sec vs n for every SchedulerKind, reported through
 // the observability registry (engine.actions et al. appear as benchmark
-// counters, items/sec is actions/sec).  The async scheduler used to pay O(n)
-// per atomic action (full pending recount + linear channel walk); with the
-// Fenwick-indexed hot path it pays O(log n), which is what this series pins.
-// An async "round" is capped at a fixed action budget so one iteration stays
-// comparable across n.
+// counters, items/sec is actions/sec of wall-clock time).  The async
+// scheduler used to pay O(n) per atomic action (full pending recount +
+// linear channel walk); with the Fenwick-indexed hot path it pays O(log n),
+// which is what this series pins.  An async "round" is capped at a fixed
+// action budget so one iteration stays comparable across n.
 void BM_Engine_ActionThroughput(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto kind = static_cast<sim::SchedulerKind>(state.range(1));
@@ -45,7 +45,6 @@ void BM_Engine_ActionThroughput(benchmark::State& state) {
   options.seed = bench::kBaseSeed;
   options.scheduler = kind;
   options.async_actions_per_round = 4096;
-  options.shards = static_cast<std::size_t>(state.range(2));
   core::SmallWorldNetwork network =
       core::make_stable_ring(core::random_ids(n, rng), options);
   obs::Registry registry;
@@ -54,7 +53,6 @@ void BM_Engine_ActionThroughput(benchmark::State& state) {
   state.SetLabel(sim::to_string(kind));
   state.SetItemsProcessed(static_cast<std::int64_t>(
       registry.find_counter("engine.actions")->value()));
-  state.counters["shards"] = static_cast<double>(state.range(2));
   bench::report_registry(state, registry);
 }
 BENCHMARK(BM_Engine_ActionThroughput)
@@ -62,12 +60,11 @@ BENCHMARK(BM_Engine_ActionThroughput)
                    {static_cast<int>(sim::SchedulerKind::kSynchronous),
                     static_cast<int>(sim::SchedulerKind::kRandomAsync),
                     static_cast<int>(sim::SchedulerKind::kAdversarialLifo),
-                    static_cast<int>(sim::SchedulerKind::kDelayedRandom)},
-                   {1, 4}})
+                    static_cast<int>(sim::SchedulerKind::kDelayedRandom)}})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Million-node headline run (the sharded-engine PR's acceptance bar): build
-// a stable ring of 10^6 nodes (bulk construction is O(1) amortized per node
+// Million-node headline run: build a stable ring of 10^6 nodes (bulk construction is O(1) amortized per node
 // when ids arrive sorted), then knock EVERY node's l and r pointers up to
 // 64 ranks off — in-domain damage (l stays < id < r; the paper's variable
 // domain) whose repair genuinely propagates instead of healing in one
@@ -77,14 +74,12 @@ BENCHMARK(BM_Engine_ActionThroughput)
 // is, not statistical timing.
 void BM_Engine_MillionNodeRecovery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     state.PauseTiming();
     util::Rng rng(bench::kBaseSeed);
     core::NetworkOptions options;
     options.seed = bench::kBaseSeed;
-    options.shards = shards;
     core::SmallWorldNetwork network =
         core::make_stable_ring(core::random_ids(n, rng), options);
     const auto span = network.engine().id_span();
@@ -108,10 +103,9 @@ void BM_Engine_MillionNodeRecovery(benchmark::State& state) {
   }
   state.counters["rounds"] = static_cast<double>(rounds);
   state.counters["n"] = static_cast<double>(n);
-  state.counters["shards"] = static_cast<double>(shards);
 }
 BENCHMARK(BM_Engine_MillionNodeRecovery)
-    ->Args({1000000, 1})
+    ->Arg(1000000)
     ->Unit(benchmark::kSecond)->Iterations(1);
 
 void BM_Channel_PushDrain(benchmark::State& state) {
@@ -157,70 +151,11 @@ BENCHMARK(BM_Invariant_SortedRingCheck)->Arg(1000)->Arg(10000)
 
 // --- incremental convergence oracle: before/after sweeps ---------------------
 //
-// The "recompute" side of each pair below replicates the pre-tracker
-// predicates verbatim (Engine::ids() vector allocation, per-node map find,
-// dynamic_cast) so the sweep keeps measuring the seed-era cost even though
-// src/core/invariants.cpp itself has since been migrated to id_span + the
-// kind-tag downcast.  Both sides of a pair drive the identical deterministic
-// trajectory — only observation differs — so equal `rounds` counters in the
-// report double as a determinism check.
-
-namespace seed_oracle {
-
-bool is_sorted_list(const sim::Engine& engine) {
-  const std::vector<sim::Id> ids(engine.id_span().begin(),
-                                 engine.id_span().end());  // fresh vector per call
-  if (ids.empty()) return true;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto* node = dynamic_cast<const core::SmallWorldNode*>(engine.find(ids[i]));
-    if (node == nullptr) return false;
-    const sim::Id want_l = i == 0 ? sim::kNegInf : ids[i - 1];
-    const sim::Id want_r = i + 1 == ids.size() ? sim::kPosInf : ids[i + 1];
-    if (node->l() != want_l || node->r() != want_r) return false;
-  }
-  return true;
-}
-
-bool is_sorted_ring(const sim::Engine& engine) {
-  if (!is_sorted_list(engine)) return false;
-  const std::vector<sim::Id> ids(engine.id_span().begin(),
-                                 engine.id_span().end());
-  if (ids.size() < 2) return true;
-  const auto* min_node =
-      dynamic_cast<const core::SmallWorldNode*>(engine.find(ids.front()));
-  const auto* max_node =
-      dynamic_cast<const core::SmallWorldNode*>(engine.find(ids.back()));
-  return min_node != nullptr && max_node != nullptr &&
-         min_node->ring() == ids.back() && max_node->ring() == ids.front();
-}
-
-bool lrls_resolve(const sim::Engine& engine) {
-  bool ok = true;
-  engine.for_each([&](const sim::Process& process) {
-    const auto* node = dynamic_cast<const core::SmallWorldNode*>(&process);
-    if (node == nullptr) return;
-    for (const core::SmallWorldNode::LongRangeLink& link : node->lrls())
-      if (!engine.contains(link.target)) ok = false;
-  });
-  return ok;
-}
-
-core::Phase detect_phase(const sim::Engine& engine) {
-  if (is_sorted_ring(engine)) {
-    bool all_forgot = true;
-    engine.for_each([&](const sim::Process& process) {
-      const auto* node = dynamic_cast<const core::SmallWorldNode*>(&process);
-      if (node != nullptr && node->forget_count() == 0) all_forgot = false;
-    });
-    return all_forgot ? core::Phase::kSmallWorld : core::Phase::kSortedRing;
-  }
-  if (is_sorted_list(engine)) return core::Phase::kSortedList;
-  if (core::lcc_weakly_connected(engine)) return core::Phase::kListConnected;
-  if (core::cc_weakly_connected(engine)) return core::Phase::kWeaklyConnected;
-  return core::Phase::kDisconnected;
-}
-
-}  // namespace seed_oracle
+// The "recompute" side of each pair below asks the from-scratch oracle in
+// core/invariants.hpp, the "tracked" side the network's InvariantTracker.
+// Both sides of a pair drive the identical deterministic trajectory — only
+// observation differs — so equal `rounds` counters in the report double as
+// a determinism check.
 
 enum class OracleMode { kTracked = 0, kRecompute = 1 };
 
@@ -240,7 +175,7 @@ core::SmallWorldNetwork chain_network(std::size_t n, std::uint64_t seed,
 }
 
 // E1-style sorted-list convergence from a random chain, synchronous rounds.
-// The predicate runs once per round; pre-convergence the seed predicate
+// The predicate runs once per round; pre-convergence the recompute predicate
 // early-exits on the first unsorted node, so protocol work dominates both
 // modes and the honest whole-run win here is small.  This sweep pins the
 // unmonitored worst case instead: the tracker's mutation hooks must stay a
@@ -258,7 +193,7 @@ void BM_Convergence_RunUntilSortedList(benchmark::State& state) {
     if (mode == OracleMode::kRecompute) {
       sim::Engine& engine = network.engine();
       const std::uint64_t start = engine.round();
-      if (!engine.run_until([&] { return seed_oracle::is_sorted_list(engine); },
+      if (!engine.run_until([&] { return core::is_sorted_list(engine); },
                             budget)) {
         state.SkipWithError("did not converge within budget");
         return;
@@ -288,11 +223,11 @@ BENCHMARK(BM_Convergence_RunUntilSortedList)
 // E1-style convergence run with the phase ladder observed every scheduler
 // slice (how the fuzzer, phase-timeline driver, and any monitored deployment
 // watch a run), under the fine-grained random-async scheduler the paper's
-// adversary motivates.  Seed-era observation recomputes detect_phase from
-// scratch per slice — Θ(n) scans plus graph-BFS below the sorted list — which
+// adversary motivates.  Recompute observation runs detect_phase from scratch
+// per slice — Θ(n) scans plus graph-BFS below the sorted list — which
 // dominates the slice's own protocol work; the tracker answers the ≥
 // sorted-list rungs in O(1) and backs the BFS off exponentially (stride cap
-// 64).  This is the regime ISSUE 4's ≥ 10× acceptance bar targets.
+// 64).  This is the regime where the tracker must win by ≥ 10×.
 void BM_Convergence_ObservedRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto mode = static_cast<OracleMode>(state.range(1));
@@ -308,7 +243,7 @@ void BM_Convergence_ObservedRun(benchmark::State& state) {
     bool converged = false;
     if (mode == OracleMode::kRecompute) {
       for (std::size_t slice = 0; slice <= budget; ++slice, ++slices) {
-        if (seed_oracle::detect_phase(network.engine()) >=
+        if (core::detect_phase(network.engine()) >=
             core::Phase::kSortedRing) {
           converged = true;
           break;
@@ -361,7 +296,7 @@ BENCHMARK(BM_Convergence_ObservedRun)
 
 // The convergence check itself, isolated: what one run_until predicate
 // evaluation costs on a stabilized network (the post-sorted-list regime,
-// where the seed predicates can no longer early-exit).  This is the
+// where the recompute predicates can no longer early-exit).  This is the
 // per-round tax the tracker removes; tools/sssw_perf_smoke.cpp gates CI on
 // the same ratio.
 void BM_Convergence_CheckEval(benchmark::State& state) {
@@ -370,8 +305,8 @@ void BM_Convergence_CheckEval(benchmark::State& state) {
   core::SmallWorldNetwork network = bench::stabilized(n, bench::kBaseSeed, 8);
   if (mode == OracleMode::kRecompute) {
     for (auto _ : state) {
-      benchmark::DoNotOptimize(seed_oracle::is_sorted_ring(network.engine()));
-      benchmark::DoNotOptimize(seed_oracle::lrls_resolve(network.engine()));
+      benchmark::DoNotOptimize(core::is_sorted_ring(network.engine()));
+      benchmark::DoNotOptimize(core::lrls_resolve(network.engine()));
     }
   } else {
     for (auto _ : state) {

@@ -32,19 +32,21 @@ int main(int argc, char** argv) {
   cli.flag("dot", "write the final CP view as Graphviz DOT to this path", &dot_path);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
-  topology::InitialShape shape = topology::InitialShape::kStar;
-  for (const topology::InitialShape candidate : topology::kAllShapes)
-    if (shape_name == topology::to_string(candidate)) shape = candidate;
+  const auto shape = topology::shape_from_string(shape_name);
+  if (!shape) {
+    std::fprintf(stderr, "unknown shape '%s'\n", shape_name.c_str());
+    return 1;
+  }
 
   util::Rng rng(static_cast<std::uint64_t>(seed));
   auto ids = core::random_ids(static_cast<std::size_t>(n), rng);
   core::NetworkOptions options;
   options.seed = static_cast<std::uint64_t>(seed);
   core::SmallWorldNetwork net(options);
-  net.add_nodes(topology::make_initial_state(shape, std::move(ids), rng));
+  net.add_nodes(topology::make_initial_state(*shape, std::move(ids), rng));
 
   // Phase timeline: report the round at which each phase is first reached.
-  std::printf("phase timeline (shape=%s, n=%lld):\n", topology::to_string(shape),
+  std::printf("phase timeline (shape=%s, n=%lld):\n", topology::to_string(*shape),
               static_cast<long long>(n));
   core::Phase last = net.phase();
   std::printf("  round %6llu  %s\n", 0ull, core::to_string(last));

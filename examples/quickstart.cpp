@@ -19,17 +19,6 @@
 
 using namespace sssw;
 
-namespace {
-
-topology::InitialShape parse_shape(const std::string& name) {
-  for (const topology::InitialShape shape : topology::kAllShapes)
-    if (name == topology::to_string(shape)) return shape;
-  std::fprintf(stderr, "unknown shape '%s', using random-chain\n", name.c_str());
-  return topology::InitialShape::kRandomChain;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   std::int64_t n = 128;
   std::int64_t seed = 7;
@@ -40,10 +29,14 @@ int main(int argc, char** argv) {
   cli.flag("shape", "initial topology shape", &shape_name);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
 
-  const auto shape = parse_shape(shape_name);
+  const auto shape = topology::shape_from_string(shape_name);
+  if (!shape) {
+    std::fprintf(stderr, "unknown shape '%s'\n", shape_name.c_str());
+    return 1;
+  }
   util::Rng rng(static_cast<std::uint64_t>(seed));
   auto ids = core::random_ids(static_cast<std::size_t>(n), rng);
-  auto inits = topology::make_initial_state(shape, ids, rng);
+  auto inits = topology::make_initial_state(*shape, ids, rng);
 
   core::NetworkOptions options;
   options.seed = static_cast<std::uint64_t>(seed);
@@ -51,7 +44,7 @@ int main(int argc, char** argv) {
   network.add_nodes(inits);
 
   std::printf("initial state : %zu nodes, shape=%s, phase=%s\n", network.size(),
-              topology::to_string(shape), core::to_string(network.phase()));
+              topology::to_string(*shape), core::to_string(network.phase()));
 
   const auto list_rounds = network.run_until_sorted_list(100000);
   if (!list_rounds.has_value()) {

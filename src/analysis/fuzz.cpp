@@ -12,6 +12,7 @@
 #include "core/network.hpp"
 #include "service/lookup_manager.hpp"
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 
 namespace sssw::analysis {
 
@@ -179,24 +180,18 @@ namespace {
 /// on every event count, which is as strong a trajectory fingerprint as the
 /// byte-identical-JSONL test uses.
 std::uint64_t fold_counters(const sim::EngineCounters& counters) {
-  std::uint64_t hash = 14695981039346656037ull;
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xff;
-      hash *= 1099511628211ull;
-    }
-  };
-  mix(counters.rounds);
-  mix(counters.actions);
-  mix(counters.deliveries);
-  mix(counters.dropped);
-  mix(counters.lost);
-  mix(counters.faults.duplicated);
-  mix(counters.faults.delayed);
-  mix(counters.faults.replayed);
-  mix(counters.faults.partition_dropped);
-  for (const std::uint64_t sent : counters.sent_by_type) mix(sent);
-  return hash;
+  util::Fnv1a hash;
+  hash.add_word(counters.rounds)
+      .add_word(counters.actions)
+      .add_word(counters.deliveries)
+      .add_word(counters.dropped)
+      .add_word(counters.lost)
+      .add_word(counters.faults.duplicated)
+      .add_word(counters.faults.delayed)
+      .add_word(counters.faults.replayed)
+      .add_word(counters.faults.partition_dropped);
+  for (const std::uint64_t sent : counters.sent_by_type) hash.add_word(sent);
+  return hash.value();
 }
 
 /// Continues the FNV fold over the lookup manager's lifetime totals, so a
@@ -204,30 +199,24 @@ std::uint64_t fold_counters(const sim::EngineCounters& counters) {
 /// attempt, retry, hedge, and typed dead-letter).
 std::uint64_t fold_lookup_totals(std::uint64_t hash,
                                  const service::LookupManager::Totals& t) {
-  const auto mix = [&hash](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (value >> (8 * byte)) & 0xff;
-      hash *= 1099511628211ull;
-    }
-  };
-  mix(t.issued);
-  mix(t.attempts);
-  mix(t.retries);
-  mix(t.hedges);
-  mix(t.succeeded);
-  mix(t.failed);
-  mix(t.stale);
-  mix(t.deadletter_timeout);
-  mix(t.deadletter_no_progress);
-  mix(t.deadletter_target_dead);
-  mix(t.deadletter_ttl);
-  mix(t.hop_sum);
-  mix(t.latency_sum);
-  return hash;
+  return util::Fnv1a(hash)
+      .add_word(t.issued)
+      .add_word(t.attempts)
+      .add_word(t.retries)
+      .add_word(t.hedges)
+      .add_word(t.succeeded)
+      .add_word(t.failed)
+      .add_word(t.stale)
+      .add_word(t.deadletter_timeout)
+      .add_word(t.deadletter_no_progress)
+      .add_word(t.deadletter_target_dead)
+      .add_word(t.deadletter_ttl)
+      .add_word(t.hop_sum)
+      .add_word(t.latency_sum)
+      .value();
 }
 
-core::SmallWorldNetwork build_network(const FuzzCase& c, bool paranoid,
-                                      std::size_t shards) {
+core::SmallWorldNetwork build_network(const FuzzCase& c, bool paranoid) {
   util::Rng rng(c.seed);
   auto ids = core::random_ids(c.n, rng);
   core::NetworkOptions options;
@@ -238,7 +227,6 @@ core::SmallWorldNetwork build_network(const FuzzCase& c, bool paranoid,
   options.adversary_delay = c.adversary_delay;
   options.message_loss = c.message_loss;
   options.verify_tracker = paranoid;
-  options.shards = shards;
   core::SmallWorldNetwork net(options);
   net.add_nodes(topology::make_initial_state(c.shape, std::move(ids), rng));
   return net;
@@ -266,8 +254,7 @@ std::vector<sim::Id> pick_crash_ids(const FuzzCase& c, const sim::Engine& engine
 
 FuzzVerdict run_case(const FuzzCase& c, const FuzzOptions& options) {
   c.faults.validate();
-  core::SmallWorldNetwork net =
-      build_network(c, options.paranoid, options.shards);
+  core::SmallWorldNetwork net = build_network(c, options.paranoid);
   const sim::Engine& engine = net.engine();
 
   // In-band lookup load riding the whole run (declared after `net`: the
@@ -536,18 +523,6 @@ void append_number(std::string& out, Int value) {
   out.append(buffer, result.ptr);
 }
 
-std::optional<topology::InitialShape> shape_from_string(const std::string& name) {
-  for (const topology::InitialShape shape : topology::kAllShapes)
-    if (name == topology::to_string(shape)) return shape;
-  return std::nullopt;
-}
-
-std::optional<sim::SchedulerKind> scheduler_from_string(const std::string& name) {
-  for (const sim::SchedulerKind kind : sim::kAllSchedulers)
-    if (name == sim::to_string(kind)) return kind;
-  return std::nullopt;
-}
-
 std::optional<core::Phase> phase_from_string(const std::string& name) {
   for (const core::Phase phase : kAllPhases)
     if (name == core::to_string(phase)) return phase;
@@ -723,13 +698,13 @@ std::optional<FuzzRepro> parse_repro(const std::string& json) {
     bool parsed = false;
     if (k == "shape") {
       if (!scan.string(v)) return std::nullopt;
-      const auto shape = shape_from_string(v);
+      const auto shape = topology::shape_from_string(v);
       if (!shape) return std::nullopt;
       c.shape = *shape;
       parsed = true;
     } else if (k == "scheduler") {
       if (!scan.string(v)) return std::nullopt;
-      const auto kind = scheduler_from_string(v);
+      const auto kind = sim::scheduler_from_string(v);
       if (!kind) return std::nullopt;
       c.scheduler = *kind;
       parsed = true;

@@ -133,11 +133,6 @@ struct FuzzOptions {
   /// identical with or without it, so it is deliberately NOT serialized
   /// into reproducers — it only changes how hard a replay checks itself.
   bool paranoid = false;
-  /// Worker lanes for the replayed engine (NetworkOptions::shards).  Like
-  /// `paranoid`, a pure runtime knob: trajectories are shard-count-invariant
-  /// by construction, so it is NOT serialized — replaying a reproducer at
-  /// any shard count must yield the recorded verdict byte for byte.
-  std::size_t shards = 1;
 };
 
 /// Samples one case from the master stream.  Every dimension is drawn from

@@ -17,6 +17,7 @@
 #include "analysis/experiments.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
+#include "util/fnv.hpp"
 
 namespace sssw::analysis {
 
@@ -84,39 +85,7 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
   }
 }
 
-bool shape_from_string(std::string_view name, topology::InitialShape* out) {
-  for (const topology::InitialShape shape : topology::kAllShapes) {
-    if (name == topology::to_string(shape)) {
-      *out = shape;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool scheduler_from_string(std::string_view name, sim::SchedulerKind* out) {
-  for (const sim::SchedulerKind kind : sim::kAllSchedulers) {
-    if (name == sim::to_string(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 // --- hashing ---------------------------------------------------------------
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t fnv1a(std::string_view text,
-                    std::uint64_t hash = kFnvOffset) noexcept {
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 std::string hex16(std::uint64_t hash) {
   static constexpr char kDigits[] = "0123456789abcdef";
@@ -388,23 +357,23 @@ std::optional<SweepConfig> parse_sweep_config(std::string_view text,
     } else if (key == "shapes") {
       config.shapes.clear();
       for (const std::string_view item : items) {
-        topology::InitialShape shape;
-        if (!shape_from_string(item, &shape)) {
+        const auto shape = topology::shape_from_string(item);
+        if (!shape) {
           fail(error, line_number, "unknown shape '" + std::string(item) + "'");
           return std::nullopt;
         }
-        config.shapes.push_back(shape);
+        config.shapes.push_back(*shape);
       }
     } else if (key == "schedulers") {
       config.schedulers.clear();
       for (const std::string_view item : items) {
-        sim::SchedulerKind kind;
-        if (!scheduler_from_string(item, &kind)) {
+        const auto kind = sim::scheduler_from_string(item);
+        if (!kind) {
           fail(error, line_number,
                "unknown scheduler '" + std::string(item) + "'");
           return std::nullopt;
         }
-        config.schedulers.push_back(kind);
+        config.schedulers.push_back(*kind);
       }
     } else if (key == "faults") {
       config.faults.clear();
@@ -511,7 +480,7 @@ std::string cell_key(const SweepCell& cell) {
 }
 
 std::string cell_hash(const SweepCell& cell) {
-  return hex16(fnv1a(cell_key(cell)));
+  return hex16(util::Fnv1a().add_bytes(cell_key(cell)).value());
 }
 
 std::vector<SweepCell> expand_cells(const SweepConfig& config) {
@@ -594,12 +563,10 @@ Provenance collect_provenance(const SweepConfig& config,
                               const std::filesystem::path& start) {
   Provenance out;
   out.git_sha = read_git_sha(start);
-  std::uint64_t hash = kFnvOffset;
-  for (const SweepCell& cell : expand_cells(config)) {
-    hash = fnv1a(cell_key(cell), hash);
-    hash = fnv1a("\n", hash);
-  }
-  out.config_hash = hex16(hash);
+  util::Fnv1a hash;
+  for (const SweepCell& cell : expand_cells(config))
+    hash.add_bytes(cell_key(cell)).add_bytes("\n");
+  out.config_hash = hex16(hash.value());
   out.machine = "cpus=";
   append_u64(out.machine, std::thread::hardware_concurrency());
 #if defined(__VERSION__)
@@ -780,9 +747,11 @@ std::optional<CellMeta> parse_cell_meta(const std::string& text) {
   meta.cell.experiment = *experiment;
   meta.cell.params = *params;
   meta.cell.n = static_cast<std::size_t>(*n);
-  if (!shape_from_string(*shape, &meta.cell.shape)) return std::nullopt;
-  if (!scheduler_from_string(*scheduler, &meta.cell.scheduler))
-    return std::nullopt;
+  const auto shape_kind = topology::shape_from_string(*shape);
+  const auto scheduler_kind = sim::scheduler_from_string(*scheduler);
+  if (!shape_kind || !scheduler_kind) return std::nullopt;
+  meta.cell.shape = *shape_kind;
+  meta.cell.scheduler = *scheduler_kind;
   meta.cell.fault = *fault;
   meta.cell.ablation = *ablation;
   meta.cell.seed = static_cast<std::uint64_t>(*seed);

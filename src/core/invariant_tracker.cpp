@@ -1,7 +1,6 @@
 #include "core/invariant_tracker.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "core/node.hpp"
 #include "sim/engine.hpp"
@@ -138,12 +137,10 @@ void InvariantTracker::on_remove(Id id) {
 // --- mutation hooks --------------------------------------------------------
 
 void InvariantTracker::on_list_changed(const SmallWorldNode& node) {
-  const std::lock_guard<std::mutex> lock(hook_mutex_);
   reseed_pair(node.id());
 }
 
 void InvariantTracker::on_lrl_changed(const SmallWorldNode& node) {
-  const std::lock_guard<std::mutex> lock(hook_mutex_);
   const Id id = node.id();
   Entry& e = entries_.at(id);
   // Fast path: the notify fired but the target multiset is unchanged (lrls()
@@ -172,7 +169,6 @@ void InvariantTracker::on_lrl_changed(const SmallWorldNode& node) {
 }
 
 void InvariantTracker::on_forget(const SmallWorldNode& node) {
-  const std::lock_guard<std::mutex> lock(hook_mutex_);
   Entry& e = entries_.at(node.id());
   if (!e.forgot && node.forget_count() > 0) {
     e.forgot = true;

@@ -40,7 +40,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -66,13 +65,8 @@ class InvariantTracker {
   void on_remove(sim::Id id);
 
   // --- mutation hooks (O(1), called from SmallWorldNode) ----------------
-  // Thread-safe: the sharded engine runs node actions on worker threads, so
-  // these three hooks serialize on an internal mutex.  Each hook recomputes
-  // only the acting node's entry from that node's current state, and nodes
-  // never mutate each other's state inside a phase, so concurrent hook
-  // invocations commute — the post-barrier tracker state is identical
-  // whatever the interleaving (shard-count invariance).  Membership changes
-  // and queries stay sequential-context-only, like before.
+  // Each hook recomputes only the acting node's entry from that node's
+  // current state.
   void on_list_changed(const SmallWorldNode& node);
   void on_lrl_changed(const SmallWorldNode& node);
   void on_forget(const SmallWorldNode& node);
@@ -132,10 +126,6 @@ class InvariantTracker {
   /// Removes one occurrence of `holder` from refs_[target].
   void unref(sim::Id target, sim::Id holder);
 
-  /// Serializes the three mutation hooks against each other (see above).
-  /// Uncontended in single-shard runs; notifications are rare next to
-  /// actions, so contention stays negligible multi-shard.
-  std::mutex hook_mutex_;
   std::vector<sim::Id> sorted_ids_;  ///< mirror of the engine's sorted order
   std::unordered_map<sim::Id, Entry> entries_;
   /// Reverse link index: target id → holder ids (one per link occurrence),

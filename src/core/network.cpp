@@ -20,8 +20,7 @@ SmallWorldNetwork::SmallWorldNetwork(NetworkOptions options)
           .delivery_probability = options.delivery_probability,
           .message_loss = options.message_loss,
           .faults = options.faults,
-          .adversary_delay = options.adversary_delay,
-          .shards = options.shards}),
+          .adversary_delay = options.adversary_delay}),
       tracker_(std::make_unique<InvariantTracker>()) {}
 
 void SmallWorldNetwork::add_node(const NodeInit& init) {

@@ -39,10 +39,6 @@ struct NetworkOptions {
   /// kAdversarialOldestLast only: rounds each message is held before its
   /// channel sees it (see sim::EngineConfig::adversary_delay).
   std::uint32_t adversary_delay = 3;
-  /// Worker lanes per synchronous-family round (see sim::EngineConfig::
-  /// shards).  Bit-identical trajectories for every value >= 1 — a pure
-  /// wall-clock knob for large runs.
-  std::size_t shards = 1;
   /// Debug mode: cross-check the incremental invariant tracker against the
   /// recompute oracle on every sorted_list/sorted_ring/phase query.  O(n+m)
   /// per query — for tests and the fuzzer's --paranoid mode, not production.

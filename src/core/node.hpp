@@ -296,8 +296,7 @@ class SmallWorldNode final : public sim::Process {
   std::uint64_t now_ = 0;  ///< last round observed via a Context (quarantine clock)
   std::vector<sim::Id> pointer_scratch_;  ///< tick() snapshot, canonical order
   // Lookup-service completion inbox: only this node's own receive action
-  // appends (lane-safe under sharding) and only the sequential round-hook
-  // drain reads, so no synchronization is needed.
+  // appends, and only the lookup manager's round-hook drain reads.
   bool service_enabled_ = false;
   std::vector<sim::Message> service_inbox_;
 };

@@ -14,19 +14,15 @@
 // the full catalog lives in doc/OBSERVABILITY.md, and the test suite fails
 // if a name is emitted that the catalog does not document.
 //
-// Threading model: a Registry is NOT internally synchronized for structure
-// (lookup-or-create) or for Gauge/Histogram writes.  Parallel Monte-Carlo
+// Threading model: a Registry is not synchronized at all.  Every registry
+// belongs to one trial, which runs on one thread; parallel Monte-Carlo
 // trials (util::parallel_for) each own a private per-trial registry and the
 // driver merges them in trial order afterwards — merge is associative and
 // trial-ordered, so the merged result is deterministic no matter how the
-// trials were scheduled.  Counter::add alone is relaxed-atomic: the sharded
-// engine's node-level counters fire from parallel round phases against one
-// shared registry, and integer addition commutes, so the post-barrier totals
-// are identical whatever the interleaving.
+// trials were scheduled.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -35,22 +31,16 @@
 
 namespace sssw::obs {
 
-/// Monotone event counter.  add() is relaxed-atomic (see header comment);
-/// value()/reset()/merge() are meant for the sequential sections between
-/// parallel phases.
+/// Monotone event counter.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) noexcept { value_ += n; }
+  std::uint64_t value() const noexcept { return value_; }
+  void reset() noexcept { value_ = 0; }
   void merge(const Counter& other) noexcept { add(other.value()); }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// Last-observed level.  Merge keeps the maximum, so a gauge merged across

@@ -111,7 +111,7 @@ void LookupManager::on_round(std::uint64_t round) {
 
 void LookupManager::drain_inboxes(std::uint64_t round) {
   // Ascending-id drain over manager-enabled origins keeps completion order
-  // canonical regardless of shard count.
+  // canonical.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < enabled_sources_.size(); ++i) {
     const sim::Id id = enabled_sources_[i];

@@ -10,17 +10,15 @@
 // re-issue after a latency threshold, and a typed dead-letter reason
 // instead of a silent drop.
 //
-// Determinism and sharding.  The manager is NOT an engine process — a
-// foreign process id would pollute id_span()/IdIndex and every sorted-ring
-// predicate.  It drives everything from an engine *round hook*, which the
-// sharded engine fires from the sequential merge epilogue (sim/engine.hpp
-// hook-threading contract; a round hook does not force rounds onto one
-// lane).  All manager RNG draws, timer-wheel pops, and histogram writes
-// happen there in a canonical order, and lookup *completions* reach the
-// manager through per-origin inboxes (SmallWorldNode::drain_service_inbox,
-// written only by the owning node's receive action) drained in ascending-id
-// order — so lookup trajectories are bit-identical across shard counts and
-// replayable from (config, seed), the same contract the engine keeps
+// Determinism.  The manager is NOT an engine process — a foreign process
+// id would pollute id_span()/IdIndex and every sorted-ring predicate.  It
+// drives everything from an engine *round hook*, which the engine fires
+// after each round (sim/engine.hpp).  All manager RNG draws, timer-wheel
+// pops, and histogram writes happen there in a canonical order, and lookup
+// *completions* reach the manager through per-origin inboxes
+// (SmallWorldNode::drain_service_inbox, written only by the owning node's
+// receive action) drained in ascending-id order — so lookup trajectories
+// are replayable from (config, seed), the same contract the engine keeps
 // (DESIGN.md §8).  The engine's timer facility is per-process, so the
 // manager keeps its own deadline wheels patterned on the same
 // round-keyed-map design, clocked by the hook.
@@ -78,9 +76,7 @@ struct LookupCompletion {
   std::uint32_t attempts = 1;        ///< wire attempts (1 + retries + hedges)
 };
 
-/// The service.* metric bundle (doc/OBSERVABILITY.md).  Histograms are
-/// written from the sequential round hook only, per the obs threading
-/// contract.
+/// The service.* metric bundle (doc/OBSERVABILITY.md).
 struct LookupMetrics {
   explicit LookupMetrics(obs::Registry& registry);
 
@@ -131,7 +127,8 @@ class LookupManager {
   std::size_t pending() const noexcept { return pending_; }
 
   /// Aggregate counters, maintained whether or not a registry is attached —
-  /// the deterministic digest surface for the shard-invariance tests.
+  /// the deterministic digest surface for the trajectory-digest and fuzz
+  /// tests.
   struct Totals {
     std::uint64_t issued = 0;
     std::uint64_t attempts = 0;

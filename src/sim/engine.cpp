@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sssw::sim {
 
@@ -24,13 +23,18 @@ const char* to_string(SchedulerKind kind) noexcept {
   return "unknown";
 }
 
+std::optional<SchedulerKind> scheduler_from_string(std::string_view name) noexcept {
+  for (const SchedulerKind kind : kAllSchedulers)
+    if (name == to_string(kind)) return kind;
+  return std::nullopt;
+}
+
 Engine::Engine(EngineConfig config) : config_(config), rng_(config.seed) {
   SSSW_CHECK_MSG(
       config_.delivery_probability > 0.0 && config_.delivery_probability <= 1.0,
       "EngineConfig::delivery_probability must lie in (0, 1]");
   SSSW_CHECK_MSG(config_.message_loss >= 0.0 && config_.message_loss < 1.0,
                  "EngineConfig::message_loss must lie in [0, 1)");
-  SSSW_CHECK_MSG(config_.shards >= 1, "EngineConfig::shards must be >= 1");
   config_.faults.validate();
   const bool oldest_last =
       config_.scheduler == SchedulerKind::kAdversarialOldestLast;
@@ -149,9 +153,8 @@ void Engine::schedule_timer(Id id, std::uint32_t delay, std::uint64_t tag) {
 /// channels exactly like sends from last round's actions.  Re-arming from
 /// inside on_timer targets a strictly later round (delay >= 1), so the loop
 /// terminates.  With no timers armed this is one empty-map check: the
-/// pre-timer trajectory is untouched byte for byte.  Always sequential (the
-/// same code at every shard count): timer actions are rare next to protocol
-/// actions, so parallelizing them buys nothing.
+/// pre-timer trajectory is untouched byte for byte.  Timer actions send
+/// directly: nothing is being received yet, so there is no pass to wait for.
 void Engine::fire_due_timers() {
   while (!timers_.empty() && timers_.begin()->first <= counters_.rounds) {
     due_timers_.swap(timers_.begin()->second);
@@ -209,9 +212,9 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
   if (metrics_.sent) metrics_.sent->add();
   for (const auto& [id, hook] : send_hooks_) hook(to, message);
   // Loss and fault fates draw from the *sender's* stream: each process's
-  // draw sequence (protocol flips during its action, then the fates of its
-  // own sends in issue order) is then a pure function of (state, seed),
-  // independent of how many lanes executed the phase.
+  // draw sequence (its channel drain, protocol flips during its action, then
+  // the fates of its own sends in issue order) is a pure function of
+  // (state, seed).
   Slot& sender = slots_[from_slot];
   if (config_.message_loss > 0.0 &&
       sender.rng.bernoulli(config_.message_loss)) {
@@ -262,26 +265,20 @@ bool Engine::inject(Id to, const Message& message) {
   return true;
 }
 
-void Engine::deliver(Slot& slot, std::size_t slot_index, const Message& message) {
+void Engine::flush_outbox() {
+  for (const PendingSend& send : outbox_)
+    dispatch_send(send.from_slot, send.to, send.message);
+  outbox_.clear();
+}
+
+void Engine::deliver(Slot& slot, std::size_t slot_index, const Message& message,
+                     std::vector<PendingSend>* outbox) {
   ++counters_.deliveries;
   ++counters_.actions;
   if (metrics_.delivered) metrics_.delivered->add();
   if (metrics_.actions) metrics_.actions->add();
   for (const auto& [id, hook] : delivery_hooks_) hook(slot.process->id(), message);
-  Context ctx(*this, slot.process->id(), &slot.rng, slot_index, nullptr);
-  slot.process->on_message(ctx, message);
-}
-
-void Engine::deliver_buffered(Slot& slot, std::size_t slot_index,
-                              const Message& message, EngineLane& lane) {
-  ++lane.deliveries;
-  ++lane.actions;
-  if (metrics_.delivered) metrics_.delivered->add();
-  if (metrics_.actions) metrics_.actions->add();
-  // A registered delivery hook forces effective_lanes() to 1, so this loop
-  // only ever runs sequentially, in canonical rank order.
-  for (const auto& [id, hook] : delivery_hooks_) hook(slot.process->id(), message);
-  Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &lane);
+  Context ctx(*this, slot.process->id(), &slot.rng, slot_index, outbox);
   slot.process->on_message(ctx, message);
 }
 
@@ -297,105 +294,46 @@ void Engine::finish_round() {
   for (const auto& [id, hook] : round_hooks_) hook(counters_.rounds);
 }
 
-std::size_t Engine::effective_lanes(std::size_t n) const noexcept {
-  if (!delivery_hooks_.empty()) return 1;
-  return std::min(config_.shards, n);
-}
-
-void Engine::merge_lanes(std::size_t lanes) {
-  for (std::size_t i = 0; i < lanes; ++i) {
-    EngineLane& lane = lanes_[i];
-    counters_.actions += lane.actions;
-    counters_.deliveries += lane.deliveries;
-    pending_total_ -= lane.drained;
-    lane.actions = 0;
-    lane.deliveries = 0;
-    lane.drained = 0;
-    // Lanes cover contiguous rank ranges and each lane appends in rank
-    // order, so this concatenation IS the canonical (sender rank, send
-    // order) sequence — the same sequence for every shard count.
-    for (const PendingSend& send : lane.outbox)
-      dispatch_send(send.from_slot, send.to, send.message);
-    lane.outbox.clear();
-    for (const EngineLane::TimerArm& arm : lane.timer_arms)
-      schedule_timer(arm.id, arm.delay, arm.tag);
-    lane.timer_arms.clear();
+/// Because every send waits in outbox_ until the pass ends, no channel
+/// changes during the pass: draining a channel at its owner's turn yields
+/// exactly what a snapshot of every channel at the round start would, and
+/// messages sent while receiving are delivered next round (true synchronous
+/// semantics).  Each receiver drains with its own stream.
+void Engine::receive_pass(ReceiptOrder order, bool sample) {
+  for (const std::size_t slot_index : order_) {
+    Slot& slot = slots_[slot_index];
+    const std::size_t before = slot.channel.size();
+    if (sample) {
+      slot.channel.drain_sample(drained_, config_.delivery_probability, slot.rng);
+    } else {
+      slot.channel.drain(drained_, order, slot.rng);
+    }
+    note_drained(slot, before - slot.channel.size());
+    for (const Message& message : drained_)
+      deliver(slot, slot_index, message, &outbox_);
   }
+  drained_.clear();
+  flush_outbox();
 }
 
 void Engine::run_synchronous_round(ReceiptOrder order) {
-  const std::size_t n = order_.size();
-  if (n == 0) {
-    finish_round();
-    return;
+  receive_pass(order, config_.scheduler == SchedulerKind::kDelayedRandom);
+  // Every node executes its (always enabled) regular action.
+  for (const std::size_t slot_index : order_) {
+    Slot& slot = slots_[slot_index];
+    ++counters_.actions;
+    if (metrics_.actions) metrics_.actions->add();
+    Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &outbox_);
+    slot.process->on_regular(ctx);
   }
-  const std::size_t lanes = effective_lanes(n);
-  if (lanes_.size() < lanes) lanes_.resize(lanes);
-  if (arrivals_.size() < slots_.size()) arrivals_.resize(slots_.size());
-  const bool delayed = config_.scheduler == SchedulerKind::kDelayedRandom;
-
-  // Phase A0: snapshot every channel *before* any delivery, so that messages
-  // sent while processing this round's arrivals are delivered next round
-  // (true synchronous semantics).  Each receiver drains with its own stream,
-  // so the per-channel arrival order is independent of the lane partition —
-  // and of which thread ran it.
-  util::parallel_for_chunked(
-      n, lanes, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-        EngineLane& out = lanes_[lane];
-        for (std::size_t rank = begin; rank < end; ++rank) {
-          const std::size_t slot_index = order_[rank];
-          Slot& slot = slots_[slot_index];
-          const std::size_t before = slot.channel.size();
-          if (delayed) {
-            slot.channel.drain_sample(arrivals_[slot_index],
-                                      config_.delivery_probability, slot.rng);
-          } else {
-            slot.channel.drain(arrivals_[slot_index], order, slot.rng);
-          }
-          out.drained += before - slot.channel.size();
-        }
-      });
-  merge_lanes(lanes);
-
-  // Phase A: every node receives everything that was pending at round start.
-  // Receive actions only touch the receiver's own state and stream; their
-  // sends buffer in the lane outbox until the barrier.
-  util::parallel_for_chunked(
-      n, lanes, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-        EngineLane& out = lanes_[lane];
-        for (std::size_t rank = begin; rank < end; ++rank) {
-          const std::size_t slot_index = order_[rank];
-          Slot& slot = slots_[slot_index];
-          std::vector<Message>& messages = arrivals_[slot_index];
-          for (const Message& message : messages)
-            deliver_buffered(slot, slot_index, message, out);
-          messages.clear();
-        }
-      });
-  merge_lanes(lanes);
-
-  // Phase B: every node executes its (always enabled) regular action.
-  util::parallel_for_chunked(
-      n, lanes, [&](std::size_t lane, std::size_t begin, std::size_t end) {
-        EngineLane& out = lanes_[lane];
-        for (std::size_t rank = begin; rank < end; ++rank) {
-          const std::size_t slot_index = order_[rank];
-          Slot& slot = slots_[slot_index];
-          ++out.actions;
-          if (metrics_.actions) metrics_.actions->add();
-          Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &out);
-          slot.process->on_regular(ctx);
-        }
-      });
-  merge_lanes(lanes);
+  flush_outbox();
   finish_round();
 }
 
-/// The async scheduler stays sequential at every shard count: its whole
-/// point is a single global interleaving of atomic actions, so there is no
-/// phase to fan out.  Scheduler picks draw from the engine stream; protocol
-/// flips, drain shuffles, and send fates draw from the acting process's
-/// stream, exactly like the synchronous family.
+/// The async scheduler is a single global interleaving of atomic actions,
+/// each of which sends directly.  Scheduler picks draw from the engine
+/// stream; protocol flips, drain shuffles, and send fates draw from the
+/// acting process's stream, exactly like the synchronous family.
 void Engine::run_async_round() {
   ensure_fenwick();
   std::size_t budget = config_.async_actions_per_round;
@@ -426,7 +364,7 @@ void Engine::run_async_round() {
       const Message message =
           slot.channel.take_one(ReceiptOrder::kShuffled, slot.rng);
       note_drained(slot, 1);
-      deliver(slot, slot_index, message);
+      deliver(slot, slot_index, message, nullptr);
     }
   }
   finish_round();
@@ -466,20 +404,7 @@ void Engine::run_round() {
 }
 
 void Engine::deliver_pending_once() {
-  if (arrivals_.size() < slots_.size()) arrivals_.resize(slots_.size());
-  for (const std::size_t slot_index : order_) {
-    Slot& slot = slots_[slot_index];
-    const std::size_t before = slot.channel.size();
-    slot.channel.drain(arrivals_[slot_index], ReceiptOrder::kShuffled, slot.rng);
-    note_drained(slot, before - slot.channel.size());
-  }
-  for (const std::size_t slot_index : order_) {
-    Slot& slot = slots_[slot_index];
-    if (!slot.process) continue;
-    for (const Message& message : arrivals_[slot_index])
-      deliver(slot, slot_index, message);
-    arrivals_[slot_index].clear();
-  }
+  receive_pass(ReceiptOrder::kShuffled, /*sample=*/false);
 }
 
 void Engine::run_rounds(std::size_t rounds) {

@@ -5,18 +5,18 @@
 // small-world node and the baseline linearization node are both plugins.
 // Everything is deterministic given (seed, scheduler, initial state).
 //
-// Determinism model (DESIGN.md "Sharded deterministic execution"):
+// Determinism model (DESIGN.md §8 "Deterministic rounds"):
 //   * every process owns a private random stream, derived once from
 //     (seed, id) — protocol coin flips, channel-drain shuffles, and the
 //     loss/fault fate of that process's sends all come from its stream;
 //   * the engine stream (rng()) belongs to the scheduler alone (the
 //     random-async action picks);
-//   * synchronous-family rounds split each phase over `shards` contiguous
-//     rank ranges.  Worker lanes buffer their side effects (sends, timer
-//     arms, counter deltas) and a sequential merge at the phase barrier
-//     applies them in canonical (sender rank, send order); contiguous
-//     partitioning makes that concatenation identical for every shard
-//     count, so trajectories are bit-identical across shards ∈ {1, 2, …}.
+//   * a synchronous-family round is two passes over the processes in rank
+//     order: receive (each process drains its own channel and handles what
+//     it found), then regular.  Sends made during a pass wait in one outbox
+//     and are dispatched in (sender rank, send order) when the pass ends, so
+//     no channel changes mid-pass and every receiver sees its channel as it
+//     stood when the round began.
 #pragma once
 
 #include <array>
@@ -41,28 +41,13 @@ namespace sssw::sim {
 
 class Engine;
 
-/// Engine-internal: one buffered send awaiting the phase barrier.  Parallel
-/// phases must not touch channels, counters, or another process's stream, so
-/// Context::send records (who, where, what) and the merge does the rest.
+/// Engine-internal: one send made during a round pass, dispatched when the
+/// pass ends.  Context::send records (who, where, what); the engine's
+/// dispatch does the rest.
 struct PendingSend {
   std::size_t from_slot;
   Id to;
   Message message;
-};
-
-/// Engine-internal: one shard lane's buffered side effects for the current
-/// phase.  Lanes are merged sequentially in lane order at the barrier.
-struct EngineLane {
-  struct TimerArm {
-    Id id;
-    std::uint32_t delay;
-    std::uint64_t tag;
-  };
-  std::vector<PendingSend> outbox;
-  std::vector<TimerArm> timer_arms;
-  std::uint64_t actions = 0;
-  std::uint64_t deliveries = 0;
-  std::size_t drained = 0;  ///< messages taken out of channels this phase
 };
 
 /// The face of the engine a process sees while executing one atomic action.
@@ -70,15 +55,14 @@ class Context {
  public:
   /// Sends `message` to the node with identifier `to`.  Sends to identifiers
   /// that no longer exist (departed nodes) are counted and dropped, matching
-  /// the leave semantics of §IV.G.  Self-sends are legal.  Inside a parallel
-  /// phase the send is buffered and takes effect at the phase barrier, in
+  /// the leave semantics of §IV.G.  Self-sends are legal.  Inside a round
+  /// pass the send is buffered and takes effect when the pass ends, in
   /// canonical (sender rank, send order) — invisible to the protocol, which
-  /// never observes a channel it sent to within the same phase anyway.
+  /// never observes a channel it sent to within the same pass anyway.
   void send(Id to, const Message& message);
 
   /// The acting process's private deterministic stream (derived from the
-  /// engine seed and the process id), so concurrent actions never contend
-  /// for — or, worse, reorder — a shared generator.
+  /// engine seed and the process id).
   util::Rng& rng();
 
   /// Synchronous round counter (also advanced by async steps, see Engine).
@@ -91,18 +75,19 @@ class Context {
  private:
   friend class Engine;
   Context(Engine& engine, Id self, util::Rng* rng, std::size_t from_slot,
-          EngineLane* lane) noexcept
+          std::vector<PendingSend>* outbox) noexcept
       : engine_(engine),
         self_(self),
         rng_(rng),
         from_slot_(from_slot),
-        lane_(lane) {}
+        outbox_(outbox) {}
   Engine& engine_;
   Id self_;  ///< the acting process (the fault layer's partition filter
              ///< needs the sender, which a Message does not carry)
   util::Rng* rng_;         ///< the acting process's slot stream
   std::size_t from_slot_;  ///< the acting process's slot index
-  EngineLane* lane_;       ///< non-null inside a parallel phase: buffer here
+  /// Non-null inside a round pass: sends wait here until the pass ends.
+  std::vector<PendingSend>* outbox_;
 };
 
 /// Cheap protocol tag: hot inspection paths (invariant predicates, views,
@@ -116,11 +101,10 @@ inline constexpr ProcessKind kSmallWorldProcess = 1;
 inline constexpr ProcessKind kLinearizationProcess = 2;
 inline constexpr ProcessKind kFingerProcess = 3;
 
-/// A protocol node.  Actions are atomic: the engine never interleaves two
-/// callbacks *of the same process*, and concurrent actions of different
-/// processes share no mutable state (each process owns its state and stream;
-/// sends are buffered).  `on_message` is the receive action, `on_regular`
-/// the always-enabled regular action (Algorithm 1's two actions).
+/// A protocol node.  Actions are atomic and run one at a time; each process
+/// owns its state and stream.  `on_message` is the receive action,
+/// `on_regular` the always-enabled regular action (Algorithm 1's two
+/// actions).
 class Process {
  public:
   virtual ~Process() = default;
@@ -171,11 +155,6 @@ struct EngineConfig {
   /// In kAdversarialOldestLast, the fairness deadline: every message is
   /// held this many extra rounds before its channel sees it.  Must be >= 1.
   std::uint32_t adversary_delay = 3;
-  /// Worker lanes the synchronous-family schedulers fan each round's phases
-  /// across.  Trajectories are bit-identical for every value >= 1 (the
-  /// determinism model above), so this is purely a wall-clock knob.
-  /// kRandomAsync is inherently sequential and ignores it.  Must be >= 1.
-  std::size_t shards = 1;
 };
 
 struct EngineCounters {
@@ -279,7 +258,7 @@ class Engine {
 
   /// The scheduler's stream.  Protocol code should use Context::rng (its
   /// per-process stream) instead; this one decides only scheduler-level
-  /// draws, so that shard lanes never share a generator.
+  /// draws (the random-async action picks).
   util::Rng& rng() noexcept { return rng_; }
   std::uint64_t round() const noexcept { return counters_.rounds; }
 
@@ -291,15 +270,14 @@ class Engine {
   void detach_metrics() noexcept { metrics_ = Metrics{}; }
 
   // --- observation hooks ------------------------------------------------
-  // Hooks are *chained*: any number of observers may attach concurrently
-  // (a Trace, the metrics layer, a test capture) and each receives every
+  // Hooks are *chained*: any number of observers may attach at once (a
+  // Trace, the metrics layer, a test capture) and each receives every
   // event.  add returns a token for targeted removal, so detaching one
   // observer never silently disables another.
   //
-  // Threading: send and round hooks always fire from the sequential merge /
-  // epilogue.  A registered delivery hook forces rounds onto a single lane
-  // (sequential, canonical order) — observation keeps exact event order at
-  // the cost of parallelism, and the trajectory is unchanged either way.
+  // Order: a delivery hook fires as the receive action starts; a send hook
+  // fires when the send is dispatched, which for sends made during a round
+  // pass is when that pass ends; round hooks fire after the round.
   using DeliveryHook = std::function<void(Id to, const Message&)>;
   using RoundHook = std::function<void(std::uint64_t round)>;
   using HookId = std::uint64_t;
@@ -318,10 +296,10 @@ class Engine {
   HookId add_round_hook(RoundHook hook);
   bool remove_round_hook(HookId id) noexcept;
 
-  /// Testing scheduler: delivers everything currently pending (shuffled per
-  /// receiver stream) WITHOUT executing any regular action, and does not
-  /// advance the round counter.  Lets tests exercise a single receive action
-  /// in isolation.
+  /// Testing scheduler: runs one receive pass that delivers everything
+  /// currently pending (shuffled per receiver stream) WITHOUT executing any
+  /// regular action, and does not advance the round counter.  Lets tests
+  /// exercise a single receive action in isolation.
   void deliver_pending_once();
 
  private:
@@ -335,7 +313,7 @@ class Engine {
     std::size_t rank = 0;
     /// The process's private stream: util::derive_stream(seed, bits of id).
     /// Touched only by this process's own actions, its channel drains, and
-    /// the merge-time fate of its sends — never by another lane.
+    /// the fates of its sends.
     util::Rng rng{0};
   };
 
@@ -353,8 +331,7 @@ class Engine {
   };
 
   /// Cached metric handles (registry-owned); all null when detached, so the
-  /// hot paths pay one branch.  Counters are relaxed-atomic (obs/registry),
-  /// so lane-parallel adds are safe and totals stay deterministic.
+  /// hot paths pay one branch.
   struct Metrics {
     obs::Counter* rounds = nullptr;
     obs::Counter* actions = nullptr;
@@ -371,27 +348,26 @@ class Engine {
     obs::Gauge* processes = nullptr;
   };
 
-  /// The sequential send path: counts the send, fires send hooks, draws the
-  /// loss/fault fate from the *sender's* stream, and routes the survivors.
-  /// Called inline from sequential contexts and from the phase merge for
-  /// buffered sends — same code, same stream, same order either way.
+  /// The send path: counts the send, fires send hooks, draws the loss/fault
+  /// fate from the *sender's* stream, and routes the survivors.  Called
+  /// inline by timer and async actions, and by flush_outbox for the sends
+  /// of a round pass.
   void dispatch_send(std::size_t from_slot, Id to, const Message& message);
+  /// Dispatches the current pass's sends in (sender rank, send order).
+  void flush_outbox();
   void enqueue_or_drop(Id to, const Message& message);
   void release_due_messages();
   void fire_due_timers();
-  /// Sequential delivery (async scheduler, deliver_pending_once).
-  void deliver(Slot& slot, std::size_t slot_index, const Message& message);
-  /// Lane delivery: counters and sends buffer into `lane`.
-  void deliver_buffered(Slot& slot, std::size_t slot_index,
-                        const Message& message, EngineLane& lane);
+  /// One receive action; a non-null `outbox` buffers its sends.
+  void deliver(Slot& slot, std::size_t slot_index, const Message& message,
+               std::vector<PendingSend>* outbox);
+  /// The receive pass: in rank order, each process drains its own channel
+  /// (with `sample`, each message only with the delivery probability) and
+  /// receives what it drained.
+  void receive_pass(ReceiptOrder order, bool sample);
   void run_synchronous_round(ReceiptOrder order);
   void run_async_round();
   void finish_round();
-  /// Applies every lane's buffered effects in lane order (sequential).
-  void merge_lanes(std::size_t lanes);
-  /// Lanes for a round over `n` processes: config shards, capped by n, and
-  /// forced to 1 while a delivery hook wants exact sequential observation.
-  std::size_t effective_lanes(std::size_t n) const noexcept;
   /// Lazily rebuilds the pending-by-rank Fenwick index (async scheduler
   /// only) after membership changes invalidated it.
   void ensure_fenwick();
@@ -430,14 +406,14 @@ class Engine {
   bool fenwick_dirty_ = true;
   std::size_t pending_total_ = 0;  // sum of all channel sizes, kept in step
   std::vector<std::int64_t> rank_counts_;  // rebuild scratch, reused
-  std::vector<EngineLane> lanes_;  // per-shard buffers, reused across rounds
+  std::vector<PendingSend> outbox_;  // the current pass's sends, reused
+  std::vector<Message> drained_;  // the acting receiver's drained messages, reused
   EngineCounters counters_;
   Metrics metrics_;
   HookId next_hook_id_ = 1;
   std::vector<std::pair<HookId, DeliveryHook>> delivery_hooks_;
   std::vector<std::pair<HookId, DeliveryHook>> send_hooks_;
   std::vector<std::pair<HookId, RoundHook>> round_hooks_;
-  std::vector<std::vector<Message>> arrivals_;  // per-slot round snapshots
   struct Timer {
     Id id;
     std::uint64_t tag;
@@ -451,12 +427,13 @@ class Engine {
 
 // --- Context inline fast paths ---------------------------------------------
 // send() is the hottest engine call (every protocol action fires several);
-// in a lane it is one push_back, with the real dispatch deferred to the
-// merge.  Defined here, after Engine, so the calls inline into protocol code.
+// inside a round pass it is one push_back, with the real dispatch deferred
+// to the end of the pass.  Defined here, after Engine, so the calls inline
+// into protocol code.
 
 inline void Context::send(Id to, const Message& message) {
-  if (lane_ != nullptr) {
-    lane_->outbox.push_back(PendingSend{from_slot_, to, message});
+  if (outbox_ != nullptr) {
+    outbox_->push_back(PendingSend{from_slot_, to, message});
     return;
   }
   engine_.dispatch_send(from_slot_, to, message);
@@ -469,10 +446,6 @@ inline std::uint64_t Context::round() const noexcept {
 }
 
 inline void Context::schedule_timer(std::uint32_t delay, std::uint64_t tag) {
-  if (lane_ != nullptr) {
-    lane_->timer_arms.push_back(EngineLane::TimerArm{self_, delay, tag});
-    return;
-  }
   engine_.schedule_timer(self_, delay, tag);
 }
 

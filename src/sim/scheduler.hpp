@@ -23,6 +23,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace sssw::sim {
 
@@ -41,5 +43,7 @@ inline constexpr SchedulerKind kAllSchedulers[] = {
 };
 
 const char* to_string(SchedulerKind kind) noexcept;
+/// Inverse of to_string; nullopt for an unknown name.
+std::optional<SchedulerKind> scheduler_from_string(std::string_view name) noexcept;
 
 }  // namespace sssw::sim

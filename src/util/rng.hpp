@@ -65,12 +65,11 @@ class Rng {
   std::uint64_t s_[4];
 };
 
-/// Derives a deterministic child stream keyed by (seed, key): the sharded
-/// engine hands every process its own stream keyed by its identifier bits,
-/// so a trajectory is a pure function of (state, seed) — independent of how
-/// work is spread over shards or threads.  The key is folded through a
-/// golden-ratio multiply before the Rng constructor's splitmix64 expansion,
-/// so nearby keys land in unrelated streams.
+/// Derives a deterministic child stream keyed by (seed, key): the engine
+/// hands every process its own stream keyed by its identifier bits, so each
+/// process's draws are a pure function of (state, seed).  The key is folded
+/// through a golden-ratio multiply before the Rng constructor's splitmix64
+/// expansion, so nearby keys land in unrelated streams.
 inline Rng derive_stream(std::uint64_t seed, std::uint64_t key) noexcept {
   std::uint64_t state = seed ^ (key * 0x9e3779b97f4a7c15ull);
   // One extra splitmix64 round decorrelates (seed, key) pairs that collide

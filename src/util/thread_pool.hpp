@@ -10,7 +10,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <mutex>
@@ -66,51 +65,5 @@ ThreadPool& shared_pool();
 /// Convenience: runs body(i) for i in [0, count) on the shared pool, or
 /// serially when count <= 1 (no pool is ever constructed in that case).
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
-
-/// Chunked, template-based parallel_for: splits [0, count) into at most
-/// `chunks` contiguous ranges and invokes body(chunk_index, begin, end) once
-/// per range.  The per-element std::function indirection of the index
-/// overload is gone — body is type-erased once per *chunk*, and the element
-/// loop inside it inlines.  This is what the sharded engine round and the
-/// seed-parallel sweep drivers use.  Chunk boundaries are a pure function of
-/// (count, chunks), so callers that key determinism to chunk identity (the
-/// engine's shard lanes) get identical splits on every run.  Blocks until
-/// all chunks complete; exceptions from any chunk are rethrown (first one
-/// wins).  Serial (caller thread, still chunked) when chunks <= 1 or
-/// count <= 1.
-template <typename Body>
-void parallel_for_chunked(std::size_t count, std::size_t chunks, Body&& body) {
-  if (count == 0) return;
-  if (chunks > count) chunks = count;
-  if (chunks <= 1) {
-    body(std::size_t{0}, std::size_t{0}, count);
-    return;
-  }
-  const std::size_t base = count / chunks;
-  const std::size_t extra = count % chunks;  // first `extra` chunks get +1
-  auto bounds = [base, extra](std::size_t c) noexcept {
-    return c * base + (c < extra ? c : extra);
-  };
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks - 1);
-  for (std::size_t c = 1; c < chunks; ++c) {
-    futures.push_back(shared_pool().submit(
-        [&body, bounds, c] { body(c, bounds(c), bounds(c + 1)); }));
-  }
-  std::exception_ptr first_error;
-  try {
-    body(std::size_t{0}, bounds(0), bounds(1));  // caller participates
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-  for (auto& future : futures) {
-    try {
-      future.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
 
 }  // namespace sssw::util

@@ -327,6 +327,30 @@ TEST(SweepRun, ExecutesResumesAndRenders) {
       << "caption must carry the regeneration command:\n" << table;
 }
 
+TEST(SweepRun, JobsDoNotChangeResults) {
+  // At jobs > 1 the cells run on their own threads; which thread ran which
+  // cell, and in what order they finished, must not reach the artifacts.
+  const SweepConfig config = tiny_config("seeds = 7, 8\n");
+  std::string csv[2];
+  std::string table[2];
+  for (const std::size_t jobs : {1u, 2u}) {
+    TempDir tmp(jobs == 1 ? "jobs1" : "jobs2");
+    SweepRunOptions options;
+    options.out_root = tmp.path.string();
+    options.jobs = jobs;
+    const SweepSummary summary = run_sweep(config, options);
+    EXPECT_EQ(summary.executed, 2u);
+    EXPECT_EQ(summary.failed, 0u);
+    const auto run = load_sweep_run(summary.exp_dir);
+    ASSERT_TRUE(run.has_value());
+    csv[jobs - 1] = render_runs_csv(*run);
+    table[jobs - 1] = render_markdown_table(*run, "e1-convergence");
+  }
+  EXPECT_EQ(csv[0], csv[1]);
+  EXPECT_EQ(table[0], table[1]);
+  EXPECT_NE(table[0].find("| seed |"), std::string::npos) << table[0];
+}
+
 TEST(SweepRun, DryRunWritesNothing) {
   TempDir tmp("dry");
   SweepRunOptions options;

@@ -23,53 +23,44 @@
 #include "core/network.hpp"
 #include "service/lookup_manager.hpp"
 #include "topology/initial_states.hpp"
+#include "util/fnv.hpp"
 #include "util/rng.hpp"
 
 namespace sssw::core {
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (value >> (8 * byte)) & 0xff;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 std::uint64_t counters_digest(const sim::EngineCounters& c) {
-  std::uint64_t hash = 14695981039346656037ull;
-  hash = fnv1a(hash, c.rounds);
-  hash = fnv1a(hash, c.actions);
-  hash = fnv1a(hash, c.deliveries);
-  hash = fnv1a(hash, c.dropped);
-  hash = fnv1a(hash, c.lost);
-  hash = fnv1a(hash, c.timers);
-  hash = fnv1a(hash, c.faults.duplicated);
-  hash = fnv1a(hash, c.faults.delayed);
-  hash = fnv1a(hash, c.faults.replayed);
-  hash = fnv1a(hash, c.faults.partition_dropped);
-  for (const std::uint64_t sent : c.sent_by_type) hash = fnv1a(hash, sent);
-  return hash;
+  util::Fnv1a hash;
+  hash.add_word(c.rounds)
+      .add_word(c.actions)
+      .add_word(c.deliveries)
+      .add_word(c.dropped)
+      .add_word(c.lost)
+      .add_word(c.timers)
+      .add_word(c.faults.duplicated)
+      .add_word(c.faults.delayed)
+      .add_word(c.faults.replayed)
+      .add_word(c.faults.partition_dropped);
+  for (const std::uint64_t sent : c.sent_by_type) hash.add_word(sent);
+  return hash.value();
 }
 
 /// Folds the complete observable node state in id order: any divergence in
 /// any node's pointers, long-range links, ages, or forget count shows up
 /// here even if the counter totals happen to collide.
 std::uint64_t state_digest(const SmallWorldNetwork& net) {
-  std::uint64_t hash = 14695981039346656037ull;
+  util::Fnv1a hash;
   for (const sim::Id id : net.engine().id_span()) {
     const SmallWorldNode* node = net.node(id);
     if (node == nullptr) continue;
-    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(node->l()));
-    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(node->r()));
-    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(node->ring()));
-    hash = fnv1a(hash, node->forget_count());
-    for (const SmallWorldNode::LongRangeLink& link : node->lrls()) {
-      hash = fnv1a(hash, std::bit_cast<std::uint64_t>(link.target));
-      hash = fnv1a(hash, link.age);
-    }
+    hash.add_word(std::bit_cast<std::uint64_t>(node->l()))
+        .add_word(std::bit_cast<std::uint64_t>(node->r()))
+        .add_word(std::bit_cast<std::uint64_t>(node->ring()))
+        .add_word(node->forget_count());
+    for (const SmallWorldNode::LongRangeLink& link : node->lrls())
+      hash.add_word(std::bit_cast<std::uint64_t>(link.target)).add_word(link.age);
   }
-  return hash;
+  return hash.value();
 }
 
 /// Folds the lookup manager's lifetime totals — every issued attempt, retry,
@@ -77,21 +68,21 @@ std::uint64_t state_digest(const SmallWorldNetwork& net) {
 /// whatever pointers each round produced, so a moved send would surface
 /// here even if the structural digests happened to agree.
 std::uint64_t lookup_digest(const service::LookupManager::Totals& t) {
-  std::uint64_t hash = 14695981039346656037ull;
-  hash = fnv1a(hash, t.issued);
-  hash = fnv1a(hash, t.attempts);
-  hash = fnv1a(hash, t.retries);
-  hash = fnv1a(hash, t.hedges);
-  hash = fnv1a(hash, t.succeeded);
-  hash = fnv1a(hash, t.failed);
-  hash = fnv1a(hash, t.stale);
-  hash = fnv1a(hash, t.deadletter_timeout);
-  hash = fnv1a(hash, t.deadletter_no_progress);
-  hash = fnv1a(hash, t.deadletter_target_dead);
-  hash = fnv1a(hash, t.deadletter_ttl);
-  hash = fnv1a(hash, t.hop_sum);
-  hash = fnv1a(hash, t.latency_sum);
-  return hash;
+  return util::Fnv1a()
+      .add_word(t.issued)
+      .add_word(t.attempts)
+      .add_word(t.retries)
+      .add_word(t.hedges)
+      .add_word(t.succeeded)
+      .add_word(t.failed)
+      .add_word(t.stale)
+      .add_word(t.deadletter_timeout)
+      .add_word(t.deadletter_no_progress)
+      .add_word(t.deadletter_target_dead)
+      .add_word(t.deadletter_ttl)
+      .add_word(t.hop_sum)
+      .add_word(t.latency_sum)
+      .value();
 }
 
 struct TrialDigest {
@@ -99,8 +90,6 @@ struct TrialDigest {
   std::uint64_t counters = 0;
   std::uint64_t state = 0;
   std::uint64_t lookups = 0;
-
-  bool operator==(const TrialDigest&) const = default;
 };
 
 /// One adversarial trial: 32 nodes from a random tree, loss + duplication +

@@ -61,7 +61,7 @@ int refresh(const std::string& path) {
   return 0;
 }
 
-int replay(const std::string& path, bool paranoid, std::size_t shards) {
+int replay(const std::string& path, bool paranoid) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -77,7 +77,6 @@ int replay(const std::string& path, bool paranoid, std::size_t shards) {
   // Paranoia is a runtime knob, not part of the recorded case: it cannot
   // change the verdict, only abort if the tracker and oracle disagree.
   repro->options.paranoid = paranoid;
-  repro->options.shards = shards;
   const analysis::FuzzVerdict verdict = analysis::run_case(repro->c, repro->options);
   const bool match = verdict == repro->expected;
   std::printf("%s: %s (oracle %s, %llu rounds, digest %llu) — %s\n", path.c_str(),
@@ -102,7 +101,6 @@ int main(int argc, char** argv) {
   bool no_shrink = false;
   bool emit_all = false;
   bool paranoid = false;
-  std::int64_t shards = 1;
   util::Cli cli("convergence fuzzer for the self-stabilizing small-world protocol");
   cli.flag("trials", "number of fuzz cases to run", &trials);
   cli.flag("seed", "master seed for case sampling", &seed);
@@ -122,22 +120,13 @@ int main(int argc, char** argv) {
   cli.flag("emit-all",
            "also write a reproducer for every passing trial (corpus building)",
            &emit_all);
-  cli.flag("shards",
-           "worker lanes for replay (trajectories are shard-count-invariant; "
-           "any value must reproduce the recorded verdict)",
-           &shards);
   cli.flag("paranoid",
            "cross-check the incremental invariant tracker against the "
            "recompute oracle on every round (aborts on divergence)",
            &paranoid);
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 2;
 
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be at least 1\n");
-    return 2;
-  }
-  if (!replay_path.empty())
-    return replay(replay_path, paranoid, static_cast<std::size_t>(shards));
+  if (!replay_path.empty()) return replay(replay_path, paranoid);
   if (!refresh_path.empty()) return refresh(refresh_path);
 
   if (trials <= 0 || max_n < 4) {

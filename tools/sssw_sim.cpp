@@ -134,7 +134,6 @@ int main(int argc, char** argv) {
   std::int64_t lookup_timeout = 128;
   std::int64_t lookup_retries = 2;
   std::int64_t lookup_hedge = 0;
-  std::int64_t shards = 1;
   std::string script;
   std::string metrics_path;
   std::int64_t metrics_every = 100;
@@ -175,10 +174,6 @@ int main(int argc, char** argv) {
            &probe_period);
   cli.flag("suspect-threshold", "detector: missed acks before suspicion",
            &suspect_threshold);
-  cli.flag("shards",
-           "worker lanes per round (pure wall-clock knob: the trajectory is "
-           "bit-identical for every value >= 1)",
-           &shards);
   cli.flag("message-loss", "per-message drop probability, in [0,1)",
            &message_loss);
   cli.flag("crash-frac",
@@ -213,24 +208,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--delivery-prob must lie in (0, 1]\n");
     return 1;
   }
-  if (shards < 1) {
-    std::fprintf(stderr, "--shards must be at least 1\n");
+
+  const auto shape = topology::shape_from_string(shape_name);
+  if (!shape) {
+    std::fprintf(stderr, "unknown shape '%s'\n", shape_name.c_str());
     return 1;
   }
-
-  topology::InitialShape shape = topology::InitialShape::kRandomChain;
-  for (const auto candidate : topology::kAllShapes)
-    if (shape_name == topology::to_string(candidate)) shape = candidate;
-
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kSynchronous;
-  bool scheduler_known = false;
-  for (const auto candidate : sim::kAllSchedulers) {
-    if (scheduler_name == sim::to_string(candidate)) {
-      scheduler = candidate;
-      scheduler_known = true;
-    }
-  }
-  if (!scheduler_known) {
+  const auto scheduler = sim::scheduler_from_string(scheduler_name);
+  if (!scheduler) {
     std::fprintf(stderr, "unknown scheduler '%s'\n", scheduler_name.c_str());
     return 1;
   }
@@ -275,12 +260,11 @@ int main(int argc, char** argv) {
   util::Rng rng(static_cast<std::uint64_t>(seed));
   core::NetworkOptions options;
   options.seed = static_cast<std::uint64_t>(seed);
-  options.scheduler = scheduler;
+  options.scheduler = *scheduler;
   options.delivery_probability = delivery_prob;
   options.faults = faults;
   options.adversary_delay = static_cast<std::uint32_t>(adversary_delay);
   options.message_loss = message_loss;
-  options.shards = static_cast<std::size_t>(shards);
   // Crash-stop works out of the box: the legacy passive detector by default,
   // or the active probe/ack detector when requested.  Never both — a passive
   // reset clears the stale pointer before the active detector's eviction,
@@ -293,7 +277,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(suspect_threshold);
   core::SmallWorldNetwork net(options);
   net.add_nodes(topology::make_initial_state(
-      shape, core::random_ids(static_cast<std::size_t>(n), rng), rng));
+      *shape, core::random_ids(static_cast<std::size_t>(n), rng), rng));
 
   // Scheduled crash: once the engine reaches --crash-round, crash-stop a
   // random --crash-frac of the nodes (same id-pick recipe the fuzzer uses,
