@@ -28,6 +28,7 @@ void BM_Engine_StableRound(benchmark::State& state) {
       static_cast<double>(network.engine().round());
 }
 BENCHMARK(BM_Engine_StableRound)->Arg(100)->Arg(1000)->Arg(10000)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 // Scaling series: actions/sec vs n for every SchedulerKind, reported through
@@ -106,6 +107,7 @@ void BM_Engine_MillionNodeRecovery(benchmark::State& state) {
 }
 BENCHMARK(BM_Engine_MillionNodeRecovery)
     ->Arg(1000000)
+    ->UseRealTime()
     ->Unit(benchmark::kSecond)->Iterations(1);
 
 void BM_Channel_PushDrain(benchmark::State& state) {

@@ -9,28 +9,37 @@
 //
 //   sorted_pairs_     #nodes whose (l, r) equal their sorted-order
 //                     neighbours (±∞ at the ends) — Definition 4.8 holds
-//                     iff sorted_pairs_ == n.
-//   ring closure      read lazily from the cached min/max node pointers
-//                     (two hash lookups), not counted — Definition 4.17.
+//                     iff sorted_pairs_ == n.  Each entry caches those
+//                     expected neighbours (want_l, want_r), so an l/r write
+//                     costs two compares.
+//   ring closure      read lazily from the min and max nodes (two engine
+//                     lookups), not counted — Definition 4.17.
 //   forgot_nodes_     #nodes with forget_count() > 0 — the Phase-4 side
 //                     condition of Thm 4.22.
 //   unresolved_links_ #long-range links whose target is not a present node
-//                     — `lrls_resolve`.
+//                     — `lrls_resolve`.  Kept per entry while membership is
+//                     unchanged; a join, leave or crash marks the counts
+//                     stale and the next query recounts all n·k links once.
 //
 // Hook contract (enforced by the property test and verify_against):
 //   * every write to a node's l_/r_ calls notify_list()  → on_list_changed
 //   * every write to a link target   calls notify_lrl()   → on_lrl_changed
 //   * every advance of forgets_      calls notify_forget() → on_forget
-//   * membership changes go through on_add / on_remove, which re-seed only
-//     the O(1) affected entries (the joiner/leaver, its two rank
-//     neighbours, and the holders of links referencing the id).
+//   * membership changes go through on_add (after the engine added the
+//     node) and on_remove (before the engine drops it), which touch only
+//     the node's own entry and its two rank neighbours' expectations.
 // ring_ writes need no hook: only the current min and max nodes' ring()
 // matter, and sorted_ring() reads them at query time.
 //
-// The tracker deliberately holds no engine reference.  It mirrors the
-// membership (sorted_ids_) and caches node pointers, which are heap-stable
-// (the engine stores processes behind unique_ptr), so a SmallWorldNetwork
-// that owns a tracker stays cheaply movable.
+// Entries live in one vector indexed by the node's NodeStore slot
+// (SmallWorldNode::slot()); the store recycles slots, so the vector never
+// outgrows the store.  Membership — which ids are present, in what order —
+// is read from the engine (id_span, contains, find) through the reference
+// given at construction; SmallWorldNetwork keeps its engine behind
+// unique_ptr, so the reference survives network moves.  There is no reverse
+// link index: who points at a node only matters when membership changes,
+// and the recount answers that in O(n·k), the order of the leave scan that
+// precedes it.
 //
 // The recompute path in invariants.hpp remains the *oracle*: the fuzzer's
 // --paranoid mode, NetworkOptions.verify_tracker, and the property test
@@ -40,14 +49,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/engine.hpp"
 #include "sim/id.hpp"
-
-namespace sssw::sim {
-class Engine;
-}  // namespace sssw::sim
 
 namespace sssw::core {
 
@@ -55,14 +60,18 @@ class SmallWorldNode;
 
 class InvariantTracker {
  public:
+  /// Tracks the SmallWorldNodes of `engine`, which must outlive the tracker.
+  explicit InvariantTracker(const sim::Engine& engine) noexcept
+      : engine_(engine) {}
+
   // --- membership (O(log n) for the rank, O(1) entries touched) ---------
-  /// Seeds the entry for a node that was just added to the engine, and
-  /// re-seeds its two rank neighbours plus any stranded links that now
-  /// resolve to it.
+  /// Seeds the entry for a node the engine just added and points its two
+  /// rank neighbours' expectations at it.  Marks unresolved counts stale.
   void on_add(const SmallWorldNode& node);
-  /// Drops the entry for a node that just left the engine, re-seeds its
-  /// former rank neighbours, and marks links referencing it unresolved.
-  void on_remove(sim::Id id);
+  /// Drops the entry for a node the engine is about to remove (its slot is
+  /// released with it) and re-points its rank neighbours' expectations at
+  /// each other.  Marks unresolved counts stale.
+  void on_remove(const SmallWorldNode& node);
 
   // --- mutation hooks (O(1), called from SmallWorldNode) ----------------
   // Each hook recomputes only the acting node's entry from that node's
@@ -73,17 +82,14 @@ class InvariantTracker {
 
   // --- tracked predicates (O(1)) ----------------------------------------
   /// Definition 4.8 — mirrors invariants.hpp is_sorted_list().
-  bool sorted_list() const noexcept {
-    return sorted_pairs_ == sorted_ids_.size();
-  }
+  bool sorted_list() const noexcept { return sorted_pairs_ == size(); }
   /// Definition 4.17 — mirrors is_sorted_ring().
   bool sorted_ring() const noexcept;
-  /// Mirrors lrls_resolve().
-  bool lrls_resolve() const noexcept { return unresolved_links_ == 0; }
+  /// Mirrors lrls_resolve().  O(1), except the first query after a
+  /// membership change, which recounts every link.
+  bool lrls_resolve() const { return unresolved_links() == 0; }
   /// Phase-4 side condition: every node has forgotten at least once ever.
-  bool all_forgot() const noexcept {
-    return forgot_nodes_ == sorted_ids_.size();
-  }
+  bool all_forgot() const noexcept { return forgot_nodes_ == size(); }
 
   // --- forget epoch (run_until_small_world's per-run condition) ---------
   /// Snapshots every node's forget_count as the epoch baseline (O(n), once
@@ -91,50 +97,51 @@ class InvariantTracker {
   void arm_forget_epoch();
   /// True when every present node forgot at least once since the baseline
   /// (joiners since their join).  Trivially true for an empty network.
-  bool epoch_all_forgot() const noexcept {
-    return epoch_fresh_ == sorted_ids_.size();
-  }
+  bool epoch_all_forgot() const noexcept { return epoch_fresh_ == size(); }
 
   // --- gauges (src/obs wiring) ------------------------------------------
-  std::size_t size() const noexcept { return sorted_ids_.size(); }
+  std::size_t size() const noexcept { return engine_.process_count(); }
   std::size_t sorted_pairs() const noexcept { return sorted_pairs_; }
   std::size_t forgot_nodes() const noexcept { return forgot_nodes_; }
-  std::size_t unresolved_links() const noexcept { return unresolved_links_; }
+  /// Recounts first if membership changed since the last count.
+  std::size_t unresolved_links() const;
 
-  /// Oracle cross-check: recomputes every tracked quantity from the engine
-  /// and SSSW_CHECKs it against the incremental state.  O(n + m); used by
-  /// tests, the fuzzer's --paranoid mode, and NetworkOptions.verify_tracker.
+  /// Oracle cross-check: recomputes every tracked quantity from `engine`
+  /// (which must be the tracked engine) and SSSW_CHECKs it against the
+  /// incremental state.  Brings stale unresolved counts up to date first.
+  /// O(n + m); used by tests, the fuzzer's --paranoid mode, and
+  /// NetworkOptions.verify_tracker.
   void verify_against(const sim::Engine& engine) const;
 
  private:
   struct Entry {
-    const SmallWorldNode* node = nullptr;
-    bool pair_ok = false;   ///< (l, r) match the sorted-order neighbours
-    bool forgot = false;    ///< forget_count() > 0
-    bool epoch_counted = false;  ///< counted toward epoch_fresh_
+    const SmallWorldNode* node = nullptr;  ///< null: slot not tracked
+    sim::Id want_l = sim::kNegInf;  ///< sorted-order left neighbour, or −∞
+    sim::Id want_r = sim::kPosInf;  ///< sorted-order right neighbour, or +∞
+    bool pair_ok = false;           ///< (l, r) == (want_l, want_r)
+    bool forgot = false;            ///< forget_count() > 0
+    bool epoch_counted = false;     ///< counted toward epoch_fresh_
     std::uint64_t forget_baseline = 0;
-    std::uint32_t unresolved = 0;  ///< #links whose target is absent
-    std::vector<sim::Id> targets;  ///< link targets mirrored into refs_
+    /// #links whose target is absent; meaningless while the counts are
+    /// stale (the recount inside const queries rewrites it).
+    mutable std::uint32_t unresolved = 0;
   };
 
-  std::size_t rank_of(sim::Id id) const noexcept;
-  bool contains(sim::Id id) const noexcept;
-  bool pair_ok_for(const SmallWorldNode& node, std::size_t rank) const noexcept;
-  /// Recomputes pair_ok for `id` (present at a known rank) and folds the
+  /// The entry of a present node, found through the engine.
+  Entry& entry_of(sim::Id id) noexcept;
+  /// Re-evaluates pair_ok against the cached expectations and folds the
   /// delta into sorted_pairs_.
-  void reseed_pair(sim::Id id);
-  /// Removes one occurrence of `holder` from refs_[target].
-  void unref(sim::Id target, sim::Id holder);
+  void refresh_pair(Entry& e) noexcept;
+  std::uint32_t count_unresolved(const SmallWorldNode& node) const noexcept;
+  void recount_unresolved() const;
 
-  std::vector<sim::Id> sorted_ids_;  ///< mirror of the engine's sorted order
-  std::unordered_map<sim::Id, Entry> entries_;
-  /// Reverse link index: target id → holder ids (one per link occurrence),
-  /// so membership changes fix up resolved-status in O(#holders).
-  std::unordered_map<sim::Id, std::vector<sim::Id>> refs_;
+  const sim::Engine& engine_;
+  std::vector<Entry> entries_;  ///< by NodeStore slot
   std::size_t sorted_pairs_ = 0;
   std::size_t forgot_nodes_ = 0;
   std::size_t epoch_fresh_ = 0;
-  std::size_t unresolved_links_ = 0;
+  mutable std::size_t unresolved_links_ = 0;
+  mutable bool unresolved_stale_ = false;
 };
 
 }  // namespace sssw::core

@@ -13,69 +13,85 @@ using sim::kPosInf;
 SmallWorldNetwork::SmallWorldNetwork(NetworkOptions options)
     : options_(options),
       store_(std::make_unique<NodeStore>(options.protocol)),
-      engine_(sim::EngineConfig{
+      engine_(std::make_unique<sim::Engine>(sim::EngineConfig{
           .scheduler = options.scheduler,
           .seed = options.seed,
           .async_actions_per_round = options.async_actions_per_round,
           .delivery_probability = options.delivery_probability,
           .message_loss = options.message_loss,
           .faults = options.faults,
-          .adversary_delay = options.adversary_delay}),
-      tracker_(std::make_unique<InvariantTracker>()) {}
+          .adversary_delay = options.adversary_delay})),
+      tracker_(std::make_unique<InvariantTracker>(*engine_)) {}
+
+SmallWorldNetwork& SmallWorldNetwork::operator=(SmallWorldNetwork&& other) noexcept {
+  if (this == &other) return *this;
+  tracker_.reset();
+  engine_.reset();  // the old nodes release their slots into the old store
+  options_ = other.options_;
+  store_ = std::move(other.store_);
+  engine_ = std::move(other.engine_);
+  tracker_ = std::move(other.tracker_);
+  node_metrics_ = std::move(other.node_metrics_);
+  invariant_hook_ = other.invariant_hook_;
+  return *this;
+}
 
 void SmallWorldNetwork::add_node(const NodeInit& init) {
   auto node = std::make_unique<SmallWorldNode>(init, *store_);
   if (node_metrics_ != nullptr) node->set_metrics(node_metrics_.get());
   SmallWorldNode* raw = node.get();
-  engine_.add_process(std::move(node));
-  // Seed the tracker *after* the engine owns the node (membership decides
-  // link resolution), then start the mutation-hook stream.
+  engine_->add_process(std::move(node));
+  // Seed the tracker *after* the engine owns the node (the tracker reads
+  // rank order from the engine), then start the mutation-hook stream.
   tracker_->on_add(*raw);
   raw->set_invariant_tracker(tracker_.get());
 }
 
 void SmallWorldNetwork::attach_metrics(obs::Registry& registry) {
-  engine_.attach_metrics(registry);
+  engine_->attach_metrics(registry);
   node_metrics_ = std::make_unique<NodeMetrics>(registry);
-  for (const Id id : engine_.id_span())
+  for (const Id id : engine_->id_span())
     if (SmallWorldNode* n = node(id)) n->set_metrics(node_metrics_.get());
   // Tracker gauges (doc/OBSERVABILITY.md invariants.*), refreshed once per
-  // round.  Gauge references and the tracker pointer are stable across
-  // network moves (Registry stores metrics behind node-stable maps; the
-  // tracker lives behind unique_ptr).
+  // round.  The hook captures only what is stable across network moves:
+  // gauge references (Registry stores metrics behind node-stable maps) and
+  // the engine and tracker pointers (both behind unique_ptr) — never
+  // `this`, which a move leaves behind.
   obs::Gauge& sorted_pairs = registry.gauge("invariants.sorted-pairs");
   obs::Gauge& ring_closed = registry.gauge("invariants.ring-closed");
   obs::Gauge& forgot = registry.gauge("invariants.forgot-nodes");
   obs::Gauge& unresolved = registry.gauge("invariants.unresolved-lrls");
   obs::Gauge& quarantined = registry.gauge("node.detector.quarantined");
-  InvariantTracker* tracker = tracker_.get();
+  const InvariantTracker* tracker = tracker_.get();
+  const sim::Engine* engine = engine_.get();
   // The quarantine gauge is registered unconditionally (the catalog is
   // config-independent) but only summed — an O(n) walk — when the active
   // detector is on; disabled runs pay nothing beyond the branch.
   const bool detector_on = options_.protocol.detector.enabled;
-  invariant_hook_ = engine_.add_round_hook([=, this, &sorted_pairs,
-                                            &ring_closed, &forgot, &unresolved,
-                                            &quarantined](std::uint64_t) {
+  invariant_hook_ = engine_->add_round_hook([=, &sorted_pairs, &ring_closed,
+                                             &forgot, &unresolved,
+                                             &quarantined](std::uint64_t) {
     sorted_pairs.set(static_cast<double>(tracker->sorted_pairs()));
     ring_closed.set(tracker->sorted_ring() ? 1.0 : 0.0);
     forgot.set(static_cast<double>(tracker->forgot_nodes()));
     unresolved.set(static_cast<double>(tracker->unresolved_links()));
     if (detector_on) {
       std::size_t total = 0;
-      for (const Id id : engine_.id_span())
-        if (const SmallWorldNode* n = node(id)) total += n->quarantined_count();
+      for (const Id id : engine->id_span())
+        if (const SmallWorldNode* n = as_node(engine->find(id)))
+          total += n->quarantined_count();
       quarantined.set(static_cast<double>(total));
     }
   });
 }
 
 void SmallWorldNetwork::detach_metrics() {
-  engine_.detach_metrics();
-  for (const Id id : engine_.id_span())
+  engine_->detach_metrics();
+  for (const Id id : engine_->id_span())
     if (SmallWorldNode* n = node(id)) n->set_metrics(nullptr);
   node_metrics_.reset();
   if (invariant_hook_ != 0) {
-    engine_.remove_round_hook(invariant_hook_);
+    engine_->remove_round_hook(invariant_hook_);
     invariant_hook_ = 0;
   }
 }
@@ -86,23 +102,23 @@ void SmallWorldNetwork::add_nodes(const std::vector<NodeInit>& inits) {
 
 std::optional<std::uint64_t> SmallWorldNetwork::run_until_sorted_list(
     std::size_t max_rounds) {
-  const std::uint64_t start = engine_.round();
-  if (engine_.run_until([this] { return sorted_list(); }, max_rounds))
-    return engine_.round() - start;
+  const std::uint64_t start = engine_->round();
+  if (engine_->run_until([this] { return sorted_list(); }, max_rounds))
+    return engine_->round() - start;
   return std::nullopt;
 }
 
 std::optional<std::uint64_t> SmallWorldNetwork::run_until_sorted_ring(
     std::size_t max_rounds) {
-  const std::uint64_t start = engine_.round();
-  if (engine_.run_until([this] { return sorted_ring(); }, max_rounds))
-    return engine_.round() - start;
+  const std::uint64_t start = engine_->round();
+  if (engine_->run_until([this] { return sorted_ring(); }, max_rounds))
+    return engine_->round() - start;
   return std::nullopt;
 }
 
 std::optional<std::uint64_t> SmallWorldNetwork::run_until_small_world(
     std::size_t max_rounds) {
-  const std::uint64_t start = engine_.round();
+  const std::uint64_t start = engine_->round();
   const auto ring_rounds = run_until_sorted_ring(max_rounds);
   if (!ring_rounds.has_value()) return std::nullopt;
 
@@ -114,14 +130,14 @@ std::optional<std::uint64_t> SmallWorldNetwork::run_until_small_world(
   tracker_->arm_forget_epoch();
   const std::size_t used = static_cast<std::size_t>(*ring_rounds);
   if (used >= max_rounds) return std::nullopt;
-  if (engine_.run_until([this] { return tracker_->epoch_all_forgot(); },
+  if (engine_->run_until([this] { return tracker_->epoch_all_forgot(); },
                         max_rounds - used))
-    return engine_.round() - start;
+    return engine_->round() - start;
   return std::nullopt;
 }
 
 bool SmallWorldNetwork::join(Id new_id, Id contact) {
-  if (engine_.contains(new_id) || !engine_.contains(contact) || new_id == contact)
+  if (engine_->contains(new_id) || !engine_->contains(contact) || new_id == contact)
     return false;
   NodeInit init(new_id);
   if (contact < new_id) {
@@ -134,12 +150,15 @@ bool SmallWorldNetwork::join(Id new_id, Id contact) {
 }
 
 bool SmallWorldNetwork::leave(Id id) {
-  if (!engine_.remove_process(id)) return false;
-  tracker_->on_remove(id);
+  const SmallWorldNode* leaver = node(id);
+  if (leaver == nullptr) return false;
+  // The tracker reads the leaver's slot, which the engine's drop releases.
+  tracker_->on_remove(*leaver);
+  engine_->remove_process(id);
   // Fail-stop with neighbour detection (§IV.G): every variable pointing at
   // the departed node is cleared, producing the "gap" the analysis studies.
   // The survivor mutators notify the tracker themselves.
-  for (const Id other : engine_.id_span()) {
+  for (const Id other : engine_->id_span()) {
     auto* n = node(other);
     if (n == nullptr) continue;
     if (n->l() == id) n->set_l(kNegInf);
@@ -151,16 +170,18 @@ bool SmallWorldNetwork::leave(Id id) {
 }
 
 bool SmallWorldNetwork::crash(Id id) {
-  if (!engine_.remove_process(id, /*purge=*/false)) return false;
-  tracker_->on_remove(id);
+  const SmallWorldNode* victim = node(id);
+  if (victim == nullptr) return false;
+  tracker_->on_remove(*victim);
+  engine_->remove_process(id, /*purge=*/false);
   return true;
 }
 
 bool SmallWorldNetwork::sorted_list() const {
   const bool tracked = tracker_->sorted_list();
   if (options_.verify_tracker) {
-    tracker_->verify_against(engine_);
-    SSSW_CHECK_MSG(tracked == is_sorted_list(engine_),
+    tracker_->verify_against(*engine_);
+    SSSW_CHECK_MSG(tracked == is_sorted_list(*engine_),
                    "tracked sorted_list diverged from oracle");
   }
   return tracked;
@@ -169,8 +190,8 @@ bool SmallWorldNetwork::sorted_list() const {
 bool SmallWorldNetwork::sorted_ring() const {
   const bool tracked = tracker_->sorted_ring();
   if (options_.verify_tracker) {
-    tracker_->verify_against(engine_);
-    SSSW_CHECK_MSG(tracked == is_sorted_ring(engine_),
+    tracker_->verify_against(*engine_);
+    SSSW_CHECK_MSG(tracked == is_sorted_ring(*engine_),
                    "tracked sorted_ring diverged from oracle");
   }
   return tracked;
@@ -179,8 +200,8 @@ bool SmallWorldNetwork::sorted_ring() const {
 bool SmallWorldNetwork::lrls_resolve() const {
   const bool tracked = tracker_->lrls_resolve();
   if (options_.verify_tracker) {
-    tracker_->verify_against(engine_);
-    SSSW_CHECK_MSG(tracked == core::lrls_resolve(engine_),
+    tracker_->verify_against(*engine_);
+    SSSW_CHECK_MSG(tracked == core::lrls_resolve(*engine_),
                    "tracked lrls_resolve diverged from oracle");
   }
   return tracked;
@@ -196,33 +217,33 @@ Phase SmallWorldNetwork::phase() const {
     tracked = tracker_->all_forgot() ? Phase::kSmallWorld : Phase::kSortedRing;
   } else if (tracker_->sorted_list()) {
     tracked = Phase::kSortedList;
-  } else if (lcc_weakly_connected(engine_)) {
+  } else if (lcc_weakly_connected(*engine_)) {
     tracked = Phase::kListConnected;
   } else {
-    tracked = cc_weakly_connected(engine_) ? Phase::kWeaklyConnected
+    tracked = cc_weakly_connected(*engine_) ? Phase::kWeaklyConnected
                                            : Phase::kDisconnected;
   }
   if (options_.verify_tracker) {
-    tracker_->verify_against(engine_);
-    SSSW_CHECK_MSG(tracked == detect_phase(engine_),
+    tracker_->verify_against(*engine_);
+    SSSW_CHECK_MSG(tracked == detect_phase(*engine_),
                    "tracked phase diverged from oracle");
   }
   return tracked;
 }
 
 const SmallWorldNode* SmallWorldNetwork::node(Id id) const {
-  return as_node(engine_.find(id));
+  return as_node(engine_->find(id));
 }
 
 SmallWorldNode* SmallWorldNetwork::node(Id id) {
-  return as_node(engine_.find(id));
+  return as_node(engine_->find(id));
 }
 
 std::vector<std::size_t> SmallWorldNetwork::lrl_lengths() const {
-  const IdIndex index(engine_);
+  const IdIndex index(*engine_);
   std::vector<std::size_t> lengths;
   lengths.reserve(index.size());
-  engine_.for_each([&](const sim::Process& process) {
+  engine_->for_each([&](const sim::Process& process) {
     const auto* n = as_node(&process);
     if (n == nullptr) return;
     for (const SmallWorldNode::LongRangeLink& link : n->lrls()) {

@@ -48,6 +48,11 @@ struct NetworkOptions {
 class SmallWorldNetwork {
  public:
   explicit SmallWorldNetwork(NetworkOptions options = {});
+  SmallWorldNetwork(SmallWorldNetwork&&) noexcept = default;
+  /// Tears this network down before taking `other`'s parts (member-wise
+  /// assignment would free the old store while the old engine's nodes
+  /// still release their slots into it).
+  SmallWorldNetwork& operator=(SmallWorldNetwork&& other) noexcept;
 
   /// Adds a node with the given initial internal variables (any weakly
   /// connected assignment is a legal starting state).
@@ -56,10 +61,10 @@ class SmallWorldNetwork {
   /// Bulk construction from a list of initial states.
   void add_nodes(const std::vector<NodeInit>& inits);
 
-  std::size_t size() const noexcept { return engine_.process_count(); }
+  std::size_t size() const noexcept { return engine_->process_count(); }
 
   // --- running ----------------------------------------------------------
-  void run_rounds(std::size_t rounds) { engine_.run_rounds(rounds); }
+  void run_rounds(std::size_t rounds) { engine_->run_rounds(rounds); }
 
   /// Runs until Definition 4.8 / 4.17 holds; returns the number of rounds
   /// taken, or nullopt if `max_rounds` elapsed first.
@@ -98,8 +103,8 @@ class SmallWorldNetwork {
   void detach_metrics();
 
   // --- inspection ---------------------------------------------------------
-  sim::Engine& engine() noexcept { return engine_; }
-  const sim::Engine& engine() const noexcept { return engine_; }
+  sim::Engine& engine() noexcept { return *engine_; }
+  const sim::Engine& engine() const noexcept { return *engine_; }
 
   // O(1) per query via the incremental tracker (BFS connectivity only below
   // the sorted-list phase); answers are bit-identical to the invariants.hpp
@@ -120,18 +125,20 @@ class SmallWorldNetwork {
   std::vector<std::size_t> lrl_lengths() const;
 
   /// Snapshot of Definition 4.2 views.
-  IdIndex make_index() const { return IdIndex(engine_); }
+  IdIndex make_index() const { return IdIndex(*engine_); }
 
  private:
   NetworkOptions options_;
-  /// Shared struct-of-arrays backing store for every node's hot state.
-  /// Behind unique_ptr for address stability across network moves; declared
-  /// before engine_ so it outlives the nodes (which release their slots on
-  /// destruction).
+  // store_, engine_ and tracker_ sit behind unique_ptr so the pointers
+  // between them (nodes → store and tracker, tracker → engine, the metrics
+  // round hook → engine and tracker) survive network moves:
+  // make_stable_ring and snapshot restore return networks by value.
+  /// Shared struct-of-arrays backing store for every node's hot state;
+  /// declared before engine_ so it outlives the nodes (which release their
+  /// slots on destruction).
   std::unique_ptr<NodeStore> store_;
-  sim::Engine engine_;
-  /// Always on; behind unique_ptr so node back-pointers survive network
-  /// moves (make_stable_ring / snapshot restore return networks by value).
+  std::unique_ptr<sim::Engine> engine_;
+  /// Always on; reads membership from *engine_.
   std::unique_ptr<InvariantTracker> tracker_;
   std::unique_ptr<NodeMetrics> node_metrics_;  ///< live iff metrics attached
   sim::Engine::HookId invariant_hook_ = 0;     ///< live iff metrics attached

@@ -86,6 +86,10 @@ class SmallWorldNode final : public sim::Process {
   /// All long-range links (size = config.lrl_count), a view into the store.
   std::span<const LongRangeLink> lrls() const noexcept { return links(); }
   const Config& config() const noexcept { return store_->config(); }
+  /// This node's dense index into its NodeStore.  The store recycles slots,
+  /// so a slot names this node only while it is alive (the invariant
+  /// tracker keys its entries by it).
+  std::size_t slot() const noexcept { return slot_; }
 
   /// True when this node stores a ring edge per the paper's rule
   /// ("only set if p.l = −∞ or p.r = ∞") and it is not the inert self-link.

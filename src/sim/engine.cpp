@@ -78,7 +78,7 @@ void Engine::add_process(std::unique_ptr<Process> process) {
   slots_.push_back(Slot{std::move(process), Channel{}, /*rank=*/0,
                         util::derive_stream(config_.seed,
                                             std::bit_cast<std::uint64_t>(id))});
-  index_.emplace(id, slot);
+  index_.insert(id, slot);
   // Canonical ordering: insert at the slot's id-sorted position instead of
   // rebuilding from map iteration, so order_ is a pure function of the live
   // id set.  ids_sorted_ is the parallel identifier mirror behind id_span().
@@ -95,15 +95,14 @@ void Engine::add_process(std::unique_ptr<Process> process) {
 }
 
 bool Engine::remove_process(Id id, bool purge_references) {
-  const auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  const std::size_t slot_index = it->second;
+  const std::size_t slot_index = index_.find(id);
+  if (slot_index == IdSlotTable::kNone) return false;
   const std::size_t rank = slots_[slot_index].rank;
   SSSW_DCHECK(rank < order_.size() && order_[rank] == slot_index);
   pending_total_ -= slots_[slot_index].channel.size();
   slots_[slot_index].process.reset();
   slots_[slot_index].channel.clear();
-  index_.erase(it);
+  index_.erase(id);
   order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(rank));
   SSSW_DCHECK(rank < ids_sorted_.size() && ids_sorted_[rank] == id);
   ids_sorted_.erase(ids_sorted_.begin() + static_cast<std::ptrdiff_t>(rank));
@@ -163,14 +162,14 @@ void Engine::fire_due_timers() {
     std::stable_sort(due_timers_.begin(), due_timers_.end(),
                      [](const Timer& a, const Timer& b) { return a.id < b.id; });
     for (const Timer& timer : due_timers_) {
-      const auto it = index_.find(timer.id);
-      if (it == index_.end()) continue;  // process gone: the alarm lapses
+      const std::size_t slot_index = index_.find(timer.id);
+      if (slot_index == IdSlotTable::kNone) continue;  // gone: the alarm lapses
       ++counters_.actions;
       ++counters_.timers;
       if (metrics_.actions) metrics_.actions->add();
       if (metrics_.timers) metrics_.timers->add();
-      Slot& slot = slots_[it->second];
-      Context ctx(*this, timer.id, &slot.rng, it->second, nullptr);
+      Slot& slot = slots_[slot_index];
+      Context ctx(*this, timer.id, &slot.rng, slot_index, nullptr);
       slot.process->on_timer(ctx, timer.tag);
     }
     due_timers_.clear();
@@ -178,13 +177,15 @@ void Engine::fire_due_timers() {
 }
 
 Process* Engine::find(Id id) noexcept {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : slots_[it->second].process.get();
+  const std::size_t slot_index = index_.find(id);
+  return slot_index == IdSlotTable::kNone ? nullptr
+                                          : slots_[slot_index].process.get();
 }
 
 const Process* Engine::find(Id id) const noexcept {
-  const auto it = index_.find(id);
-  return it == index_.end() ? nullptr : slots_[it->second].process.get();
+  const std::size_t slot_index = index_.find(id);
+  return slot_index == IdSlotTable::kNone ? nullptr
+                                          : slots_[slot_index].process.get();
 }
 
 void Engine::for_each(const std::function<void(const Process&)>& fn) const {
@@ -194,13 +195,13 @@ void Engine::for_each(const std::function<void(const Process&)>& fn) const {
 /// Places `message` into the channel of `to`, or counts a drop when the
 /// target departed or never existed.
 void Engine::enqueue_or_drop(Id to, const Message& message) {
-  const auto it = index_.find(to);
-  if (it == index_.end()) {
+  const std::size_t slot_index = index_.find(to);
+  if (slot_index == IdSlotTable::kNone) {
     ++counters_.dropped;
     if (metrics_.dropped) metrics_.dropped->add();
     return;
   }
-  Slot& slot = slots_[it->second];
+  Slot& slot = slots_[slot_index];
   slot.channel.push(message);
   ++pending_total_;
   if (use_fenwick_ && !fenwick_dirty_) pending_by_rank_.add(slot.rank, 1);
@@ -256,9 +257,9 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
 }
 
 bool Engine::inject(Id to, const Message& message) {
-  const auto it = index_.find(to);
-  if (it == index_.end()) return false;
-  Slot& slot = slots_[it->second];
+  const std::size_t slot_index = index_.find(to);
+  if (slot_index == IdSlotTable::kNone) return false;
+  Slot& slot = slots_[slot_index];
   slot.channel.push(message);
   ++pending_total_;
   if (use_fenwick_ && !fenwick_dirty_) pending_by_rank_.add(slot.rank, 1);

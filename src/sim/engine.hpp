@@ -20,18 +20,17 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/registry.hpp"
 #include "sim/channel.hpp"
 #include "sim/faults.hpp"
+#include "sim/id_table.hpp"
 #include "sim/message.hpp"
 #include "sim/scheduler.hpp"
 #include "util/fenwick.hpp"
@@ -317,19 +316,6 @@ class Engine {
     util::Rng rng{0};
   };
 
-  /// Hash for the identifier index: one multiply-xorshift over the id's
-  /// bits.  Ids are finite doubles (validated at add), so there is no
-  /// -0.0/NaN aliasing to worry about and bit identity is value identity.
-  struct IdHash {
-    std::size_t operator()(Id id) const noexcept {
-      std::uint64_t x = std::bit_cast<std::uint64_t>(id);
-      x ^= x >> 33;
-      x *= 0xff51afd7ed558ccdull;
-      x ^= x >> 33;
-      return static_cast<std::size_t>(x);
-    }
-  };
-
   /// Cached metric handles (registry-owned); all null when detached, so the
   /// hot paths pay one branch.
   struct Metrics {
@@ -380,10 +366,11 @@ class Engine {
   // exact fault-free code of earlier revisions.
   std::unique_ptr<FaultInjector> faults_;
   std::vector<FaultInjector::Held> released_;  // collect_due scratch, reused
-  // Identifier → slot index.  Hashed: the send path pays O(1) per lookup
-  // instead of a red-black descent.  Never iterated (order_ is the canonical
-  // iteration order), so the unordered layout cannot leak into trajectories.
-  std::unordered_map<Id, std::size_t, IdHash> index_;
+  // Identifier → slot index, one flat open-addressing table (id_table.hpp):
+  // every send, timer, find and contains resolves its id with one hash and
+  // a short run of adjacent cells.  Never iterated (order_ is the canonical
+  // iteration order), so the table layout cannot leak into trajectories.
+  IdSlotTable index_;
   std::vector<Slot> slots_;        // dense storage; holes after removal
   // Canonical scheduling order: live slot indices, ascending by node id,
   // maintained by sorted insert/erase (never rebuilt from map/hash

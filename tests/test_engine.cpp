@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -407,6 +408,29 @@ TEST(Engine, IdsStaySortedAcrossChurn) {
   EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
 }
 
+TEST(Engine, RemoveThenReAddSameIdRoutesToTheNewProcess) {
+  Engine engine = make_engine();
+  engine.add_process(std::make_unique<Probe>(0.1));
+  engine.add_process(std::make_unique<Probe>(0.5));
+  engine.add_process(std::make_unique<Probe>(0.9));
+  ASSERT_TRUE(engine.inject(0.5, Message{1, 0.1}));
+  ASSERT_TRUE(engine.remove_process(0.5));
+  EXPECT_FALSE(engine.contains(0.5));
+
+  engine.add_process(std::make_unique<Probe>(0.5));
+  const auto* fresh = dynamic_cast<const Probe*>(engine.find(0.5));
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_TRUE(engine.contains(0.5));
+  EXPECT_EQ(engine.pending_messages(), 0u);  // the old channel left with it
+  ASSERT_TRUE(engine.inject(0.5, Message{2, 0.9}));
+  engine.run_round();
+  ASSERT_EQ(fresh->received.size(), 1u);
+  EXPECT_EQ(fresh->received[0].type, 2);
+  EXPECT_NE(engine.find(0.1), nullptr);
+  EXPECT_NE(engine.find(0.9), nullptr);
+  EXPECT_EQ(engine.process_count(), 3u);
+}
+
 TEST(Engine, PendingCountStaysConsistentAcrossChurnAndAsyncRounds) {
   // pending_messages() is maintained incrementally; this cross-checks it
   // against an exhaustive channel walk after every perturbation.
@@ -654,6 +678,20 @@ TEST(EngineTimers, NeverArmedRunPaysNothing) {
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.actions, b.actions);
   EXPECT_EQ(a.deliveries, b.deliveries);
+}
+
+TEST(EngineTimers, RemovedIdIsUnknownToEveryLookup) {
+  Engine engine = make_engine();
+  engine.add_process(std::make_unique<Alarm>(0.5));
+  engine.add_process(std::make_unique<Probe>(0.7));
+  ASSERT_TRUE(engine.remove_process(0.5));
+  EXPECT_EQ(engine.find(0.5), nullptr);
+  EXPECT_EQ(std::as_const(engine).find(0.5), nullptr);
+  EXPECT_FALSE(engine.contains(0.5));
+  EXPECT_FALSE(engine.inject(0.5, Message{1, 0.7}));
+  EXPECT_EQ(engine.pending_messages(), 0u);
+  EXPECT_DEATH(engine.schedule_timer(0.5, 1, 1), "unknown process");
+  EXPECT_TRUE(engine.contains(0.7));
 }
 
 TEST(EngineTimers, ZeroDelayAndUnknownProcessRejected) {

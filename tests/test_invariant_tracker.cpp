@@ -6,6 +6,7 @@
 // twins (the ISSUE 4 acceptance criterion).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -201,6 +202,66 @@ TEST(InvariantTracker, TestMutatorsKeepTrackerExact) {
   }
   EXPECT_TRUE(net.run_until_sorted_ring(5000).has_value());
   expect_tracker_matches_oracle(net);
+}
+
+TEST(InvariantTracker, StaleUnresolvedCountsRecountAfterChurn) {
+  // Membership changes only mark the per-node unresolved counts stale; the
+  // next query recounts.  verify_tracker stays off and verify_against runs
+  // only at the end, because both recount first and would hide a stale
+  // count.  Victims are live link targets, so every crash and leave strands
+  // links and every re-join under a departed id resolves them again.
+  util::Rng rng(31);
+  NetworkOptions options;
+  options.seed = 31;
+  options.protocol.lrl_count = 3;
+  SmallWorldNetwork net = make_stable_ring(random_ids(40, rng), options);
+  net.run_rounds(30);  // move-and-forget spreads the tokens
+  const auto recount = [&] {
+    std::size_t absent = 0;
+    for (const sim::Id id : net.engine().id_span())
+      for (const SmallWorldNode::LongRangeLink& link : net.node(id)->lrls())
+        if (!net.engine().contains(link.target)) ++absent;
+    return absent;
+  };
+  ASSERT_EQ(net.tracker().unresolved_links(), recount());
+
+  util::Rng churn(313);
+  std::vector<sim::Id> departed;
+  std::size_t stranded_peak = 0;
+  for (int step = 0; step < 80; ++step) {
+    const std::size_t events = 1 + churn.below(3);
+    for (std::size_t e = 0; e < events; ++e) {
+      const auto ids = net.engine().id_span();
+      std::vector<sim::Id> targets;
+      for (const sim::Id id : ids)
+        for (const SmallWorldNode::LongRangeLink& link : net.node(id)->lrls())
+          if (link.target != id && net.engine().contains(link.target))
+            targets.push_back(link.target);
+      const std::uint64_t kind = churn.below(3);
+      if (kind < 2 && !targets.empty() && net.size() > 8) {
+        const sim::Id victim = targets[churn.below(targets.size())];
+        ASSERT_TRUE(kind == 0 ? net.crash(victim) : net.leave(victim));
+        departed.push_back(victim);
+      } else if (!departed.empty()) {
+        const std::size_t pick = churn.below(departed.size());
+        const sim::Id back = departed[pick];
+        departed.erase(departed.begin() + static_cast<std::ptrdiff_t>(pick));
+        ASSERT_TRUE(net.join(back, ids[churn.below(ids.size())]));
+      }
+    }
+    // Half the time query straight after the membership changes, half the
+    // time only after a round of incremental updates on stale counts.
+    if (step % 2 == 0) {
+      ASSERT_EQ(net.tracker().unresolved_links(), recount());
+    }
+    net.run_rounds(1);
+    const std::size_t want = recount();
+    ASSERT_EQ(net.tracker().unresolved_links(), want) << "step " << step;
+    EXPECT_EQ(net.tracker().lrls_resolve(), lrls_resolve(net.engine()));
+    stranded_peak = std::max(stranded_peak, want);
+  }
+  EXPECT_GT(stranded_peak, 0u) << "no churn event stranded a link";
+  net.tracker().verify_against(net.engine());
 }
 
 // --- bit-identical round counts vs the recompute path ----------------------

@@ -143,5 +143,24 @@ TEST(Network, NodeAccessorReturnsNullForUnknown) {
   EXPECT_NE(net.node(0.1), nullptr);
 }
 
+TEST(Network, MoveAssignmentOverALiveNetwork) {
+  // sssw_sim's `load` assigns a restored network over a live one.  The old
+  // nodes must release their store slots before their store is freed (an
+  // ASan build reports the use-after-free otherwise), and the incoming
+  // network's tracker and hooks must keep working in its new home.
+  util::Rng rng(3);
+  SmallWorldNetwork net = make_stable_ring(random_ids(32, rng));
+  net.run_rounds(5);
+  NetworkOptions options;
+  options.verify_tracker = true;
+  SmallWorldNetwork incoming = make_stable_ring({0.1, 0.3, 0.5, 0.7}, options);
+  net = std::move(incoming);
+  EXPECT_EQ(net.size(), 4u);
+  ASSERT_TRUE(net.join(0.6, 0.5));
+  ASSERT_TRUE(net.leave(0.3));
+  EXPECT_TRUE(net.run_until_sorted_ring(200).has_value());
+  EXPECT_TRUE(net.lrls_resolve());
+}
+
 }  // namespace
 }  // namespace sssw::core

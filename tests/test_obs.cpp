@@ -4,6 +4,7 @@
 // can emit must be documented).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -15,6 +16,7 @@
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
 #include "routing/greedy.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sssw::obs {
@@ -362,6 +364,49 @@ TEST(ObsIntegration, DetachStopsRecording) {
   net.detach_metrics();
   net.run_rounds(4);
   EXPECT_EQ(registry.find_counter("engine.messages.delivered")->value(), frozen);
+}
+
+TEST(ObsIntegration, MovedNetworkKeepsReportingItsOwnGauges) {
+  // The per-round gauge hook must follow the network through a move: a
+  // moved twin reports exactly what an unmoved one does, including the
+  // quarantine gauge, which walks the membership every round.
+  core::NetworkOptions options;
+  options.seed = 64;
+  options.protocol.detector.enabled = true;
+  const auto build = [&] {
+    util::Rng rng(64);
+    return core::make_stable_ring(core::random_ids(64, rng), options);
+  };
+  core::SmallWorldNetwork stay = build();
+  Registry stay_registry;
+  stay.attach_metrics(stay_registry);
+  core::SmallWorldNetwork source = build();
+  Registry moved_registry;
+  source.attach_metrics(moved_registry);
+  core::SmallWorldNetwork moved = std::move(source);
+
+  stay.run_rounds(12);
+  moved.run_rounds(12);
+  const std::vector<sim::Id> ids(stay.engine().id_span().begin(),
+                                 stay.engine().id_span().end());
+  for (std::size_t i = 3; i < ids.size(); i += 10) {
+    ASSERT_TRUE(stay.crash(ids[i]));
+    ASSERT_TRUE(moved.crash(ids[i]));
+  }
+  double peak = 0.0;
+  for (int round = 0; round < 150; ++round) {
+    stay.run_rounds(1);
+    moved.run_rounds(1);
+    const double want = stay_registry.find_gauge("node.detector.quarantined")->value();
+    ASSERT_EQ(moved_registry.find_gauge("node.detector.quarantined")->value(), want)
+        << "round " << round;
+    ASSERT_EQ(moved_registry.find_gauge("invariants.sorted-pairs")->value(),
+              stay_registry.find_gauge("invariants.sorted-pairs")->value());
+    ASSERT_EQ(moved_registry.find_gauge("invariants.unresolved-lrls")->value(),
+              stay_registry.find_gauge("invariants.unresolved-lrls")->value());
+    peak = std::max(peak, want);
+  }
+  EXPECT_GT(peak, 0.0) << "the crashes never reached a quarantine list";
 }
 
 TEST(ObsIntegration, GreedyMetricsRecordRoutes) {
