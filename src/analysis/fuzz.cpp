@@ -2,17 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <charconv>
-#include <cstring>
 #include <iterator>
 #include <span>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/network.hpp"
 #include "service/lookup_manager.hpp"
 #include "util/check.hpp"
 #include "util/fnv.hpp"
+#include "util/json.hpp"
 
 namespace sssw::analysis {
 
@@ -505,107 +505,14 @@ FuzzCase shrink_case(const FuzzCase& failing, const FuzzOptions& options,
 //
 // One flat object per reproducer, every field explicit, doubles in
 // shortest-round-trip form — the same philosophy as the obs JSONL schema:
-// readable anywhere, parsed back bit-identically by the strict scanner.
+// readable anywhere, parsed back bit-identically by util::parse_json.
 
 namespace {
-
-void append_number(std::string& out, double value) {
-  char buffer[32];
-  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  out.append(buffer, result.ptr);
-}
-
-template <typename Int>
-void append_number(std::string& out, Int value) {
-  char buffer[24];
-  const auto result =
-      std::to_chars(buffer, buffer + sizeof(buffer), static_cast<std::uint64_t>(value));
-  out.append(buffer, result.ptr);
-}
 
 std::optional<core::Phase> phase_from_string(const std::string& name) {
   for (const core::Phase phase : kAllPhases)
     if (name == core::to_string(phase)) return phase;
   return std::nullopt;
-}
-
-/// Strict single-object scanner: known keys only, no escapes, no nesting.
-class Scanner {
- public:
-  explicit Scanner(std::string_view text) : p_(text.data()), end_(text.data() + text.size()) {}
-
-  bool expect(char ch) {
-    skip_ws();
-    if (p_ == end_ || *p_ != ch) return false;
-    ++p_;
-    return true;
-  }
-
-  bool at(char ch) {
-    skip_ws();
-    return p_ != end_ && *p_ == ch;
-  }
-
-  bool string(std::string& out) {
-    skip_ws();
-    if (p_ == end_ || *p_ != '"') return false;
-    ++p_;
-    const char* start = p_;
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') return false;  // reproducers never need escapes
-      ++p_;
-    }
-    if (p_ == end_) return false;
-    out.assign(start, p_);
-    ++p_;
-    return true;
-  }
-
-  /// A JSON scalar: number, true, or false, captured as raw text.
-  bool scalar(std::string& out) {
-    skip_ws();
-    const char* start = p_;
-    while (p_ != end_ && (std::strchr("+-.0123456789eE", *p_) != nullptr ||
-                          (*p_ >= 'a' && *p_ <= 'z')))
-      ++p_;
-    if (p_ == start) return false;
-    out.assign(start, p_);
-    return true;
-  }
-
-  bool done() {
-    skip_ws();
-    return p_ == end_;
-  }
-
- private:
-  void skip_ws() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r'))
-      ++p_;
-  }
-  const char* p_;
-  const char* end_;
-};
-
-template <typename Int>
-bool parse_int(const std::string& text, Int& out) {
-  std::uint64_t value = 0;
-  const auto result = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (result.ec != std::errc{} || result.ptr != text.data() + text.size()) return false;
-  out = static_cast<Int>(value);
-  return value == static_cast<std::uint64_t>(out);  // reject narrowing
-}
-
-bool parse_double(const std::string& text, double& out) {
-  const auto result = std::from_chars(text.data(), text.data() + text.size(), out);
-  return result.ec == std::errc{} && result.ptr == text.data() + text.size();
-}
-
-bool parse_bool(const std::string& text, bool& out) {
-  if (text == "true") out = true;
-  else if (text == "false") out = false;
-  else return false;
-  return true;
 }
 
 }  // namespace
@@ -614,19 +521,16 @@ std::string to_json(const FuzzRepro& repro) {
   std::string out = "{";
   const auto key = [&out](const char* name) {
     if (out.size() > 1) out += ",";
-    out += "\"";
-    out += name;
-    out += "\":";
+    util::append_json_string(out, name);
+    out += ":";
   };
   const auto str = [&out, &key](const char* name, const char* value) {
     key(name);
-    out += "\"";
-    out += value;
-    out += "\"";
+    util::append_json_string(out, value);
   };
   const auto num = [&out, &key](const char* name, auto value) {
     key(name);
-    append_number(out, value);
+    util::append_json_number(out, value);
   };
   const auto boolean = [&out, &key](const char* name, bool value) {
     key(name);
@@ -653,7 +557,6 @@ std::string to_json(const FuzzRepro& repro) {
   boolean("probing_enabled", c.protocol.probing_enabled);
   boolean("move_and_forget_enabled", c.protocol.move_and_forget_enabled);
   num("lrl_count", c.protocol.lrl_count);
-  num("failure_timeout", c.protocol.failure_timeout);
   num("message_loss", c.message_loss);
   num("crash_frac", c.crash_frac);
   num("crash_round", c.crash_round);
@@ -682,101 +585,80 @@ std::string to_json(const FuzzRepro& repro) {
 }
 
 std::optional<FuzzRepro> parse_repro(const std::string& json) {
-  Scanner scan(json);
-  if (!scan.expect('{')) return std::nullopt;
+  const auto doc = util::parse_json(json);
+  if (!doc || doc->kind() != util::JsonValue::Kind::kObject) return std::nullopt;
 
   FuzzRepro repro;
+  FuzzCase& c = repro.c;
   bool saw_ok = false;
-  bool first = true;
-  while (!scan.at('}')) {
-    if (!first && !scan.expect(',')) return std::nullopt;
-    first = false;
-    std::string k, v;
-    if (!scan.string(k) || !scan.expect(':')) return std::nullopt;
+  for (std::size_t i = 0; i < doc->keys().size(); ++i) {
+    const std::string& k = doc->keys()[i];
+    const util::JsonValue& v = doc->items()[i];
+    // Each reader stores v into a field of its own type, or reports a
+    // mistyped or out-of-range value.
+    const auto num = [&v](auto& field) {
+      const auto value = v.number<std::remove_reference_t<decltype(field)>>();
+      if (value) field = *value;
+      return value.has_value();
+    };
+    const auto flag = [&v](bool& field) {
+      const auto value = v.boolean();
+      if (value) field = *value;
+      return value.has_value();
+    };
+    const auto named = [&v](auto from_string, auto& field) {
+      const auto text = v.string();
+      if (!text) return false;
+      const auto value = from_string(std::string(*text));
+      if (value) field = *value;
+      return value.has_value();
+    };
 
-    FuzzCase& c = repro.c;
-    bool parsed = false;
-    if (k == "shape") {
-      if (!scan.string(v)) return std::nullopt;
-      const auto shape = topology::shape_from_string(v);
-      if (!shape) return std::nullopt;
-      c.shape = *shape;
-      parsed = true;
-    } else if (k == "scheduler") {
-      if (!scan.string(v)) return std::nullopt;
-      const auto kind = sim::scheduler_from_string(v);
-      if (!kind) return std::nullopt;
-      c.scheduler = *kind;
-      parsed = true;
-    } else if (k == "invert") {
-      if (!scan.string(v)) return std::nullopt;
-      const auto oracle = oracle_from_string(v);
-      if (!oracle) return std::nullopt;
-      repro.options.invert = *oracle;
-      parsed = true;
-    } else if (k == "expect_oracle") {
-      if (!scan.string(v)) return std::nullopt;
-      const auto oracle = oracle_from_string(v);
-      if (!oracle) return std::nullopt;
-      repro.expected.oracle = *oracle;
-      parsed = true;
-    } else if (k == "expect_phase") {
-      if (!scan.string(v)) return std::nullopt;
-      const auto phase = phase_from_string(v);
-      if (!phase) return std::nullopt;
-      repro.expected.final_phase = *phase;
-      parsed = true;
-    }
-    if (parsed) continue;
-
-    if (!scan.scalar(v)) return std::nullopt;
-    bool known = true;
-    bool ok = true;
-    if (k == "n") ok = parse_int(v, c.n);
-    else if (k == "seed") ok = parse_int(v, c.seed);
-    else if (k == "duplicate_probability") ok = parse_double(v, c.faults.duplicate_probability);
-    else if (k == "delay_probability") ok = parse_double(v, c.faults.delay_probability);
-    else if (k == "max_delay_rounds") ok = parse_int(v, c.faults.max_delay_rounds);
-    else if (k == "partition_start") ok = parse_int(v, c.faults.partition_start);
-    else if (k == "partition_rounds") ok = parse_int(v, c.faults.partition_rounds);
-    else if (k == "partition_pivot") ok = parse_double(v, c.faults.partition_pivot);
-    else if (k == "replay_probability") ok = parse_double(v, c.faults.replay_probability);
-    else if (k == "replay_history") ok = parse_int(v, c.faults.replay_history);
-    else if (k == "adversary_delay") ok = parse_int(v, c.adversary_delay);
-    else if (k == "epsilon") ok = parse_double(v, c.protocol.epsilon);
-    else if (k == "probe_interval") ok = parse_int(v, c.protocol.probe_interval);
-    else if (k == "lrl_shortcut") ok = parse_bool(v, c.protocol.lrl_shortcut);
-    else if (k == "probing_enabled") ok = parse_bool(v, c.protocol.probing_enabled);
+    bool ok = false;
+    if (k == "n") ok = num(c.n);
+    else if (k == "shape") ok = named(topology::shape_from_string, c.shape);
+    else if (k == "scheduler") ok = named(sim::scheduler_from_string, c.scheduler);
+    else if (k == "seed") ok = num(c.seed);
+    else if (k == "duplicate_probability") ok = num(c.faults.duplicate_probability);
+    else if (k == "delay_probability") ok = num(c.faults.delay_probability);
+    else if (k == "max_delay_rounds") ok = num(c.faults.max_delay_rounds);
+    else if (k == "partition_start") ok = num(c.faults.partition_start);
+    else if (k == "partition_rounds") ok = num(c.faults.partition_rounds);
+    else if (k == "partition_pivot") ok = num(c.faults.partition_pivot);
+    else if (k == "replay_probability") ok = num(c.faults.replay_probability);
+    else if (k == "replay_history") ok = num(c.faults.replay_history);
+    else if (k == "adversary_delay") ok = num(c.adversary_delay);
+    else if (k == "epsilon") ok = num(c.protocol.epsilon);
+    else if (k == "probe_interval") ok = num(c.protocol.probe_interval);
+    else if (k == "lrl_shortcut") ok = flag(c.protocol.lrl_shortcut);
+    else if (k == "probing_enabled") ok = flag(c.protocol.probing_enabled);
     else if (k == "move_and_forget_enabled")
-      ok = parse_bool(v, c.protocol.move_and_forget_enabled);
-    else if (k == "lrl_count") ok = parse_int(v, c.protocol.lrl_count);
-    else if (k == "failure_timeout") ok = parse_int(v, c.protocol.failure_timeout);
-    else if (k == "message_loss") ok = parse_double(v, c.message_loss);
-    else if (k == "crash_frac") ok = parse_double(v, c.crash_frac);
-    else if (k == "crash_round") ok = parse_int(v, c.crash_round);
-    else if (k == "lookup_rate") ok = parse_double(v, c.lookup_rate);
-    else if (k == "lookup_ttl") ok = parse_int(v, c.lookup_ttl);
-    else if (k == "lookup_timeout") ok = parse_int(v, c.lookup_timeout);
-    else if (k == "lookup_retries") ok = parse_int(v, c.lookup_retries);
-    else if (k == "lookup_hedge") ok = parse_int(v, c.lookup_hedge);
-    else if (k == "detector_enabled") ok = parse_bool(v, c.protocol.detector.enabled);
-    else if (k == "probe_period") ok = parse_int(v, c.protocol.detector.probe_period);
-    else if (k == "suspect_threshold")
-      ok = parse_int(v, c.protocol.detector.suspect_threshold);
-    else if (k == "detector_max_retries")
-      ok = parse_int(v, c.protocol.detector.max_retries);
-    else if (k == "quarantine_rounds")
-      ok = parse_int(v, c.protocol.detector.quarantine_rounds);
+      ok = flag(c.protocol.move_and_forget_enabled);
+    else if (k == "lrl_count") ok = num(c.protocol.lrl_count);
+    else if (k == "message_loss") ok = num(c.message_loss);
+    else if (k == "crash_frac") ok = num(c.crash_frac);
+    else if (k == "crash_round") ok = num(c.crash_round);
+    else if (k == "lookup_rate") ok = num(c.lookup_rate);
+    else if (k == "lookup_ttl") ok = num(c.lookup_ttl);
+    else if (k == "lookup_timeout") ok = num(c.lookup_timeout);
+    else if (k == "lookup_retries") ok = num(c.lookup_retries);
+    else if (k == "lookup_hedge") ok = num(c.lookup_hedge);
+    else if (k == "detector_enabled") ok = flag(c.protocol.detector.enabled);
+    else if (k == "probe_period") ok = num(c.protocol.detector.probe_period);
+    else if (k == "suspect_threshold") ok = num(c.protocol.detector.suspect_threshold);
+    else if (k == "detector_max_retries") ok = num(c.protocol.detector.max_retries);
+    else if (k == "quarantine_rounds") ok = num(c.protocol.detector.quarantine_rounds);
     else if (k == "quarantine_capacity")
-      ok = parse_int(v, c.protocol.detector.quarantine_capacity);
-    else if (k == "expect_ok") { ok = parse_bool(v, repro.expected.ok); saw_ok = ok; }
-    else if (k == "expect_violation_round") ok = parse_int(v, repro.expected.violation_round);
-    else if (k == "expect_rounds_run") ok = parse_int(v, repro.expected.rounds_run);
-    else if (k == "expect_digest") ok = parse_int(v, repro.expected.digest);
-    else known = false;
-    if (!known || !ok) return std::nullopt;  // strict: no unknown keys
+      ok = num(c.protocol.detector.quarantine_capacity);
+    else if (k == "invert") ok = named(oracle_from_string, repro.options.invert);
+    else if (k == "expect_ok") { ok = flag(repro.expected.ok); saw_ok = ok; }
+    else if (k == "expect_oracle") ok = named(oracle_from_string, repro.expected.oracle);
+    else if (k == "expect_violation_round") ok = num(repro.expected.violation_round);
+    else if (k == "expect_rounds_run") ok = num(repro.expected.rounds_run);
+    else if (k == "expect_phase") ok = named(phase_from_string, repro.expected.final_phase);
+    else if (k == "expect_digest") ok = num(repro.expected.digest);
+    if (!ok) return std::nullopt;  // strict: no unknown keys or mistyped values
   }
-  if (!scan.expect('}') || !scan.done()) return std::nullopt;
   if (!saw_ok || repro.c.n < 4) return std::nullopt;
   return repro;
 }

@@ -160,8 +160,8 @@ struct FuzzRepro {
 };
 
 /// One-line JSON for a reproducer file; parse_repro inverts it exactly
-/// (strict scanner: unknown keys, malformed numbers, or missing fields
-/// yield nullopt, never a half-filled case).
+/// (strict: malformed JSON, unknown keys, mistyped or out-of-range values,
+/// or missing fields yield nullopt, never a half-filled case).
 std::string to_json(const FuzzRepro& repro);
 std::optional<FuzzRepro> parse_repro(const std::string& json);
 

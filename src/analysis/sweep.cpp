@@ -18,6 +18,7 @@
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
 #include "util/fnv.hpp"
+#include "util/json.hpp"
 
 namespace sssw::analysis {
 
@@ -25,23 +26,14 @@ namespace {
 
 // --- rendering primitives --------------------------------------------------
 
-void append_u64(std::string& out, std::uint64_t value) {
-  char buffer[24];
-  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
-  out.append(buffer, end);
-}
-
-/// Shortest round-trip rendering, the same contract as the snapshotter: the
-/// canonical spec strings and JSON files must re-parse to the exact double.
-void append_double(std::string& out, double value) {
-  char buffer[40];
-  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
-  out.append(buffer, end);
-}
+// Shortest round-trip rendering, the same contract as the snapshotter: the
+// canonical spec strings and JSON files must re-parse to the exact value.
+using util::append_json_number;
+using util::append_json_string;
 
 std::string render_double(double value) {
   std::string out;
-  append_double(out, value);
+  append_json_number(out, value);
   return out;
 }
 
@@ -124,7 +116,7 @@ std::optional<FaultSpec> parse_fault_spec(const std::string& spec) {
       return std::nullopt;
     out.plan.max_delay_rounds = static_cast<std::uint32_t>(max_rounds);
     out.canonical = "delay:" + render_double(out.plan.delay_probability) + ":";
-    append_u64(out.canonical, max_rounds);
+    append_json_number(out.canonical, max_rounds);
     return out;
   }
   if (kind == "partition") {
@@ -138,9 +130,9 @@ std::optional<FaultSpec> parse_fault_spec(const std::string& spec) {
     out.plan.partition_start = start;
     out.plan.partition_rounds = static_cast<std::uint32_t>(rounds);
     out.canonical = "partition:" + render_double(pivot) + ":";
-    append_u64(out.canonical, start);
+    append_json_number(out.canonical, start);
     out.canonical += ':';
-    append_u64(out.canonical, rounds);
+    append_json_number(out.canonical, rounds);
     return out;
   }
   if (kind == "replay") {
@@ -150,7 +142,7 @@ std::optional<FaultSpec> parse_fault_spec(const std::string& spec) {
       return std::nullopt;
     out.plan.replay_history = history;
     out.canonical = "replay:" + render_double(out.plan.replay_probability) + ":";
-    append_u64(out.canonical, history);
+    append_json_number(out.canonical, history);
     return out;
   }
   if (kind == "oldest-last") {
@@ -159,7 +151,7 @@ std::optional<FaultSpec> parse_fault_spec(const std::string& spec) {
       return std::nullopt;
     out.oldest_last_hold = static_cast<std::uint32_t>(hold);
     out.canonical = "oldest-last:";
-    append_u64(out.canonical, hold);
+    append_json_number(out.canonical, hold);
     return out;
   }
   return std::nullopt;
@@ -196,7 +188,7 @@ std::optional<AblationSpec> parse_ablation_spec(const std::string& spec) {
     else
       out.config.probe_interval = static_cast<std::uint32_t>(count);
     out.canonical = std::string(kind) + ":";
-    append_u64(out.canonical, count);
+    append_json_number(out.canonical, count);
     return out;
   }
   return std::nullopt;
@@ -208,7 +200,7 @@ std::string SweepParseError::to_string() const {
   std::string out = "config";
   if (line > 0) {
     out += " line ";
-    append_u64(out, line);
+    append_json_number(out, line);
   }
   out += ": " + message;
   return out;
@@ -463,7 +455,7 @@ std::string cell_key(const SweepCell& cell) {
   std::string key = "experiment=" + cell.experiment;
   key += "|params=" + cell.params;
   key += "|n=";
-  append_u64(key, cell.n);
+  append_json_number(key, cell.n);
   key += "|shape=";
   key += topology::to_string(cell.shape);
   key += "|scheduler=";
@@ -471,11 +463,11 @@ std::string cell_key(const SweepCell& cell) {
   key += "|fault=" + cell.fault;
   key += "|ablation=" + cell.ablation;
   key += "|seed=";
-  append_u64(key, cell.seed);
+  append_json_number(key, cell.seed);
   key += "|trials=";
-  append_u64(key, cell.trials);
+  append_json_number(key, cell.trials);
   key += "|max_rounds=";
-  append_u64(key, cell.max_rounds);
+  append_json_number(key, cell.max_rounds);
   return key;
 }
 
@@ -568,7 +560,7 @@ Provenance collect_provenance(const SweepConfig& config,
     hash.add_bytes(cell_key(cell)).add_bytes("\n");
   out.config_hash = hex16(hash.value());
   out.machine = "cpus=";
-  append_u64(out.machine, std::thread::hardware_concurrency());
+  append_json_number(out.machine, std::thread::hardware_concurrency());
 #if defined(__VERSION__)
   out.machine += ", cc=";
   out.machine += __VERSION__;
@@ -579,15 +571,6 @@ Provenance collect_provenance(const SweepConfig& config,
 // --- meta.json -------------------------------------------------------------
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
 
 void append_provenance(std::string& out, const Provenance& provenance,
                        std::string_view indent) {
@@ -608,76 +591,13 @@ void append_provenance(std::string& out, const Provenance& provenance,
   out += "}";
 }
 
-/// Finds `"key"` in `text` and returns the unescaped string value after it.
-std::optional<std::string> find_string_field(std::string_view text,
-                                             std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string_view::npos) return std::nullopt;
-  std::size_t i = at + needle.size();
-  while (i < text.size() && (text[i] == ' ' || text[i] == '\n')) ++i;
-  if (i >= text.size() || text[i] != '"') return std::nullopt;
-  std::string out;
-  for (++i; i < text.size(); ++i) {
-    if (text[i] == '\\' && i + 1 < text.size()) {
-      out += text[++i];
-    } else if (text[i] == '"') {
-      return out;
-    } else {
-      out += text[i];
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<double> find_number_field(std::string_view text,
-                                        std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string_view::npos) return std::nullopt;
-  std::size_t i = at + needle.size();
-  while (i < text.size() && (text[i] == ' ' || text[i] == '\n')) ++i;
-  std::size_t end = i;
-  while (end < text.size() &&
-         std::string_view("+-0123456789.eE").find(text[end]) !=
-             std::string_view::npos)
-    ++end;
-  double value = 0;
-  if (!parse_double(text.substr(i, end - i), &value)) return std::nullopt;
-  return value;
-}
-
-/// Returns the `{...}` body (exclusive of braces) of a top-level object
-/// field.  Only used on our own machine-written files, whose nested objects
-/// never contain brace characters inside strings.
-std::optional<std::string_view> find_object_field(std::string_view text,
-                                                  std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t at = text.find(needle);
-  if (at == std::string_view::npos) return std::nullopt;
-  const std::size_t open = text.find('{', at + needle.size());
-  if (open == std::string_view::npos) return std::nullopt;
-  std::size_t depth = 1;
-  for (std::size_t i = open + 1; i < text.size(); ++i) {
-    if (text[i] == '{') ++depth;
-    if (text[i] == '}' && --depth == 0)
-      return text.substr(open + 1, i - open - 1);
-  }
-  return std::nullopt;
-}
-
-std::optional<Provenance> parse_provenance(std::string_view text) {
-  const auto body = find_object_field(text, "provenance");
-  if (!body) return std::nullopt;
-  Provenance out;
-  const auto sha = find_string_field(*body, "git_sha");
-  const auto config = find_string_field(*body, "config_hash");
-  const auto machine = find_string_field(*body, "machine");
+std::optional<Provenance> parse_provenance(const util::JsonValue& value) {
+  const auto sha = value["git_sha"].string();
+  const auto config = value["config_hash"].string();
+  const auto machine = value["machine"].string();
   if (!sha || !config || !machine) return std::nullopt;
-  out.git_sha = *sha;
-  out.config_hash = *config;
-  out.machine = *machine;
-  return out;
+  return Provenance{std::string(*sha), std::string(*config),
+                    std::string(*machine)};
 }
 
 }  // namespace
@@ -689,7 +609,7 @@ std::string to_json(const CellMeta& meta) {
   out += ",\n    \"params\": ";
   append_json_string(out, meta.cell.params);
   out += ",\n    \"n\": ";
-  append_u64(out, meta.cell.n);
+  append_json_number(out, meta.cell.n);
   out += ",\n    \"shape\": ";
   append_json_string(out, topology::to_string(meta.cell.shape));
   out += ",\n    \"scheduler\": ";
@@ -699,11 +619,11 @@ std::string to_json(const CellMeta& meta) {
   out += ",\n    \"ablation\": ";
   append_json_string(out, meta.cell.ablation);
   out += ",\n    \"seed\": ";
-  append_u64(out, meta.cell.seed);
+  append_json_number(out, meta.cell.seed);
   out += ",\n    \"trials\": ";
-  append_u64(out, meta.cell.trials);
+  append_json_number(out, meta.cell.trials);
   out += ",\n    \"max_rounds\": ";
-  append_u64(out, meta.cell.max_rounds);
+  append_json_number(out, meta.cell.max_rounds);
   out += "\n  },\n  \"hash\": ";
   append_json_string(out, meta.hash);
   out += ",\n  \"provenance\": ";
@@ -711,7 +631,7 @@ std::string to_json(const CellMeta& meta) {
   out += ",\n  \"status\": ";
   append_json_string(out, meta.status);
   out += ",\n  \"wall_seconds\": ";
-  append_double(out, meta.wall_seconds);
+  append_json_number(out, meta.wall_seconds);
   out += ",\n  \"metrics\": {";
   bool first = true;
   for (const auto& [name, value] : meta.metrics) {
@@ -720,7 +640,7 @@ std::string to_json(const CellMeta& meta) {
     out += "    ";
     append_json_string(out, name);
     out += ": ";
-    append_double(out, value);
+    append_json_number(out, value);
   }
   out += first ? "},\n" : "\n  },\n";
   out += "  \"schema\": 1\n}\n";
@@ -728,61 +648,51 @@ std::string to_json(const CellMeta& meta) {
 }
 
 std::optional<CellMeta> parse_cell_meta(const std::string& text) {
-  CellMeta meta;
-  const auto cell = find_object_field(text, "cell");
-  if (!cell) return std::nullopt;
-  const auto experiment = find_string_field(*cell, "experiment");
-  const auto params = find_string_field(*cell, "params");
-  const auto n = find_number_field(*cell, "n");
-  const auto shape = find_string_field(*cell, "shape");
-  const auto scheduler = find_string_field(*cell, "scheduler");
-  const auto fault = find_string_field(*cell, "fault");
-  const auto ablation = find_string_field(*cell, "ablation");
-  const auto seed = find_number_field(*cell, "seed");
-  const auto trials = find_number_field(*cell, "trials");
-  const auto max_rounds = find_number_field(*cell, "max_rounds");
+  const auto doc = util::parse_json(text);
+  if (!doc) return std::nullopt;
+  const util::JsonValue& cell = (*doc)["cell"];
+  const auto experiment = cell["experiment"].string();
+  const auto params = cell["params"].string();
+  const auto n = cell["n"].number<std::size_t>();
+  const auto shape = cell["shape"].string();
+  const auto scheduler = cell["scheduler"].string();
+  const auto fault = cell["fault"].string();
+  const auto ablation = cell["ablation"].string();
+  const auto seed = cell["seed"].number<std::uint64_t>();
+  const auto trials = cell["trials"].number<std::size_t>();
+  const auto max_rounds = cell["max_rounds"].number<std::uint64_t>();
+  const auto hash = (*doc)["hash"].string();
+  const auto provenance = parse_provenance((*doc)["provenance"]);
+  const auto status = (*doc)["status"].string();
+  const auto wall = (*doc)["wall_seconds"].number<double>();
+  const util::JsonValue& metrics = (*doc)["metrics"];
   if (!experiment || !params || !n || !shape || !scheduler || !fault ||
-      !ablation || !seed || !trials || !max_rounds)
+      !ablation || !seed || !trials || !max_rounds || !hash || !provenance ||
+      !status || !wall || metrics.kind() != util::JsonValue::Kind::kObject)
     return std::nullopt;
-  meta.cell.experiment = *experiment;
-  meta.cell.params = *params;
-  meta.cell.n = static_cast<std::size_t>(*n);
   const auto shape_kind = topology::shape_from_string(*shape);
   const auto scheduler_kind = sim::scheduler_from_string(*scheduler);
   if (!shape_kind || !scheduler_kind) return std::nullopt;
+
+  CellMeta meta;
+  meta.cell.experiment = *experiment;
+  meta.cell.params = *params;
+  meta.cell.n = *n;
   meta.cell.shape = *shape_kind;
   meta.cell.scheduler = *scheduler_kind;
   meta.cell.fault = *fault;
   meta.cell.ablation = *ablation;
-  meta.cell.seed = static_cast<std::uint64_t>(*seed);
-  meta.cell.trials = static_cast<std::size_t>(*trials);
-  meta.cell.max_rounds = static_cast<std::uint64_t>(*max_rounds);
-
-  // Search fields after the cell object so a metric named "status" can
-  // never shadow the real one.
-  const std::string_view tail =
-      std::string_view(text).substr(cell->data() + cell->size() - text.data());
-  const auto hash = find_string_field(tail, "hash");
-  const auto provenance = parse_provenance(tail);
-  const auto status = find_string_field(tail, "status");
-  const auto wall = find_number_field(tail, "wall_seconds");
-  if (!hash || !provenance || !status || !wall) return std::nullopt;
+  meta.cell.seed = *seed;
+  meta.cell.trials = *trials;
+  meta.cell.max_rounds = *max_rounds;
   meta.hash = *hash;
   meta.provenance = *provenance;
   meta.status = *status;
   meta.wall_seconds = *wall;
-
-  const auto metrics = find_object_field(tail, "metrics");
-  if (!metrics) return std::nullopt;
-  for (const std::string_view line : split(*metrics, ',')) {
-    const std::string_view entry = trim(line);
-    if (entry.empty()) continue;
-    const std::size_t colon = entry.find("\":");
-    if (colon == std::string_view::npos || entry[0] != '"') return std::nullopt;
-    double value = 0;
-    if (!parse_double(trim(entry.substr(colon + 2)), &value))
-      return std::nullopt;
-    meta.metrics.emplace_back(std::string(entry.substr(1, colon - 1)), value);
+  for (std::size_t i = 0; i < metrics.keys().size(); ++i) {
+    const auto value = metrics.items()[i].number<double>();
+    if (!value) return std::nullopt;
+    meta.metrics.emplace_back(metrics.keys()[i], *value);
   }
   return meta;
 }
@@ -793,10 +703,10 @@ std::string to_json(const SweepMeta& meta) {
   out += ",\n  \"seeds\": [";
   for (std::size_t i = 0; i < meta.seeds.size(); ++i) {
     if (i > 0) out += ", ";
-    append_u64(out, meta.seeds[i]);
+    append_json_number(out, meta.seeds[i]);
   }
   out += "],\n  \"planned\": ";
-  append_u64(out, meta.planned);
+  append_json_number(out, meta.planned);
   out += ",\n  \"provenance\": ";
   append_provenance(out, meta.provenance, "  ");
   out += ",\n  \"schema\": 1\n}\n";
@@ -804,25 +714,23 @@ std::string to_json(const SweepMeta& meta) {
 }
 
 std::optional<SweepMeta> parse_sweep_meta(const std::string& text) {
-  SweepMeta meta;
-  const auto name = find_string_field(text, "name");
-  const auto planned = find_number_field(text, "planned");
-  const auto provenance = parse_provenance(text);
-  if (!name || !planned || !provenance) return std::nullopt;
-  meta.name = *name;
-  meta.planned = static_cast<std::size_t>(*planned);
-  meta.provenance = *provenance;
-  const std::size_t open = text.find('[');
-  const std::size_t close = text.find(']', open);
-  if (open == std::string::npos || close == std::string::npos)
+  const auto doc = util::parse_json(text);
+  if (!doc) return std::nullopt;
+  const auto name = (*doc)["name"].string();
+  const auto planned = (*doc)["planned"].number<std::size_t>();
+  const auto provenance = parse_provenance((*doc)["provenance"]);
+  const util::JsonValue& seeds = (*doc)["seeds"];
+  if (!name || !planned || !provenance ||
+      seeds.kind() != util::JsonValue::Kind::kArray)
     return std::nullopt;
-  for (const std::string_view item :
-       split(std::string_view(text).substr(open + 1, close - open - 1), ',')) {
-    const std::string_view entry = trim(item);
-    if (entry.empty()) continue;
-    std::uint64_t seed = 0;
-    if (!parse_u64(entry, &seed)) return std::nullopt;
-    meta.seeds.push_back(seed);
+  SweepMeta meta;
+  meta.name = *name;
+  meta.planned = *planned;
+  meta.provenance = *provenance;
+  for (const util::JsonValue& item : seeds.items()) {
+    const auto seed = item.number<std::uint64_t>();
+    if (!seed) return std::nullopt;
+    meta.seeds.push_back(*seed);
   }
   return meta;
 }

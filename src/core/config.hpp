@@ -23,11 +23,6 @@ namespace sssw::core {
 /// target ever reported in a pong.  Quarantine keeps stale or replayed
 /// messages from re-introducing the dead identifier.
 ///
-/// Do not combine with the legacy `failure_timeout` detector: a passive
-/// reset clears the stale pointer before the active eviction fires, the
-/// monitor sees a pointer change and goes idle, and the re-link through the
-/// dead node's last reported view never happens — the gap stays severed.
-///
 /// `suspect_threshold * probe_period` must sit comfortably above the worst
 /// scheduler round-trip (adversarial-oldest-last at default hold 3 is 8
 /// rounds — and timers fire *before* a round's deliveries, so a pong
@@ -73,26 +68,15 @@ struct Config {
   /// proportionally more degree and inclrl/reslrl traffic (bench_ablation).
   std::uint32_t lrl_count = 1;
 
-  /// Crash-stop failure detector (extension; 0 = disabled = paper
+  /// Crash-stop failure detector (extension; defaults off = paper
   /// semantics).  The paper's leave analysis (§IV.G) assumes fail-stop with
   /// neighbour detection; without it, a crashed node's neighbours keep
   /// stored pointers at an identifier that never answers and the gap never
-  /// heals.  With a timeout T > 0, a node resets a stored pointer whose
-  /// heartbeat has been silent for T consecutive regular actions:
-  ///   l/r     — heartbeat is the neighbour's per-round lin announcement;
-  ///   lrl     — heartbeat is any reslrl response (a move);
-  ///   ring    — heartbeat is any resring / ring-derived traffic.
-  /// Choose T comfortably above the message round-trip (≥ 8) so live links
-  /// are never dropped in the stable state.
-  std::uint32_t failure_timeout = 0;
-
-  /// Active probe/ack failure detector (extension; defaults off = paper
-  /// semantics).  Unlike `failure_timeout`, which passively counts silence
-  /// on traffic the protocol happens to generate, the detector sends its
-  /// own ping/pong round-trips on a deterministic timer, so it detects
-  /// crashes even in the stable state where no protocol traffic flows, and
-  /// its evictions actively re-link the gap through the dead node's last
-  /// reported neighbour view.  See DetectorConfig and doc/FAULTS.md.
+  /// heals.  The detector sends its own ping/pong round-trips on a
+  /// deterministic timer, so it detects crashes even in the stable state
+  /// where no protocol traffic flows, and its evictions re-link the gap
+  /// through the dead node's last reported neighbour view.  See
+  /// DetectorConfig and doc/FAULTS.md.
   DetectorConfig detector{};
 
   bool operator==(const Config&) const = default;

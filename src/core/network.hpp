@@ -86,11 +86,10 @@ class SmallWorldNetwork {
   bool leave(sim::Id id);
 
   /// Crash-stop: the node vanishes but survivors keep their stale pointers
-  /// and stale in-flight messages survive.  Recovery requires a failure
-  /// detector — the active probe/ack one (Config::detector.enabled, which
-  /// evicts the dead id, quarantines it and re-links the gap) or the legacy
-  /// passive one (Config::failure_timeout > 0).  With both disabled the gap
-  /// can wedge forever, which is why the paper assumes detected leaves
+  /// and stale in-flight messages survive.  Recovery requires the failure
+  /// detector (Config::detector.enabled), which evicts the dead id,
+  /// quarantines it and re-links the gap.  Without it the gap can wedge
+  /// forever, which is why the paper assumes detected leaves
   /// (tests/test_crash_recovery.cpp pins that wedge).
   bool crash(sim::Id id);
 

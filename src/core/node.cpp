@@ -165,21 +165,6 @@ Id SmallWorldNode::max_lrl() const noexcept {
 
 void SmallWorldNode::on_message(sim::Context& ctx, const sim::Message& m) {
   now_ = ctx.round();
-  // Heartbeats for the failure detector: a neighbour's lin announcement, a
-  // reslrl response from a link endpoint, a resring from the ring walk.
-  if (m.type == kLin) {
-    if (m.id1 == lv()) silence_l_ = 0;
-    if (m.id1 == rv()) silence_r_ = 0;
-  } else if (m.type == kReslrl) {
-    if (LongRangeLink* link = link_for_response(m.id3)) link->silence = 0;
-  } else if (m.type == kResring) {
-    silence_ring_ = 0;
-  } else if (m.type == kRing && m.id1 == ringv()) {
-    // In the closed ring min and max announce to each other every round;
-    // the counterpart's ring message is the steady-state heartbeat (no
-    // resring flows once the walk has converged).
-    silence_ring_ = 0;
-  }
   switch (m.type) {
     case kLin:
       linearize(ctx, m.id1);
@@ -247,28 +232,8 @@ void SmallWorldNode::on_message(sim::Context& ctx, const sim::Message& m) {
   }
 }
 
-void SmallWorldNode::suspect(Id id) {
-  if (!is_node_id(id) || id == id_) return;
-  const std::uint64_t until = detector_ticks_ + 4ull * config().failure_timeout;
-  for (auto& entry : suspects_) {
-    if (entry.first == id) {
-      entry.second = until;
-      return;
-    }
-  }
-  if (suspects_.size() >= kMaxSuspects) suspects_.erase(suspects_.begin());
-  suspects_.emplace_back(id, until);
-}
-
-bool SmallWorldNode::is_suspected(Id id) const noexcept {
-  for (const auto& entry : suspects_)
-    if (entry.first == id && entry.second > detector_ticks_) return true;
-  return false;
-}
-
 bool SmallWorldNode::is_dead(Id id) const noexcept {
   if (!is_node_id(id) || id == id_) return false;
-  if (is_suspected(id)) return true;
   if (detector_ == nullptr) return false;
   if (detector_->is_quarantined(id, now_) || detector_->is_suspect(id)) {
     if (metrics_ != nullptr) metrics_->detector_quarantine_hits.add(1);
@@ -289,18 +254,13 @@ void SmallWorldNode::apply_eviction(sim::Context& ctx,
   // monitors could only rediscover the same verdict more slowly.
   if (lv() == target) {
     lv() = kNegInf;
-    silence_l_ = 0;
     notify_list();
   }
   if (rv() == target) {
     rv() = kPosInf;
-    silence_r_ = 0;
     notify_list();
   }
-  if (ringv() == target) {
-    ringv() = id_;
-    silence_ring_ = 0;
-  }
+  if (ringv() == target) ringv() = id_;
   reset_lrls_matching(target);
   if (metrics_ != nullptr) metrics_->detector_evictions.add(1);
   // Re-link through the dead node's last reported (l, r) view: linearize
@@ -372,50 +332,6 @@ void SmallWorldNode::on_timer(sim::Context& ctx, std::uint64_t tag) {
   }
 }
 
-void SmallWorldNode::tick_failure_detector() {
-  if (config().failure_timeout == 0) return;
-  ++detector_ticks_;
-  const std::uint32_t timeout = config().failure_timeout;
-  if (lv() != kNegInf && ++silence_l_ > timeout) {
-    suspect(lv());
-    lv() = kNegInf;
-    silence_l_ = 0;
-    notify_list();
-    if (metrics_ != nullptr) metrics_->detector_timeouts.add(1);
-  }
-  if (rv() != kPosInf && ++silence_r_ > timeout) {
-    suspect(rv());
-    rv() = kPosInf;
-    silence_r_ = 0;
-    notify_list();
-    if (metrics_ != nullptr) metrics_->detector_timeouts.add(1);
-  }
-  if (config().move_and_forget_enabled) {
-    bool links_changed = false;
-    for (LongRangeLink& link : links()) {
-      if (link.target != id_ && ++link.silence > timeout) {
-        suspect(link.target);
-        link.target = id_;  // give up on a silent endpoint: token restarts
-        link.age = 0;
-        link.silence = 0;
-        links_changed = true;
-        if (metrics_ != nullptr) {
-          metrics_->detector_timeouts.add(1);
-          metrics_->lrl_resets.add(1);
-        }
-      }
-    }
-    if (links_changed) notify_lrl();
-  }
-  if (ringv() != id_ && ++silence_ring_ > timeout) {
-    // The ring target is usually alive (the walk is just unfinished): reset
-    // without suspicion so the walk can revisit it.
-    ringv() = id_;
-    silence_ring_ = 0;
-    if (metrics_ != nullptr) metrics_->detector_timeouts.add(1);
-  }
-}
-
 void SmallWorldNode::on_regular(sim::Context& ctx) {
   now_ = ctx.round();
   if (detector_ != nullptr && !probe_timer_armed_) {
@@ -425,7 +341,6 @@ void SmallWorldNode::on_regular(sim::Context& ctx) {
                        FailureDetector::kProbeTimerTag);
     probe_timer_armed_ = true;
   }
-  tick_failure_detector();
   attempt_rescue(ctx);
   send_id(ctx);
   if (config().probing_enabled) {
@@ -450,7 +365,6 @@ void SmallWorldNode::linearize(sim::Context& ctx, Id id) {
     if (id < rv()) {
       if (rv() < kPosInf) send(ctx, id, kLin, rv());
       rv() = id;
-      silence_r_ = 0;
       tidy_ring();
       notify_list();
       if (metrics_ != nullptr) metrics_->linearize_adoptions.add(1);
@@ -470,7 +384,6 @@ void SmallWorldNode::linearize(sim::Context& ctx, Id id) {
     if (id > lv()) {
       if (lv() > kNegInf) send(ctx, id, kLin, lv());
       lv() = id;
-      silence_l_ = 0;
       tidy_ring();
       notify_list();
       if (metrics_ != nullptr) metrics_->linearize_adoptions.add(1);
@@ -526,7 +439,6 @@ void SmallWorldNode::move_forget(sim::Context& ctx, Id id1, Id id2, Id responder
   } else {
     return;  // no usable candidate: keep the current link, no move happened
   }
-  link->silence = 0;
   ++link->age;  // one move step completed
   Age& max_seen = store_->max_age(slot_);
   if (link->age > max_seen) max_seen = link->age;

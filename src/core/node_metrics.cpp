@@ -9,7 +9,6 @@ NodeMetrics::NodeMetrics(obs::Registry& registry)
       lrl_forgets(registry.counter("node.lrl.forgets")),
       lrl_resets(registry.counter("node.lrl.resets")),
       ring_updates(registry.counter("node.ring.updates")),
-      detector_timeouts(registry.counter("node.detector.timeouts")),
       probe_repairs(registry.counter("node.probe.repairs")),
       detector_probes(registry.counter("node.detector.probes")),
       detector_acks(registry.counter("node.detector.acks")),

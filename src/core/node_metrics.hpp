@@ -21,7 +21,6 @@ struct NodeMetrics {
   obs::Counter& lrl_forgets;          ///< φ(α) fired: token sent home
   obs::Counter& lrl_resets;           ///< link reset to home, any cause
   obs::Counter& ring_updates;         ///< UPDATERING improved a ring edge
-  obs::Counter& detector_timeouts;    ///< failure detector dropped a pointer
   obs::Counter& probe_repairs;        ///< probe dead-end repaired via linearize
   // Active probe/ack detector (config.detector; all zero while disabled).
   obs::Counter& detector_probes;      ///< pings sent (one per watched pointer per tick)

@@ -31,7 +31,6 @@ namespace sssw::core {
 struct LongRangeLink {
   sim::Id target;
   Age age = 0;
-  std::uint32_t silence = 0;  ///< failure-detector bookkeeping
 };
 
 class NodeStore {

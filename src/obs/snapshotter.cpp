@@ -1,198 +1,128 @@
 #include "obs/snapshotter.hpp"
 
-#include <cctype>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
-
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace sssw::obs {
 
 namespace {
 
-/// Shortest-round-trip double: %.17g always reparses to the same bits; trim
-/// by retrying shorter precisions that still round-trip.
-std::string format_double(double v) {
-  char buffer[64];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, v);
-    if (std::strtod(buffer, nullptr) == v) break;
-  }
-  return buffer;
-}
+using util::append_json_number;
+using util::JsonValue;
 
-void append_histogram(std::ostringstream& out, const Histogram& histogram) {
-  out << "{\"count\":" << histogram.count()
-      << ",\"sum\":" << format_double(histogram.sum())
-      << ",\"min\":" << format_double(histogram.min())
-      << ",\"max\":" << format_double(histogram.max()) << ",\"buckets\":[";
-  bool first = true;
+void append_histogram(std::string& out, const Histogram& histogram) {
+  out += "{\"count\":";
+  append_json_number(out, histogram.count());
+  out += ",\"sum\":";
+  append_json_number(out, histogram.sum());
+  out += ",\"min\":";
+  append_json_number(out, histogram.min());
+  out += ",\"max\":";
+  append_json_number(out, histogram.max());
+  out += ",\"buckets\":[";
+  const char* separator = "";
   for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
     if (histogram.bucket(i) == 0) continue;
-    if (!first) out << ',';
-    first = false;
-    out << '[' << format_double(Histogram::bucket_upper(i)) << ','
-        << histogram.bucket(i) << ']';
+    out += separator;
+    separator = ",";
+    out += '[';
+    append_json_number(out, Histogram::bucket_upper(i));
+    out += ',';
+    append_json_number(out, histogram.bucket(i));
+    out += ']';
   }
-  out << "]}";
+  out += "]}";
+}
+
+/// Calls `entry(name, value)` for each member of a `{"name": value, ...}`
+/// section; false if `section` is not an object or any entry fails.
+template <typename Fn>
+bool for_each_member(const JsonValue& section, Fn&& entry) {
+  if (section.kind() != JsonValue::Kind::kObject) return false;
+  for (std::size_t i = 0; i < section.keys().size(); ++i)
+    if (!entry(section.keys()[i], section.items()[i])) return false;
+  return true;
+}
+
+bool parse_histogram(const JsonValue& value,
+                     ParsedSnapshot::HistogramData* out) {
+  const auto count = value["count"].number<std::uint64_t>();
+  const auto sum = value["sum"].number<double>();
+  const auto min = value["min"].number<double>();
+  const auto max = value["max"].number<double>();
+  const JsonValue& buckets = value["buckets"];
+  if (!count || !sum || !min || !max ||
+      buckets.kind() != JsonValue::Kind::kArray)
+    return false;
+  out->count = *count;
+  out->sum = *sum;
+  out->min = *min;
+  out->max = *max;
+  for (const JsonValue& bucket : buckets.items()) {
+    if (bucket.items().size() != 2) return false;
+    const auto edge = bucket.items()[0].number<double>();
+    const auto hits = bucket.items()[1].number<std::uint64_t>();
+    if (!edge || !hits) return false;
+    out->buckets.emplace_back(*edge, *hits);
+  }
+  return true;
 }
 
 }  // namespace
 
 std::string to_jsonl(const Registry& registry, std::uint64_t round) {
-  std::ostringstream out;
-  out << "{\"round\":" << round << ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, metric] : registry.counters()) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << name << "\":" << metric.value();
-  }
-  out << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, metric] : registry.gauges()) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << name << "\":" << format_double(metric.value());
-  }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, metric] : registry.histograms()) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << name << "\":";
-    append_histogram(out, metric);
-  }
-  out << "}}";
-  return out.str();
+  std::string out = "{\"round\":";
+  append_json_number(out, round);
+  // One {"name":value,...} section per metric kind, in registry order.
+  const auto section = [&out](const char* kind, const auto& metrics,
+                              const auto& append_value) {
+    out += ",\"";
+    out += kind;
+    out += "\":{";
+    const char* separator = "";
+    for (const auto& [name, metric] : metrics) {
+      out += separator;
+      separator = ",";
+      util::append_json_string(out, name);
+      out += ':';
+      append_value(metric);
+    }
+    out += '}';
+  };
+  section("counters", registry.counters(),
+          [&out](const Counter& c) { append_json_number(out, c.value()); });
+  section("gauges", registry.gauges(),
+          [&out](const Gauge& g) { append_json_number(out, g.value()); });
+  section("histograms", registry.histograms(),
+          [&out](const Histogram& h) { append_histogram(out, h); });
+  out += '}';
+  return out;
 }
-
-// --- strict parser for the schema above -------------------------------------
-
-namespace {
-
-/// Cursor over one snapshot line.  Every accessor returns false on a
-/// mismatch, letting parse_snapshot bail out without exceptions.
-struct Cursor {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void skip_spaces() {
-    while (pos < text.size() && std::isspace(static_cast<unsigned char>(text[pos])))
-      ++pos;
-  }
-
-  bool eat(char c) {
-    skip_spaces();
-    if (pos >= text.size() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-
-  bool peek(char c) {
-    skip_spaces();
-    return pos < text.size() && text[pos] == c;
-  }
-
-  bool string(std::string* out) {
-    if (!eat('"')) return false;
-    const std::size_t start = pos;
-    while (pos < text.size() && text[pos] != '"') ++pos;  // names need no escapes
-    if (pos >= text.size()) return false;
-    *out = text.substr(start, pos - start);
-    ++pos;
-    return true;
-  }
-
-  bool number(double* out) {
-    skip_spaces();
-    const char* begin = text.c_str() + pos;
-    char* end = nullptr;
-    const double value = std::strtod(begin, &end);
-    if (end == begin) return false;
-    pos += static_cast<std::size_t>(end - begin);
-    *out = value;
-    return true;
-  }
-
-  bool unsigned_number(std::uint64_t* out) {
-    double value = 0.0;
-    if (!number(&value) || value < 0.0) return false;
-    *out = static_cast<std::uint64_t>(value);
-    return true;
-  }
-};
-
-bool parse_key(Cursor& cursor, const char* expected) {
-  std::string key;
-  return cursor.string(&key) && key == expected && cursor.eat(':');
-}
-
-bool parse_histogram(Cursor& cursor, ParsedSnapshot::HistogramData* out) {
-  if (!cursor.eat('{')) return false;
-  if (!parse_key(cursor, "count") || !cursor.unsigned_number(&out->count))
-    return false;
-  if (!cursor.eat(',') || !parse_key(cursor, "sum") || !cursor.number(&out->sum))
-    return false;
-  if (!cursor.eat(',') || !parse_key(cursor, "min") || !cursor.number(&out->min))
-    return false;
-  if (!cursor.eat(',') || !parse_key(cursor, "max") || !cursor.number(&out->max))
-    return false;
-  if (!cursor.eat(',') || !parse_key(cursor, "buckets") || !cursor.eat('['))
-    return false;
-  while (!cursor.peek(']')) {
-    double edge = 0.0;
-    std::uint64_t count = 0;
-    if (!cursor.eat('[') || !cursor.number(&edge) || !cursor.eat(',') ||
-        !cursor.unsigned_number(&count) || !cursor.eat(']'))
-      return false;
-    out->buckets.emplace_back(edge, count);
-    if (!cursor.peek(']') && !cursor.eat(',')) return false;
-  }
-  return cursor.eat(']') && cursor.eat('}');
-}
-
-/// Parses {"name":<value>, ...} with a per-entry callback.
-template <typename Fn>
-bool parse_object(Cursor& cursor, Fn&& entry) {
-  if (!cursor.eat('{')) return false;
-  while (!cursor.peek('}')) {
-    std::string name;
-    if (!cursor.string(&name) || !cursor.eat(':')) return false;
-    if (!entry(name)) return false;
-    if (!cursor.peek('}') && !cursor.eat(',')) return false;
-  }
-  return cursor.eat('}');
-}
-
-}  // namespace
 
 bool parse_snapshot(const std::string& line, ParsedSnapshot* out) {
   *out = ParsedSnapshot{};
-  Cursor cursor{line};
-  if (!cursor.eat('{')) return false;
-  if (!parse_key(cursor, "round") || !cursor.unsigned_number(&out->round))
-    return false;
-  if (!cursor.eat(',') || !parse_key(cursor, "counters")) return false;
-  if (!parse_object(cursor, [&](const std::string& name) {
-        return cursor.unsigned_number(&out->counters[name]);
-      }))
-    return false;
-  if (!cursor.eat(',') || !parse_key(cursor, "gauges")) return false;
-  if (!parse_object(cursor, [&](const std::string& name) {
-        return cursor.number(&out->gauges[name]);
-      }))
-    return false;
-  if (!cursor.eat(',') || !parse_key(cursor, "histograms")) return false;
-  if (!parse_object(cursor, [&](const std::string& name) {
-        return parse_histogram(cursor, &out->histograms[name]);
-      }))
-    return false;
-  if (!cursor.eat('}')) return false;
-  cursor.skip_spaces();
-  return cursor.pos == line.size();
+  const auto doc = util::parse_json(line);
+  if (!doc) return false;
+  const auto round = (*doc)["round"].number<std::uint64_t>();
+  if (!round) return false;
+  out->round = *round;
+  return for_each_member((*doc)["counters"],
+                         [&](const std::string& name, const JsonValue& value) {
+                           const auto count = value.number<std::uint64_t>();
+                           if (count) out->counters[name] = *count;
+                           return count.has_value();
+                         }) &&
+         for_each_member((*doc)["gauges"],
+                         [&](const std::string& name, const JsonValue& value) {
+                           const auto gauge = value.number<double>();
+                           if (gauge) out->gauges[name] = *gauge;
+                           return gauge.has_value();
+                         }) &&
+         for_each_member((*doc)["histograms"],
+                         [&](const std::string& name, const JsonValue& value) {
+                           return parse_histogram(value,
+                                                  &out->histograms[name]);
+                         });
 }
 
 // --- Snapshotter ------------------------------------------------------------

@@ -43,9 +43,9 @@ struct ParsedSnapshot {
   std::map<std::string, HistogramData> histograms;
 };
 
-/// Parses one line produced by to_jsonl().  Returns false (and leaves *out
-/// unspecified) on malformed input.  This is a strict parser for the
-/// snapshot schema, not a general JSON parser.
+/// Parses one line produced by to_jsonl() with util::parse_json.  Returns
+/// false (and leaves *out unspecified) on malformed JSON or a missing or
+/// mistyped section; counters read back exactly as 64-bit integers.
 bool parse_snapshot(const std::string& line, ParsedSnapshot* out);
 
 /// Writes registry snapshots every `every` rounds to a stream or file.

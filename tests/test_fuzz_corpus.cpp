@@ -95,6 +95,8 @@ TEST(FuzzCorpus, JsonRoundTripsExactly) {
     // Serialization is canonical: emitting the parsed form again is a
     // fixed point.
     EXPECT_EQ(to_json(*reparsed), serialized) << path;
+    // ...and the committed file is that canonical form, byte for byte.
+    EXPECT_EQ(serialized + "\n", text) << path;
   }
 }
 

@@ -35,7 +35,7 @@ TEST_P(Lifecycle, FullStory) {
   NetworkOptions options;
   options.seed = scenario.seed;
   options.message_loss = scenario.message_loss;
-  options.protocol.failure_timeout = 12;  // crashes below must heal
+  options.protocol.detector.enabled = true;  // crashes below must heal
   options.protocol.lrl_count = scenario.lrl_count;
   SmallWorldNetwork net(options);
   net.add_nodes(
@@ -102,14 +102,14 @@ TEST_P(Lifecycle, FullStory) {
     EXPECT_TRUE(copy.sorted_ring());
   }
 
-  // Epilogue.  With the failure detector enabled, a silence counter that
-  // accumulated during the stormy acts can fire once shortly after
-  // legality and self-heal within a few rounds — so the postcondition is
-  // "re-acquires and then holds the ring", not "holds it at an arbitrary
-  // instant".
+  // Epilogue.  With the failure detector enabled, a pointer suspected
+  // during the stormy acts (garbage traffic, message loss) can be evicted
+  // shortly after legality and self-heal within a few rounds — so the
+  // postcondition is "re-acquires and then holds the ring", not "holds it
+  // at an arbitrary instant".
   net.run_rounds(20);
   ASSERT_TRUE(net.run_until_sorted_ring(2000).has_value());
-  net.run_rounds(2 * options.protocol.failure_timeout);
+  net.run_rounds(2 * options.protocol.detector.quarantine_rounds);
   ASSERT_TRUE(net.run_until_sorted_ring(2000).has_value());
   for (const sim::Id id : net.engine().id_span()) {
     const sim::Id target = net.node(id)->lrl();

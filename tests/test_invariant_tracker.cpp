@@ -110,7 +110,7 @@ TEST(InvariantTracker, JoinLeaveCrashSnapshotSequenceStaysExact) {
   NetworkOptions options;
   options.seed = 42;
   options.verify_tracker = true;
-  options.protocol.failure_timeout = 12;  // crash recovery needs the detector
+  options.protocol.detector.enabled = true;  // crash recovery needs it
   SmallWorldNetwork net = make_stable_ring(random_ids(24, rng), options);
   expect_tracker_matches_oracle(net);
 

@@ -117,7 +117,6 @@ core::SmallWorldNetwork make_ring(std::size_t n, std::uint64_t seed,
   options.seed = seed;
   options.message_loss = message_loss;
   options.protocol.detector.enabled = detector;
-  if (detector) options.protocol.failure_timeout = 0;
   util::Rng rng(seed);
   core::SmallWorldNetwork net(options);
   net.add_nodes(topology::make_initial_state(
@@ -281,7 +280,6 @@ TEST(LookupNode, PassiveRepairBridgesASeveredSegment) {
   core::NetworkOptions options;
   options.seed = 61;
   options.protocol.detector.enabled = true;
-  options.protocol.failure_timeout = 0;
   core::SmallWorldNetwork net(options);
   const std::vector<sim::Id> ids{0.1, 0.2, 0.3, 0.45, 0.6, 0.7, 0.8, 0.95};
   util::Rng rng(61);

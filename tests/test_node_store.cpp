@@ -12,6 +12,9 @@
 namespace sssw::core {
 namespace {
 
+// A link is two words (target, age): the per-round sweep reads every one.
+static_assert(sizeof(LongRangeLink) == 16);
+
 TEST(NodeStore, AcquireHandsOutNeutralState) {
   Config config;
   NodeStore store(config);
@@ -25,7 +28,6 @@ TEST(NodeStore, AcquireHandsOutNeutralState) {
   for (const LongRangeLink& link : store.lrls(slot)) {
     EXPECT_EQ(link.target, 0.0);
     EXPECT_EQ(link.age, 0u);
-    EXPECT_EQ(link.silence, 0u);
   }
 }
 
@@ -35,7 +37,7 @@ TEST(NodeStore, ReleasedSlotIsRecycledAndReset) {
   const std::size_t first = store.acquire();
   store.l(first) = 0.25;
   store.forgets(first) = 7;
-  store.lrls(first)[0] = LongRangeLink{0.5, 3, 1};
+  store.lrls(first)[0] = LongRangeLink{0.5, 3};
   store.release(first);
 
   // LIFO recycling: the very next acquire reuses the slot, scrubbed.

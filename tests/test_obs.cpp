@@ -287,6 +287,19 @@ TEST(Snapshot, RoundTripPreservesEveryMetric) {
   EXPECT_EQ(bucket_total, 3u);
 }
 
+TEST(Snapshot, CountersAbove2To53ReadBackExactly) {
+  // Counters are uint64: a reader that goes through a double rounds 2^53 + 1
+  // down to 2^53.
+  constexpr std::uint64_t kBig = (std::uint64_t{1} << 53) + 1;
+  Registry registry;
+  registry.counter("big.counter").add(kBig);
+  registry.histogram("big.histogram").observe(1.0);
+  ParsedSnapshot parsed;
+  ASSERT_TRUE(parse_snapshot(to_jsonl(registry, kBig), &parsed));
+  EXPECT_EQ(parsed.round, kBig);
+  EXPECT_EQ(parsed.counters.at("big.counter"), kBig);
+}
+
 TEST(Snapshot, ParserRejectsMalformedLines) {
   ParsedSnapshot out;
   EXPECT_FALSE(parse_snapshot("", &out));

@@ -5,9 +5,11 @@
 // experiment added without docs fails here rather than rotting silently.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -232,6 +234,26 @@ TEST(SweepMetaJson, CellMetaRoundTrips) {
   ASSERT_EQ(parsed->metrics.size(), 2u);
   EXPECT_EQ(parsed->metrics[0].first, "rounds");
   EXPECT_DOUBLE_EQ(parsed->metrics[0].second, 12.0);
+}
+
+TEST(SweepMetaJson, CellMetaKeeps64BitIntegersExact) {
+  // A sweep config accepts any uint64 seed, so seeds and budgets must read
+  // back exactly: through a double, 2^53 + 1 becomes 2^53 and UINT64_MAX
+  // rounds up past the type's range.
+  for (const std::uint64_t big :
+       {(std::uint64_t{1} << 53) + 1, std::numeric_limits<std::uint64_t>::max()}) {
+    CellMeta meta;
+    meta.cell = expand_cells(tiny_config())[0];
+    meta.cell.seed = big;
+    meta.cell.max_rounds = big;
+    meta.hash = cell_hash(meta.cell);
+    meta.status = "ok";
+    const auto parsed = parse_cell_meta(to_json(meta));
+    ASSERT_TRUE(parsed.has_value()) << big;
+    EXPECT_EQ(parsed->cell.seed, big);
+    EXPECT_EQ(parsed->cell.max_rounds, big);
+    EXPECT_EQ(parsed->cell, meta.cell);
+  }
 }
 
 TEST(SweepMetaJson, SweepMetaRoundTrips) {

@@ -32,6 +32,7 @@
 #include "core/network.hpp"
 #include "topology/initial_states.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 using namespace sssw;
@@ -55,22 +56,21 @@ core::SmallWorldNetwork chain_network(std::size_t n, std::uint64_t seed) {
   return network;
 }
 
-/// Reads the `"perf_smoke_min_ratio": X` field out of a BENCH_*.json
-/// artifact, so the CI floor lives next to the measured numbers it guards
-/// instead of being a constant in this file.  Returns false if the file or
-/// field is missing.
+/// Reads the top-level `"perf_smoke_min_ratio": X` field out of a
+/// BENCH_*.json artifact, so the CI floor lives next to the measured numbers
+/// it guards instead of being a constant in this file.  Returns false if the
+/// file is missing or not JSON, or the field is missing or not a number.
 bool read_min_ratio(const std::string& path, double* out) {
   std::ifstream in(path);
   if (!in.good()) return false;
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  const std::string needle = "\"perf_smoke_min_ratio\"";
-  const std::size_t at = text.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t colon = text.find(':', at + needle.size());
-  if (colon == std::string::npos) return false;
-  return std::sscanf(text.c_str() + colon + 1, "%lf", out) == 1;
+  const auto doc = util::parse_json(buffer.str());
+  if (!doc) return false;
+  const auto ratio = (*doc)["perf_smoke_min_ratio"].number<double>();
+  if (!ratio) return false;
+  *out = *ratio;
+  return true;
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 //   until-ring [MAX]    run until Def. 4.17 holds (default budget 100000)
 //   join ID CONTACT     join a new node knowing one contact
 //   leave ID            fail-stop leave (with neighbour detection)
-//   crash ID            crash-stop (no detection; needs failure_timeout)
+//   crash ID            crash-stop (heals only with --failure-detector)
 //   inject TO TYPE ID1 [ID2]   put a message into TO's channel
 //   status              one-line phase/size/round/message summary
 //   nodes               dump every node's (l, r, lrl, ring, age)
@@ -27,6 +27,8 @@
 // --failure-detector on, the detector.* counters flow into the same stream.
 // --crash-frac F --crash-round R crash-stops a random F of the nodes once
 // `step`/`until-ring` reach round R (same id-pick recipe as sssw_fuzz).
+// Crash-stop failures, scheduled or by `crash ID`, heal only with
+// --failure-detector; without it the gap stays open (Config defaults).
 // --lookup-rate R attaches the in-band lookup service (doc/SERVICE.md):
 // open-loop greedy lookups ride every round alongside stabilization, with
 // --lookup-ttl / --lookup-timeout / --lookup-retries / --lookup-hedge
@@ -177,7 +179,8 @@ int main(int argc, char** argv) {
   cli.flag("message-loss", "per-message drop probability, in [0,1)",
            &message_loss);
   cli.flag("crash-frac",
-           "fraction of nodes to crash at --crash-round, in [0,1)",
+           "fraction of nodes to crash at --crash-round, in [0,1) "
+           "(crashes heal only with --failure-detector)",
            &crash_frac);
   cli.flag("crash-round",
            "round at which --crash-frac of the nodes crash (0 = never)",
@@ -265,11 +268,6 @@ int main(int argc, char** argv) {
   options.faults = faults;
   options.adversary_delay = static_cast<std::uint32_t>(adversary_delay);
   options.message_loss = message_loss;
-  // Crash-stop works out of the box: the legacy passive detector by default,
-  // or the active probe/ack detector when requested.  Never both — a passive
-  // reset clears the stale pointer before the active detector's eviction,
-  // which kills the re-link through the dead node's last reported view.
-  options.protocol.failure_timeout = failure_detector ? 0 : 16;
   options.protocol.detector.enabled = failure_detector;
   options.protocol.detector.probe_period =
       static_cast<std::uint32_t>(probe_period);
