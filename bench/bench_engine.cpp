@@ -2,7 +2,8 @@
 //
 // Not a paper experiment — this pins the performance envelope of the
 // substrate every experiment runs on: rounds/sec for stable rings of various
-// sizes, channel throughput, and graph-view extraction cost.
+// sizes, per-scheduler action throughput (which covers the channel path),
+// and graph-view extraction cost.
 #include <algorithm>
 #include <vector>
 
@@ -10,7 +11,6 @@
 #include "core/invariants.hpp"
 #include "core/node.hpp"
 #include "core/views.hpp"
-#include "sim/channel.hpp"
 #include "topology/initial_states.hpp"
 
 namespace {
@@ -109,22 +109,6 @@ BENCHMARK(BM_Engine_MillionNodeRecovery)
     ->Arg(1000000)
     ->UseRealTime()
     ->Unit(benchmark::kSecond)->Iterations(1);
-
-void BM_Channel_PushDrain(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  sim::Channel channel;
-  util::Rng rng(1);
-  std::vector<sim::Message> out;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i)
-      channel.push(sim::Message{0, rng.uniform()});
-    channel.drain(out, sim::ReceiptOrder::kShuffled, rng);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_Channel_PushDrain)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_Views_ExtractCp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -72,6 +72,9 @@ class InvariantTracker {
   /// released with it) and re-points its rank neighbours' expectations at
   /// each other.  Marks unresolved counts stale.
   void on_remove(const SmallWorldNode& node);
+  /// Sizes the entry table (one entry per NodeStore slot) for `nodes`
+  /// nodes.
+  void reserve(std::size_t nodes) { entries_.reserve(nodes); }
 
   // --- mutation hooks (O(1), called from SmallWorldNode) ----------------
   // Each hook recomputes only the acting node's entry from that node's

@@ -97,6 +97,12 @@ void SmallWorldNetwork::detach_metrics() {
 }
 
 void SmallWorldNetwork::add_nodes(const std::vector<NodeInit>& inits) {
+  // Size every per-node table for the final count up front, so a bulk build
+  // allocates each once instead of growing it step by step.
+  const std::size_t total = size() + inits.size();
+  engine_->reserve(total);
+  store_->reserve(total);
+  tracker_->reserve(total);
   for (const NodeInit& init : inits) add_node(init);
 }
 
@@ -258,18 +264,20 @@ std::vector<std::size_t> SmallWorldNetwork::lrl_lengths() const {
 
 SmallWorldNetwork make_stable_ring(std::vector<Id> ids, NetworkOptions options) {
   std::sort(ids.begin(), ids.end());
-  SmallWorldNetwork network(options);
   const std::size_t n = ids.size();
+  std::vector<NodeInit> inits;
+  inits.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    NodeInit init(ids[i]);
+    NodeInit& init = inits.emplace_back(ids[i]);
     init.l = i == 0 ? kNegInf : ids[i - 1];
     init.r = i + 1 == n ? kPosInf : ids[i + 1];
     if (n >= 2) {
       if (i == 0) init.ring = ids.back();
       if (i + 1 == n) init.ring = ids.front();
     }
-    network.add_node(init);
   }
+  SmallWorldNetwork network(options);
+  network.add_nodes(inits);
   return network;
 }
 

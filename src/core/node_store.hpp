@@ -63,6 +63,19 @@ class NodeStore {
 
   void release(std::size_t slot) noexcept { free_.push_back(slot); }
 
+  /// Sizes the columns for `nodes` live nodes: acquiring up to that many
+  /// (recycled slots first) never reallocates.
+  void reserve(std::size_t nodes) {
+    const std::size_t columns = l_.size() - free_.size() + nodes;
+    if (columns <= l_.size()) return;
+    l_.reserve(columns);
+    r_.reserve(columns);
+    ring_.reserve(columns);
+    forgets_.reserve(columns);
+    max_age_.reserve(columns);
+    lrls_.reserve(columns * config_.lrl_count);
+  }
+
   // --- hot-state accessors, by slot ------------------------------------
   sim::Id& l(std::size_t s) noexcept { return l_[s]; }
   sim::Id l(std::size_t s) const noexcept { return l_[s]; }

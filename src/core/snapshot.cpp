@@ -69,7 +69,7 @@ SmallWorldNetwork restore_snapshot(const Snapshot& snapshot, NetworkOptions opti
 
 std::string to_text(const Snapshot& snapshot) {
   std::ostringstream out;
-  out << "sssw-snapshot v1\n";
+  out << "sssw-snapshot v2\n";
   for (const Snapshot::NodeState& node : snapshot.nodes) {
     out << "node " << id_to_text(node.id) << ' ' << id_to_text(node.l) << ' '
         << id_to_text(node.r) << ' ' << id_to_text(node.lrl) << ' '
@@ -79,7 +79,7 @@ std::string to_text(const Snapshot& snapshot) {
     out << "msg " << id_to_text(pending.to) << ' '
         << static_cast<int>(pending.message.type) << ' '
         << id_to_text(pending.message.id1) << ' ' << id_to_text(pending.message.id2)
-        << '\n';
+        << ' ' << id_to_text(pending.message.id3) << '\n';
   }
   return out.str();
 }
@@ -87,7 +87,7 @@ std::string to_text(const Snapshot& snapshot) {
 Snapshot from_text(const std::string& text) {
   std::istringstream in(text);
   std::string line;
-  if (!std::getline(in, line) || line != "sssw-snapshot v1")
+  if (!std::getline(in, line) || line != "sssw-snapshot v2")
     throw std::runtime_error("snapshot: missing or unknown header");
 
   Snapshot snapshot;
@@ -104,15 +104,16 @@ Snapshot from_text(const std::string& text) {
       snapshot.nodes.push_back({id_from_text(id), id_from_text(l), id_from_text(r),
                                 id_from_text(lrl), id_from_text(ring), age});
     } else if (kind == "msg") {
-      std::string to, id1, id2;
+      std::string to, id1, id2, id3;
       int type = 0;
-      if (!(fields >> to >> type >> id1 >> id2))
+      if (!(fields >> to >> type >> id1 >> id2 >> id3))
         throw std::runtime_error("snapshot: malformed msg line: " + line);
       if (type < 0 || type >= static_cast<int>(sim::kMaxMessageTypes))
         throw std::runtime_error("snapshot: message type out of range: " + line);
       snapshot.messages.push_back(
           {id_from_text(to), sim::Message{static_cast<sim::MessageType>(type),
-                                          id_from_text(id1), id_from_text(id2)}});
+                                          id_from_text(id1), id_from_text(id2),
+                                          id_from_text(id3)}});
     } else {
       throw std::runtime_error("snapshot: unknown record '" + kind + "'");
     }

@@ -6,9 +6,12 @@
 // a line-oriented text format (one node or message per line) that diffs and
 // versions cleanly:
 //
-//   sssw-snapshot v1
+//   sssw-snapshot v2
 //   node <id> <l> <r> <lrl> <ring> <age>
-//   msg <to> <type> <id1> <id2>
+//   msg <to> <type> <id1> <id2> <id3>
+//
+// (v1 wrote no id3, so pong responders, lookup tokens and multi-link reslrl
+// responders came back as -inf; v1 files are rejected.)
 //
 // Identifiers serialize with full double precision via hexfloat; ±∞ are the
 // literals `-inf` / `inf`.  Nodes running the multi-link extension

@@ -6,84 +6,18 @@
 
 namespace sssw::sim {
 
-void Channel::maybe_compact() {
-  if (head_ >= 64 && head_ * 2 >= buf_.size()) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-}
-
-void Channel::drain(std::vector<Message>& out, ReceiptOrder order, util::Rng& rng) {
-  out.clear();
-  if (head_ == 0) {
-    out.swap(buf_);
-  } else {
-    out.assign(buf_.begin() + static_cast<std::ptrdiff_t>(head_), buf_.end());
-    buf_.clear();
-    head_ = 0;
-  }
-  switch (order) {
-    case ReceiptOrder::kShuffled:
-      util::shuffle(out, rng);
-      break;
-    case ReceiptOrder::kFifo:
-      break;  // already oldest-first
-    case ReceiptOrder::kLifo:
-      std::reverse(out.begin(), out.end());
-      break;
-  }
-}
-
-void Channel::drain_sample(std::vector<Message>& out, double p, util::Rng& rng) {
-  out.clear();
-  std::size_t kept = 0;
-  for (std::size_t i = head_; i < buf_.size(); ++i) {
-    if (rng.bernoulli(p)) {
-      out.push_back(buf_[i]);
-    } else {
-      buf_[kept++] = buf_[i];
-    }
-  }
-  buf_.resize(kept);
-  head_ = 0;
-  util::shuffle(out, rng);
-}
-
-std::size_t Channel::purge_references(Id id) {
-  const std::size_t before = size();
-  if (head_ > 0) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
-  std::erase_if(buf_, [id](const Message& message) {
-    return message.id1 == id || message.id2 == id || message.id3 == id;
-  });
-  return before - size();
-}
-
-Message Channel::take_one(ReceiptOrder order, util::Rng& rng) {
+Message Channel::take(util::Rng& rng) {
   SSSW_CHECK(!empty());
-  switch (order) {
-    case ReceiptOrder::kFifo: {
-      const Message message = buf_[head_++];
-      maybe_compact();
-      return message;
-    }
-    case ReceiptOrder::kLifo: {
-      const Message message = buf_.back();
-      buf_.pop_back();
-      maybe_compact();
-      return message;
-    }
-    case ReceiptOrder::kShuffled:
-      break;
-  }
-  const std::size_t idx = head_ + rng.below(size());
+  const std::size_t idx = rng.below(size());
   const Message message = buf_[idx];
   buf_[idx] = buf_.back();
   buf_.pop_back();
-  maybe_compact();
   return message;
+}
+
+std::size_t Channel::purge_references(Id id) {
+  return std::erase_if(
+      buf_, [id](const Message& message) { return references(message, id); });
 }
 
 }  // namespace sssw::sim

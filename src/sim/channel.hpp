@@ -1,14 +1,13 @@
-// channel.hpp — a node's incoming channel C (§II.B).
+// channel.hpp — a node's incoming channel C (§II.B), as the random-async
+// scheduler stores it.
 //
 // The channel has unbounded capacity, loses no messages, and does not
-// preserve transmission order.  Receipt order is a scheduler policy:
-// shuffled (models fair receipt), FIFO, or LIFO (adversarial but still fair
-// under round-based draining, since every round drains the whole snapshot).
-//
-// Storage is a head-indexed buffer: live messages occupy [head_, buf_.size())
-// of one contiguous vector, so push and take_one(kFifo) are amortized O(1)
-// (the consumed prefix is compacted away once it dominates the storage) and
-// pending() stays a contiguous read-only view.
+// preserve transmission order.  The random-async scheduler takes one
+// uniformly random message per receive action and must see every send at
+// once, so it keeps one vector per receiver: push appends, take swaps a
+// random message with the last one and pops it.  The synchronous-family
+// schedulers keep no per-receiver storage at all: their channels are the
+// engine's pending log and receive-pass inbox (Engine, DESIGN.md §8).
 #pragma once
 
 #include <cstddef>
@@ -20,44 +19,22 @@
 
 namespace sssw::sim {
 
-enum class ReceiptOrder : std::uint8_t {
-  kShuffled,  ///< uniformly random order (the paper's fair receipt)
-  kFifo,      ///< oldest first
-  kLifo,      ///< newest first (adversarial)
-};
-
 class Channel {
  public:
   void push(const Message& message) { buf_.push_back(message); }
 
-  bool empty() const noexcept { return head_ == buf_.size(); }
-  std::size_t size() const noexcept { return buf_.size() - head_; }
+  bool empty() const noexcept { return buf_.empty(); }
+  std::size_t size() const noexcept { return buf_.size(); }
 
-  /// Moves all currently pending messages into `out` (cleared first),
-  /// ordered per `order`.  Messages pushed after the call belong to the
-  /// next snapshot — this gives synchronous-round semantics.
-  void drain(std::vector<Message>& out, ReceiptOrder order, util::Rng& rng);
+  /// Removes and returns a uniformly random message (one `rng.below` draw);
+  /// the channel must be non-empty.
+  Message take(util::Rng& rng);
 
-  /// Removes and returns one message per `order`; channel must be non-empty.
-  /// kFifo is amortized O(1): the head index advances instead of erasing.
-  Message take_one(ReceiptOrder order, util::Rng& rng);
+  void clear() noexcept { buf_.clear(); }
 
-  /// Moves each pending message into `out` (cleared first) independently
-  /// with probability `p`, in shuffled order; the rest stay pending.  Models
-  /// slow channels (SchedulerKind::kDelayedRandom).
-  void drain_sample(std::vector<Message>& out, double p, util::Rng& rng);
-
-  void clear() noexcept {
-    buf_.clear();
-    head_ = 0;
-  }
-
-  /// Read-only view of the pending messages, oldest first (graph-view
-  /// extraction uses the "implicit links given by the messages in the
-  /// channel" of Def. 4.2).
-  std::span<const Message> pending() const noexcept {
-    return {buf_.data() + head_, size()};
-  }
+  /// Read-only view of the pending messages (graph-view extraction uses the
+  /// "implicit links given by the messages in the channel" of Def. 4.2).
+  std::span<const Message> pending() const noexcept { return buf_; }
 
   /// Removes every pending message that references `id` in any payload
   /// slot; returns how many were removed.  Used by fail-stop leave: the
@@ -65,12 +42,7 @@ class Channel {
   std::size_t purge_references(Id id);
 
  private:
-  /// Drops the consumed prefix once it outweighs the live suffix, keeping
-  /// take_one(kFifo) amortized O(1) without unbounded storage growth.
-  void maybe_compact();
-
-  std::vector<Message> buf_;  // live messages are [head_, buf_.size())
-  std::size_t head_ = 0;
+  std::vector<Message> buf_;
 };
 
 }  // namespace sssw::sim

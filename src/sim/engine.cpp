@@ -7,6 +7,14 @@
 
 namespace sssw::sim {
 
+namespace {
+
+/// How many entries ahead the outbox flush and the inbox scatter prefetch
+/// the memory their scattered accesses will touch.
+constexpr std::size_t kPrefetchAhead = 8;
+
+}  // namespace
+
 const char* to_string(SchedulerKind kind) noexcept {
   switch (kind) {
     case SchedulerKind::kSynchronous:
@@ -42,8 +50,8 @@ Engine::Engine(EngineConfig config) : config_(config), rng_(config.seed) {
     SSSW_CHECK_MSG(config_.adversary_delay >= 1,
                    "EngineConfig::adversary_delay must be >= 1");
   // Only the async scheduler ever asks "where is the pick-th pending
-  // message?"; everyone else skips the Fenwick bookkeeping on the send path.
-  use_fenwick_ = config_.scheduler == SchedulerKind::kRandomAsync;
+  // message?"; it alone keeps per-slot channels and the Fenwick index.
+  async_ = config_.scheduler == SchedulerKind::kRandomAsync;
   // The injector only exists when it can act, so a default config keeps the
   // send path (and the RNG streams) bit-identical to earlier revisions.
   if (config_.faults.active() || oldest_last) {
@@ -60,13 +68,6 @@ void Engine::ensure_fenwick() {
         static_cast<std::int64_t>(slots_[order_[rank]].channel.size());
   pending_by_rank_.assign(rank_counts_);
   fenwick_dirty_ = false;
-}
-
-void Engine::note_drained(Slot& slot, std::size_t removed) noexcept {
-  if (removed == 0) return;
-  pending_total_ -= removed;
-  if (use_fenwick_ && !fenwick_dirty_)
-    pending_by_rank_.add(slot.rank, -static_cast<std::int64_t>(removed));
 }
 
 void Engine::add_process(std::unique_ptr<Process> process) {
@@ -94,40 +95,58 @@ void Engine::add_process(std::unique_ptr<Process> process) {
   fenwick_dirty_ = true;
 }
 
+void Engine::reserve(std::size_t processes) {
+  // Slots are never recycled: every add appends one after the holes.
+  slots_.reserve(slots_.size() - order_.size() + processes);
+  order_.reserve(processes);
+  ids_sorted_.reserve(processes);
+  index_.reserve(processes);
+}
+
 bool Engine::remove_process(Id id, bool purge_references) {
   const std::size_t slot_index = index_.find(id);
   if (slot_index == IdSlotTable::kNone) return false;
   const std::size_t rank = slots_[slot_index].rank;
   SSSW_DCHECK(rank < order_.size() && order_[rank] == slot_index);
-  pending_total_ -= slots_[slot_index].channel.size();
   slots_[slot_index].process.reset();
-  slots_[slot_index].channel.clear();
   index_.erase(id);
   order_.erase(order_.begin() + static_cast<std::ptrdiff_t>(rank));
   SSSW_DCHECK(rank < ids_sorted_.size() && ids_sorted_[rank] == id);
   ids_sorted_.erase(ids_sorted_.begin() + static_cast<std::ptrdiff_t>(rank));
   for (std::size_t r = rank; r < order_.size(); ++r)
     slots_[order_[r]].rank = r;
-  // Fail-stop semantics (§IV.G): "the connections it had to and from other
-  // nodes also disappear" — that includes the temporary links formed by
-  // in-flight messages carrying the departed identifier.  Without this
-  // purge, a stale lin message can re-poison a neighbour's l/r with an id
-  // that no longer answers, wedging the gap open forever.
+  // The leaver's own channel vanishes uncounted.  Fail-stop semantics
+  // (§IV.G): "the connections it had to and from other nodes also
+  // disappear" — that includes the temporary links formed by in-flight
+  // messages carrying the departed identifier, which are dropped and
+  // counted.  Without this purge, a stale lin message can re-poison a
+  // neighbour's l/r with an id that no longer answers, wedging the gap open
+  // forever.
+  std::size_t purged = 0;
+  if (async_) {
+    pending_total_ -= slots_[slot_index].channel.size();
+    slots_[slot_index].channel.clear();
+    if (purge_references)
+      for (const std::size_t survivor : order_)
+        purged += slots_[survivor].channel.purge_references(id);
+    pending_total_ -= purged;
+  } else {
+    const std::size_t before = log_.size();
+    std::erase_if(log_, [&](const Posted& posted) {
+      if (posted.slot == slot_index) return true;
+      if (!purge_references || !references(posted.message, id)) return false;
+      ++purged;
+      return true;
+    });
+    pending_total_ -= before - log_.size();
+  }
   if (purge_references) {
-    for (const std::size_t survivor : order_) {
-      const std::size_t purged = slots_[survivor].channel.purge_references(id);
-      pending_total_ -= purged;
-      counters_.dropped += purged;
-      if (metrics_.dropped) metrics_.dropped->add(purged);
-    }
-    if (faults_) {
-      // Messages parked in the hold queue are in flight too, and the replay
-      // history must forget the departed node or a later replay would
-      // resurrect a reference that fail-stop already erased.
-      const std::size_t purged = faults_->purge_references(id);
-      counters_.dropped += purged;
-      if (metrics_.dropped) metrics_.dropped->add(purged);
-    }
+    // Messages parked in the hold queue are in flight too, and the replay
+    // history must forget the departed node or a later replay would
+    // resurrect a reference that fail-stop already erased.
+    if (faults_) purged += faults_->purge_references(id);
+    counters_.dropped += purged;
+    if (metrics_.dropped) metrics_.dropped->add(purged);
   }
   // A departed process must not be woken by a stale alarm — and a node that
   // later re-joins under the same identifier must not inherit one either.
@@ -192,6 +211,17 @@ void Engine::for_each(const std::function<void(const Process&)>& fn) const {
   for (const std::size_t slot : order_) fn(*slots_[slot].process);
 }
 
+void Engine::post(std::size_t slot_index, const Message& message) {
+  ++pending_total_;
+  if (!async_) {
+    log_.push_back(Posted{slot_index, message});
+    return;
+  }
+  Slot& slot = slots_[slot_index];
+  slot.channel.push(message);
+  if (!fenwick_dirty_) pending_by_rank_.add(slot.rank, 1);
+}
+
 /// Places `message` into the channel of `to`, or counts a drop when the
 /// target departed or never existed.
 void Engine::enqueue_or_drop(Id to, const Message& message) {
@@ -201,10 +231,7 @@ void Engine::enqueue_or_drop(Id to, const Message& message) {
     if (metrics_.dropped) metrics_.dropped->add();
     return;
   }
-  Slot& slot = slots_[slot_index];
-  slot.channel.push(message);
-  ++pending_total_;
-  if (use_fenwick_ && !fenwick_dirty_) pending_by_rank_.add(slot.rank, 1);
+  post(slot_index, message);
 }
 
 void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message) {
@@ -259,27 +286,29 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
 bool Engine::inject(Id to, const Message& message) {
   const std::size_t slot_index = index_.find(to);
   if (slot_index == IdSlotTable::kNone) return false;
-  Slot& slot = slots_[slot_index];
-  slot.channel.push(message);
-  ++pending_total_;
-  if (use_fenwick_ && !fenwick_dirty_) pending_by_rank_.add(slot.rank, 1);
+  post(slot_index, message);
   return true;
 }
 
 void Engine::flush_outbox() {
-  for (const PendingSend& send : outbox_)
+  // Every dispatch starts with an id-table probe at an unpredictable cell;
+  // touching the cell a few sends ahead overlaps those cache misses.
+  const std::size_t count = outbox_.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + kPrefetchAhead < count) index_.prefetch(outbox_[i + kPrefetchAhead].to);
+    const PendingSend& send = outbox_[i];
     dispatch_send(send.from_slot, send.to, send.message);
+  }
   outbox_.clear();
 }
 
-void Engine::deliver(Slot& slot, std::size_t slot_index, const Message& message,
-                     std::vector<PendingSend>* outbox) {
+void Engine::deliver(Slot& slot, std::size_t slot_index, const Message& message) {
   ++counters_.deliveries;
   ++counters_.actions;
   if (metrics_.delivered) metrics_.delivered->add();
   if (metrics_.actions) metrics_.actions->add();
   for (const auto& [id, hook] : delivery_hooks_) hook(slot.process->id(), message);
-  Context ctx(*this, slot.process->id(), &slot.rng, slot_index, outbox);
+  Context ctx(*this, slot.process->id(), &slot.rng, slot_index, nullptr);
   slot.process->on_message(ctx, message);
 }
 
@@ -295,25 +324,74 @@ void Engine::finish_round() {
   for (const auto& [id, hook] : round_hooks_) hook(counters_.rounds);
 }
 
-/// Because every send waits in outbox_ until the pass ends, no channel
-/// changes during the pass: draining a channel at its owner's turn yields
-/// exactly what a snapshot of every channel at the round start would, and
-/// messages sent while receiving are delivered next round (true synchronous
-/// semantics).  Each receiver drains with its own stream.
-void Engine::receive_pass(ReceiptOrder order, bool sample) {
-  for (const std::size_t slot_index : order_) {
-    Slot& slot = slots_[slot_index];
-    const std::size_t before = slot.channel.size();
-    if (sample) {
-      slot.channel.drain_sample(drained_, config_.delivery_probability, slot.rng);
-    } else {
-      slot.channel.drain(drained_, order, slot.rng);
-    }
-    note_drained(slot, before - slot.channel.size());
-    for (const Message& message : drained_)
-      deliver(slot, slot_index, message, &outbox_);
+/// One stable counting sort on receiver slot: count, prefix-sum, scatter.
+/// The scatter walks the log backwards and fills each bucket from its end,
+/// so every bucket keeps push order and bucket_start_ ends up holding the
+/// bucket starts.
+void Engine::sort_log_into_inbox() {
+  const std::size_t slot_count = slots_.size();
+  bucket_start_.assign(slot_count + 1, 0);
+  for (const Posted& posted : log_) ++bucket_start_[posted.slot];
+  std::size_t end = 0;
+  for (std::size_t s = 0; s <= slot_count; ++s) {
+    end += bucket_start_[s];
+    bucket_start_[s] = end;
   }
-  drained_.clear();
+  if (inbox_.size() < log_.size()) inbox_.resize(log_.size());
+  // The writes land all over the inbox; start loading the write position
+  // of the entry a few steps ahead.
+  for (std::size_t i = log_.size(); i-- > 0;) {
+    if (i >= kPrefetchAhead)
+      __builtin_prefetch(&inbox_[bucket_start_[log_[i - kPrefetchAhead].slot] - 1], 1);
+    const Posted& posted = log_[i];
+    inbox_[--bucket_start_[posted.slot]] = posted.message;
+  }
+  log_.clear();
+}
+
+/// Because every send waits in outbox_ until the pass ends, nothing is
+/// posted to a receiver during the pass: its inbox bucket is exactly its
+/// channel as it stood at the round start, and messages sent while
+/// receiving are delivered next round (true synchronous semantics).  Each
+/// receiver orders (or samples) its bucket with its own stream, in place.
+void Engine::receive_pass(ReceiptOrder order, bool sample) {
+  sort_log_into_inbox();
+  for (const std::size_t slot_index : order_) {
+    Message* const batch = inbox_.data() + bucket_start_[slot_index];
+    std::size_t count = bucket_start_[slot_index + 1] - bucket_start_[slot_index];
+    if (count == 0) continue;
+    Slot& slot = slots_[slot_index];
+    if (sample) {
+      // Each message is delivered this round with the delivery probability;
+      // the rest go back to the log now, ahead of this pass's sends, so
+      // next round's bucket holds them first, in their old order.
+      std::size_t taken = 0;
+      for (std::size_t i = 0; i < count; ++i) {
+        if (slot.rng.bernoulli(config_.delivery_probability)) {
+          batch[taken++] = batch[i];
+        } else {
+          log_.push_back(Posted{slot_index, batch[i]});
+        }
+      }
+      count = taken;
+      util::shuffle(batch, count, slot.rng);
+    } else if (order == ReceiptOrder::kShuffled) {
+      util::shuffle(batch, count, slot.rng);
+    } else {
+      std::reverse(batch, batch + count);
+    }
+    pending_total_ -= count;
+    counters_.deliveries += count;
+    counters_.actions += count;
+    if (metrics_.delivered) metrics_.delivered->add(count);
+    if (metrics_.actions) metrics_.actions->add(count);
+    const Id self = slot.process->id();
+    Context ctx(*this, self, &slot.rng, slot_index, &outbox_);
+    for (std::size_t i = 0; i < count; ++i) {
+      for (const auto& [id, hook] : delivery_hooks_) hook(self, batch[i]);
+      slot.process->on_message(ctx, batch[i]);
+    }
+  }
   flush_outbox();
 }
 
@@ -362,10 +440,10 @@ void Engine::run_async_round() {
           pending_by_rank_.find_kth(static_cast<std::int64_t>(pick));
       const std::size_t slot_index = order_[rank];
       Slot& slot = slots_[slot_index];
-      const Message message =
-          slot.channel.take_one(ReceiptOrder::kShuffled, slot.rng);
-      note_drained(slot, 1);
-      deliver(slot, slot_index, message, nullptr);
+      const Message message = slot.channel.take(slot.rng);
+      --pending_total_;
+      pending_by_rank_.add(rank, -1);
+      deliver(slot, slot_index, message);
     }
   }
   finish_round();
@@ -405,6 +483,17 @@ void Engine::run_round() {
 }
 
 void Engine::deliver_pending_once() {
+  if (async_) {
+    // Random-async keeps its messages in channels: move them into the log,
+    // in rank order, so the pass below takes each channel as it stands.
+    for (const std::size_t slot_index : order_) {
+      Channel& channel = slots_[slot_index].channel;
+      for (const Message& message : channel.pending())
+        log_.push_back(Posted{slot_index, message});
+      channel.clear();
+    }
+    fenwick_dirty_ = true;
+  }
   receive_pass(ReceiptOrder::kShuffled, /*sample=*/false);
 }
 
@@ -423,9 +512,23 @@ bool Engine::run_until(const std::function<bool()>& predicate, std::size_t max_r
 
 void Engine::for_each_pending(
     const std::function<void(Id to, const Message&)>& fn) const {
-  for (std::size_t rank = 0; rank < order_.size(); ++rank)
-    for (const Message& message : slots_[order_[rank]].channel.pending())
-      fn(ids_sorted_[rank], message);
+  if (async_) {
+    for (std::size_t rank = 0; rank < order_.size(); ++rank)
+      for (const Message& message : slots_[order_[rank]].channel.pending())
+        fn(ids_sorted_[rank], message);
+  } else {
+    // The log is in push order; a stable counting sort of its entries by
+    // receiver rank gives rank order, push order within one receiver.
+    std::vector<std::size_t> next(order_.size() + 1, 0);
+    for (const Posted& posted : log_) ++next[slots_[posted.slot].rank + 1];
+    for (std::size_t rank = 1; rank < next.size(); ++rank)
+      next[rank] += next[rank - 1];
+    std::vector<const Posted*> by_rank(log_.size());
+    for (const Posted& posted : log_)
+      by_rank[next[slots_[posted.slot].rank]++] = &posted;
+    for (const Posted* posted : by_rank)
+      fn(ids_sorted_[slots_[posted->slot].rank], posted->message);
+  }
   // Held messages are channel contents that have not reached their channel
   // yet; hiding them would make connectivity views (Def. 4.2) lie about
   // in-flight references.

@@ -1,22 +1,31 @@
 // engine.hpp — the discrete-event message-passing engine (§II of the paper).
 //
-// The engine owns a set of processes, one incoming channel per process, and a
+// The engine owns a set of processes, their incoming channels, and a
 // scheduler.  Protocols implement the Process interface; the self-stabilizing
 // small-world node and the baseline linearization node are both plugins.
 // Everything is deterministic given (seed, scheduler, initial state).
 //
 // Determinism model (DESIGN.md §8 "Deterministic rounds"):
 //   * every process owns a private random stream, derived once from
-//     (seed, id) — protocol coin flips, channel-drain shuffles, and the
+//     (seed, id) — protocol coin flips, channel shuffles and samples, and the
 //     loss/fault fate of that process's sends all come from its stream;
 //   * the engine stream (rng()) belongs to the scheduler alone (the
 //     random-async action picks);
 //   * a synchronous-family round is two passes over the processes in rank
-//     order: receive (each process drains its own channel and handles what
-//     it found), then regular.  Sends made during a pass wait in one outbox
-//     and are dispatched in (sender rank, send order) when the pass ends, so
-//     no channel changes mid-pass and every receiver sees its channel as it
-//     stood when the round began.
+//     order: receive (each process takes its own channel's messages and
+//     handles them), then regular.  Sends made during a pass wait in one
+//     outbox and are dispatched in (sender rank, send order) when the pass
+//     ends, so no channel changes mid-pass and every receiver sees its
+//     channel as it stood when the round began.
+//
+// Channel storage (DESIGN.md §8 "Channel storage"): the synchronous
+// family keeps every pending message as one (receiver slot, message) entry
+// of a flat log, in push order.  Each receive pass starts with one stable
+// counting sort of the log by receiver slot into the inbox, so a receiver's
+// bucket is its channel in push order; the receiver shuffles or reverses
+// the bucket with its own stream and is handed its messages in place.  The
+// random-async scheduler takes one message at a time and must see each send
+// at once, so it keeps one Channel per receiver instead.
 #pragma once
 
 #include <array>
@@ -187,12 +196,17 @@ class Engine {
   /// O(1) amortized per node — million-node networks build in linear time.
   void add_process(std::unique_ptr<Process> process);
 
-  /// Removes a process: its state and channel vanish; in-flight messages to
-  /// it will be dropped on send.  With `purge_references` (the fail-stop
-  /// "leave" of §IV.G) every in-flight message carrying the departed
-  /// identifier is also removed; without it (crash-stop) stale references
-  /// stay in flight and only a failure detector can heal the survivors.
-  /// Returns false if no such process exists.
+  /// Sizes the membership tables for `processes` live processes, so a bulk
+  /// build up to that size allocates each table once.
+  void reserve(std::size_t processes);
+
+  /// Removes a process: its state and channel vanish (the messages queued
+  /// for it are not counted as dropped); later sends to it are dropped and
+  /// counted.  With `purge_references` (the fail-stop "leave" of §IV.G)
+  /// every in-flight message carrying the departed identifier is also
+  /// removed and counted as dropped; without it (crash-stop) stale
+  /// references stay in flight and only a failure detector can heal the
+  /// survivors.  Returns false if no such process exists.
   bool remove_process(Id id, bool purge_references = true);
 
   std::size_t process_count() const noexcept { return order_.size(); }
@@ -248,8 +262,12 @@ class Engine {
   }
 
   /// Applies `fn` to every pending message with its destination identifier
-  /// (the channel's owner), in ascending owner order; messages held by the
-  /// fault layer are visited after the channel contents, in hold order.
+  /// (the channel's owner), in ascending owner order and push order within
+  /// one owner (random-async: the channel's storage order, which its random
+  /// takes permute); messages held by the fault layer are visited after the
+  /// channel contents, in hold order.  O(n + pending).  Not for delivery
+  /// hooks: during a synchronous receive pass the receivers still to act
+  /// hold their messages in the inbox, which this does not visit.
   void for_each_pending(const std::function<void(Id to, const Message&)>& fn) const;
 
   const EngineCounters& counters() const noexcept { return counters_; }
@@ -295,10 +313,10 @@ class Engine {
   HookId add_round_hook(RoundHook hook);
   bool remove_round_hook(HookId id) noexcept;
 
-  /// Testing scheduler: runs one receive pass that delivers everything
-  /// currently pending (shuffled per receiver stream) WITHOUT executing any
-  /// regular action, and does not advance the round counter.  Lets tests
-  /// exercise a single receive action in isolation.
+  /// Testing scheduler: runs one synchronous receive pass that delivers
+  /// everything currently pending (shuffled per receiver stream) WITHOUT
+  /// executing any regular action, and does not advance the round counter.
+  /// Lets tests exercise a single receive action in isolation.
   void deliver_pending_once();
 
  private:
@@ -306,14 +324,21 @@ class Engine {
 
   struct Slot {
     std::unique_ptr<Process> process;
-    Channel channel;
+    Channel channel;  ///< random-async only; empty under the other schedulers
     /// This slot's position in order_ (its rank among live ids).  Lets the
     /// hot paths map slot → Fenwick index in O(1).  Stale for dead slots.
     std::size_t rank = 0;
     /// The process's private stream: util::derive_stream(seed, bits of id).
-    /// Touched only by this process's own actions, its channel drains, and
-    /// the fates of its sends.
+    /// Touched only by this process's own actions, the shuffles and samples
+    /// of its channel, and the fates of its sends.
     util::Rng rng{0};
+  };
+
+  /// One pending message of a synchronous-family engine: its receiver's slot
+  /// and the message, in the log between receive passes.
+  struct Posted {
+    std::size_t slot;
+    Message message;
   };
 
   /// Cached metric handles (registry-owned); all null when detached, so the
@@ -342,14 +367,18 @@ class Engine {
   /// Dispatches the current pass's sends in (sender rank, send order).
   void flush_outbox();
   void enqueue_or_drop(Id to, const Message& message);
+  /// Queues `message` for the live process in `slot_index`: the log for
+  /// the synchronous family, the slot's channel for random-async.
+  void post(std::size_t slot_index, const Message& message);
   void release_due_messages();
   void fire_due_timers();
-  /// One receive action; a non-null `outbox` buffers its sends.
-  void deliver(Slot& slot, std::size_t slot_index, const Message& message,
-               std::vector<PendingSend>* outbox);
-  /// The receive pass: in rank order, each process drains its own channel
-  /// (with `sample`, each message only with the delivery probability) and
-  /// receives what it drained.
+  /// One random-async receive action.
+  void deliver(Slot& slot, std::size_t slot_index, const Message& message);
+  /// Moves the log into the inbox, bucketed by receiver slot.
+  void sort_log_into_inbox();
+  /// The receive pass: in rank order, each process takes its inbox bucket
+  /// (with `sample`, each message only with the delivery probability),
+  /// orders it per `order`, and receives it.
   void receive_pass(ReceiptOrder order, bool sample);
   void run_synchronous_round(ReceiptOrder order);
   void run_async_round();
@@ -357,7 +386,6 @@ class Engine {
   /// Lazily rebuilds the pending-by-rank Fenwick index (async scheduler
   /// only) after membership changes invalidated it.
   void ensure_fenwick();
-  void note_drained(Slot& slot, std::size_t removed) noexcept;
 
   EngineConfig config_;
   util::Rng rng_;
@@ -383,18 +411,27 @@ class Engine {
   // id.  Maintained by the same sorted insert/erase as order_, so id_span()
   // hands out the canonical order without allocating.
   std::vector<Id> ids_sorted_;
-  // Pending messages per order_-rank, Fenwick-indexed: the async scheduler
-  // finds the pick-th pending message by binary descent in O(log n).  Only
-  // kRandomAsync pays for it (use_fenwick_); membership changes mark it
-  // dirty and ensure_fenwick rebuilds it lazily, so bulk loads skip the old
-  // O(n)-per-add rebuild entirely.
+  // kRandomAsync: messages wait in per-slot channels, and the pending count
+  // per order_-rank is Fenwick-indexed, so the scheduler finds the pick-th
+  // pending message by binary descent in O(log n).  Membership changes mark
+  // the index dirty and ensure_fenwick rebuilds it lazily, so bulk loads
+  // skip an O(n)-per-add rebuild entirely.  The other schedulers use the
+  // log and the inbox below and never touch either.
+  bool async_ = false;
   util::Fenwick pending_by_rank_;
-  bool use_fenwick_ = false;
   bool fenwick_dirty_ = true;
-  std::size_t pending_total_ = 0;  // sum of all channel sizes, kept in step
   std::vector<std::int64_t> rank_counts_;  // rebuild scratch, reused
+  // Synchronous family: every pending message, in push order.  A receive
+  // pass moves it into inbox_ (re-posting only what delayed-random leaves
+  // undelivered), so between passes it holds all the channel contents.
+  std::vector<Posted> log_;
+  // The receive pass's messages, grouped by receiver slot: slot s's bucket
+  // is inbox_[bucket_start_[s], bucket_start_[s + 1]).  Only grows, so its
+  // storage is reused round after round.
+  std::vector<Message> inbox_;
+  std::vector<std::size_t> bucket_start_;
+  std::size_t pending_total_ = 0;  // every queued message, kept in step
   std::vector<PendingSend> outbox_;  // the current pass's sends, reused
-  std::vector<Message> drained_;  // the acting receiver's drained messages, reused
   EngineCounters counters_;
   Metrics metrics_;
   HookId next_hook_id_ = 1;

@@ -110,18 +110,17 @@ void FaultInjector::collect_due(std::uint64_t round_counter,
 }
 
 std::size_t FaultInjector::purge_references(Id id) {
-  const auto references = [id](const Held& held) {
-    return held.to == id || held.message.id1 == id || held.message.id2 == id ||
-           held.message.id3 == id;
+  const auto involves = [id](const Held& held) {
+    return held.to == id || references(held.message, id);
   };
   const std::size_t before = held_.size();
-  std::erase_if(held_, references);
+  std::erase_if(held_, involves);
   // History entries mentioning the departed node must go too, or a later
   // replay would resurrect a reference that fail-stop semantics already
   // erased.
   // Compacting the ring buffer reorders nothing that matters: replay picks
   // uniformly, and the buffer refills in append order before overwriting.
-  std::erase_if(history_, references);
+  std::erase_if(history_, involves);
   history_next_ = 0;
   return before - held_.size();
 }

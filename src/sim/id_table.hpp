@@ -46,10 +46,26 @@ class IdSlotTable {
   }
   bool contains(Id id) const noexcept { return find(id) != kNone; }
 
+  /// Starts loading the cell where `id`'s probe run begins, so a find()
+  /// issued a little later does not wait on memory.  No effect on contents.
+  void prefetch(Id id) const noexcept {
+    if (!cells_.empty())
+      __builtin_prefetch(&cells_[home(std::bit_cast<std::uint64_t>(id))]);
+  }
+
+  /// Sizes the table for `count` ids, so inserting up to that many never
+  /// rehashes.
+  void reserve(std::size_t count) {
+    std::size_t capacity = cells_.empty() ? kMinCapacity : cells_.size();
+    while (2 * count > capacity) capacity *= 2;
+    if (capacity > cells_.size()) rehash(capacity);
+  }
+
   /// Maps `id` (a finite id not yet present) to `slot`.
   void insert(Id id, std::size_t slot) {
     SSSW_DCHECK(is_node_id(id) && !contains(id));
-    if (2 * (size_ + 1) > cells_.size()) grow();
+    if (2 * (size_ + 1) > cells_.size())
+      rehash(cells_.empty() ? kMinCapacity : 2 * cells_.size());
     place(std::bit_cast<std::uint64_t>(id), slot);
     ++size_;
   }
@@ -103,8 +119,8 @@ class IdSlotTable {
     cells_[i] = Cell{key, slot};
   }
 
-  void grow() {
-    std::vector<Cell> old(cells_.empty() ? kMinCapacity : 2 * cells_.size());
+  void rehash(std::size_t capacity) {
+    std::vector<Cell> old(capacity);
     old.swap(cells_);
     mask_ = cells_.size() - 1;
     for (const Cell& cell : old)

@@ -27,4 +27,10 @@ struct Message {
   Id id3 = kNegInf;
 };
 
+/// True when `message` carries `id` in any payload slot: the in-flight link
+/// that a fail-stop leave erases (Engine::remove_process).
+inline bool references(const Message& message, Id id) noexcept {
+  return message.id1 == id || message.id2 == id || message.id3 == id;
+}
+
 }  // namespace sssw::sim

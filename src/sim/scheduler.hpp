@@ -42,6 +42,12 @@ inline constexpr SchedulerKind kAllSchedulers[] = {
     SchedulerKind::kAdversarialOldestLast,
 };
 
+/// The order in which a synchronous-family receiver gets its round's batch.
+enum class ReceiptOrder : std::uint8_t {
+  kShuffled,  ///< uniformly random order (the paper's fair receipt)
+  kLifo,      ///< newest first (adversarial)
+};
+
 const char* to_string(SchedulerKind kind) noexcept;
 /// Inverse of to_string; nullopt for an unknown name.
 std::optional<SchedulerKind> scheduler_from_string(std::string_view name) noexcept;

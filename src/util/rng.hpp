@@ -9,6 +9,8 @@
 #include <cstdint>
 #include <limits>
 
+#include "util/check.hpp"
+
 namespace sssw::util {
 
 /// splitmix64 step: the canonical seeding mixer for xoshiro-family PRNGs.
@@ -30,11 +32,37 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  /// Next raw 64-bit output.
-  result_type operator()() noexcept;
+  /// Next raw 64-bit output.  Inline, like below(): the receive pass's
+  /// shuffles and the protocol's draws call them per message.
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound) via Lemire rejection; bound must be > 0.
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  std::uint64_t below(std::uint64_t bound) noexcept {
+    SSSW_DCHECK(bound > 0);
+    // Lemire's nearly-divisionless method.
+    std::uint64_t x = operator()();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = operator()();
+        m = static_cast<__uint128_t>(x) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
   std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
@@ -62,6 +90,10 @@ class Rng {
   void long_jump() noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

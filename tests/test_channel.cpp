@@ -1,15 +1,73 @@
-// Tests for sim/channel: drain snapshot semantics and receipt orders.
+// Tests for the channel of §II.B: the random-async Channel (push, random
+// take, purge, pending view), and the receipt semantics of the synchronous
+// family, whose channels are the engine's pending log and receive-pass
+// inbox (each receiver's bucket is its channel in push order).
 #include "sim/channel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <vector>
+
+#include "sim/engine.hpp"
 
 namespace sssw::sim {
 namespace {
 
 Message msg(double id) { return Message{0, id, kPosInf}; }
+
+// Message types of the Relay below: what put a message into a channel.
+constexpr MessageType kPoke = 1;         // injected to make a relay speak
+constexpr MessageType kFromReceive = 2;  // sent by a receive action
+constexpr MessageType kFromRegular = 3;  // sent by a regular action
+constexpr MessageType kInjected = 4;     // injected between rounds
+constexpr MessageType kFromTimer = 5;    // sent by a timer action
+
+/// Records what it receives.  With a target, it sends one message there
+/// from each receive action on a poke, each regular action and each timer,
+/// tagged with the action's type and its own id.
+class Relay final : public Process {
+ public:
+  explicit Relay(Id id, Id target = kNegInf) : id_(id), target_(target) {}
+  Id id() const noexcept override { return id_; }
+  void on_message(Context& ctx, const Message& message) override {
+    received.push_back(message);
+    if (message.type == kPoke) say(ctx, kFromReceive);
+  }
+  void on_regular(Context& ctx) override { say(ctx, kFromRegular); }
+  void on_timer(Context& ctx, std::uint64_t) override { say(ctx, kFromTimer); }
+
+  std::vector<Message> received;
+
+ private:
+  void say(Context& ctx, MessageType type) {
+    if (is_node_id(target_)) ctx.send(target_, Message{type, id_});
+  }
+  Id id_;
+  Id target_;
+};
+
+/// An engine holding one silent receiver at 0.9 (plus whatever the caller
+/// adds), under `kind`.
+Engine engine_with_receiver(SchedulerKind kind, double delivery_probability = 0.5,
+                            std::uint64_t seed = 1) {
+  Engine engine(EngineConfig{.scheduler = kind,
+                             .seed = seed,
+                             .delivery_probability = delivery_probability});
+  engine.add_process(std::make_unique<Relay>(0.9));
+  return engine;
+}
+
+const Relay& relay(const Engine& engine, Id id) {
+  return *dynamic_cast<const Relay*>(engine.find(id));
+}
+
+std::set<double> payloads(const std::vector<Message>& messages) {
+  std::set<double> ids;
+  for (const Message& m : messages) ids.insert(m.id1);
+  return ids;
+}
 
 TEST(Channel, StartsEmpty) {
   Channel c;
@@ -26,93 +84,86 @@ TEST(Channel, PushAndSize) {
 }
 
 TEST(Channel, DrainEmptiesChannel) {
-  Channel c;
-  util::Rng rng(1);
-  c.push(msg(0.1));
-  std::vector<Message> out;
-  c.drain(out, ReceiptOrder::kFifo, rng);
-  EXPECT_EQ(out.size(), 1u);
-  EXPECT_TRUE(c.empty());
-}
-
-TEST(Channel, DrainFifoPreservesOrder) {
-  Channel c;
-  util::Rng rng(1);
-  for (int i = 0; i < 5; ++i) c.push(msg(0.1 * (i + 1)));
-  std::vector<Message> out;
-  c.drain(out, ReceiptOrder::kFifo, rng);
-  ASSERT_EQ(out.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(out[i].id1, 0.1 * (i + 1));
+  Engine engine = engine_with_receiver(SchedulerKind::kSynchronous);
+  ASSERT_TRUE(engine.inject(0.9, msg(0.1)));
+  engine.run_round();
+  EXPECT_EQ(relay(engine, 0.9).received.size(), 1u);
+  EXPECT_EQ(engine.pending_messages(), 0u);
 }
 
 TEST(Channel, DrainLifoReverses) {
-  Channel c;
-  util::Rng rng(1);
-  for (int i = 0; i < 3; ++i) c.push(msg(i + 1.0));
-  std::vector<Message> out;
-  c.drain(out, ReceiptOrder::kLifo, rng);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_DOUBLE_EQ(out[0].id1, 3.0);
-  EXPECT_DOUBLE_EQ(out[2].id1, 1.0);
+  // Under adversarial-LIFO a receiver gets exactly the reverse of its push
+  // order, whatever pushed: last round's receive-pass and regular-pass
+  // flushes (each in sender rank order), injects between rounds, and this
+  // round's timer sends (ascending id order).
+  Engine engine = engine_with_receiver(SchedulerKind::kAdversarialLifo);
+  engine.add_process(std::make_unique<Relay>(0.2, 0.9));
+  engine.add_process(std::make_unique<Relay>(0.1, 0.9));
+  engine.inject(0.2, Message{kPoke});
+  engine.inject(0.1, Message{kPoke});
+  engine.schedule_timer(0.2, 1, 0);  // fire at the start of round 2
+  engine.schedule_timer(0.1, 1, 0);
+  engine.run_round();
+  EXPECT_TRUE(relay(engine, 0.9).received.empty());
+  engine.inject(0.9, Message{kInjected, 0.5});
+  engine.inject(0.9, Message{kInjected, 0.6});
+  engine.run_round();
+  const std::vector<std::pair<MessageType, double>> pushed{
+      {kFromReceive, 0.1}, {kFromReceive, 0.2}, {kFromRegular, 0.1},
+      {kFromRegular, 0.2}, {kInjected, 0.5},    {kInjected, 0.6},
+      {kFromTimer, 0.1},   {kFromTimer, 0.2}};
+  const std::vector<Message>& got = relay(engine, 0.9).received;
+  ASSERT_EQ(got.size(), pushed.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const auto& [type, from] = pushed[pushed.size() - 1 - i];
+    EXPECT_EQ(got[i].type, type) << "delivery " << i;
+    EXPECT_EQ(got[i].id1, from) << "delivery " << i;
+  }
 }
 
 TEST(Channel, DrainShuffledIsPermutation) {
-  Channel c;
-  util::Rng rng(42);
-  std::set<double> pushed;
+  Engine engine = engine_with_receiver(SchedulerKind::kSynchronous, 0.5, 42);
+  std::vector<Message> pushed;
   for (int i = 0; i < 50; ++i) {
-    c.push(msg(i + 1.0));
-    pushed.insert(i + 1.0);
+    pushed.push_back(msg(i + 1.0));
+    engine.inject(0.9, pushed.back());
   }
-  std::vector<Message> out;
-  c.drain(out, ReceiptOrder::kShuffled, rng);
-  ASSERT_EQ(out.size(), 50u);
-  std::set<double> drained;
-  for (const Message& m : out) drained.insert(m.id1);
-  EXPECT_EQ(drained, pushed);
+  engine.run_round();
+  const std::vector<Message>& got = relay(engine, 0.9).received;
+  ASSERT_EQ(got.size(), 50u);
+  EXPECT_EQ(payloads(got), payloads(pushed));
+  const auto same_order = [&] {
+    for (std::size_t i = 0; i < got.size(); ++i)
+      if (got[i].id1 != pushed[i].id1) return false;
+    return true;
+  };
+  EXPECT_FALSE(same_order());  // 1 in 50! under a fair shuffle
 }
 
 TEST(Channel, DrainClearsPreviousOutput) {
-  Channel c;
-  util::Rng rng(1);
-  std::vector<Message> out{msg(9.0)};
-  c.drain(out, ReceiptOrder::kFifo, rng);
-  EXPECT_TRUE(out.empty());
+  // A receive pass hands a receiver only what arrived since its last one.
+  Engine engine = engine_with_receiver(SchedulerKind::kSynchronous);
+  engine.inject(0.9, msg(1.0));
+  engine.run_round();
+  engine.inject(0.9, msg(2.0));
+  engine.run_round();
+  const std::vector<Message>& got = relay(engine, 0.9).received;
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_DOUBLE_EQ(got[0].id1, 1.0);
+  EXPECT_DOUBLE_EQ(got[1].id1, 2.0);
 }
 
 TEST(Channel, PushDuringOwnershipOfDrainedBatch) {
-  // Messages pushed after a drain belong to the next snapshot.
-  Channel c;
-  util::Rng rng(1);
-  c.push(msg(1.0));
-  std::vector<Message> out;
-  c.drain(out, ReceiptOrder::kFifo, rng);
-  c.push(msg(2.0));
-  EXPECT_EQ(c.size(), 1u);
-  c.drain(out, ReceiptOrder::kFifo, rng);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].id1, 2.0);
-}
-
-TEST(Channel, TakeOneFifo) {
-  Channel c;
-  util::Rng rng(1);
-  c.push(msg(1.0));
-  c.push(msg(2.0));
-  c.push(msg(3.0));
-  EXPECT_DOUBLE_EQ(c.take_one(ReceiptOrder::kFifo, rng).id1, 1.0);
-  EXPECT_DOUBLE_EQ(c.take_one(ReceiptOrder::kFifo, rng).id1, 2.0);
-  EXPECT_DOUBLE_EQ(c.take_one(ReceiptOrder::kFifo, rng).id1, 3.0);
-  EXPECT_TRUE(c.empty());
-}
-
-TEST(Channel, TakeOneLifo) {
-  Channel c;
-  util::Rng rng(1);
-  c.push(msg(1.0));
-  c.push(msg(2.0));
-  EXPECT_DOUBLE_EQ(c.take_one(ReceiptOrder::kLifo, rng).id1, 2.0);
-  EXPECT_DOUBLE_EQ(c.take_one(ReceiptOrder::kLifo, rng).id1, 1.0);
+  // Messages sent while a receiver takes its batch — even to itself —
+  // belong to the next round's batch.
+  Engine engine(EngineConfig{.scheduler = SchedulerKind::kSynchronous});
+  engine.add_process(std::make_unique<Relay>(0.5, /*target=*/0.5));
+  engine.inject(0.5, Message{kPoke});
+  engine.run_round();
+  ASSERT_EQ(relay(engine, 0.5).received.size(), 1u);
+  EXPECT_EQ(engine.pending_messages(), 2u);  // its receive and regular sends
+  engine.run_round();
+  EXPECT_EQ(relay(engine, 0.5).received.size(), 3u);
 }
 
 TEST(Channel, TakeOneShuffledTakesAllEventually) {
@@ -124,49 +175,47 @@ TEST(Channel, TakeOneShuffledTakesAllEventually) {
     pushed.insert(i + 1.0);
   }
   std::set<double> taken;
-  while (!c.empty()) taken.insert(c.take_one(ReceiptOrder::kShuffled, rng).id1);
+  while (!c.empty()) taken.insert(c.take(rng).id1);
   EXPECT_EQ(taken, pushed);
 }
 
 TEST(Channel, DrainSampleSplitsByProbability) {
-  Channel c;
-  util::Rng rng(9);
-  for (int i = 0; i < 1000; ++i) c.push(msg(i + 1.0));
-  std::vector<Message> out;
-  c.drain_sample(out, 0.5, rng);
-  EXPECT_EQ(out.size() + c.size(), 1000u);
-  EXPECT_GT(out.size(), 400u);
-  EXPECT_LT(out.size(), 600u);
+  Engine engine = engine_with_receiver(SchedulerKind::kDelayedRandom, 0.5, 9);
+  for (int i = 0; i < 1000; ++i) engine.inject(0.9, msg(i + 1.0));
+  engine.run_round();
+  const std::size_t delivered = relay(engine, 0.9).received.size();
+  EXPECT_EQ(delivered + engine.pending_messages(), 1000u);
+  EXPECT_GT(delivered, 400u);
+  EXPECT_LT(delivered, 600u);
 }
 
 TEST(Channel, DrainSampleExtremes) {
-  Channel c;
-  util::Rng rng(10);
-  for (int i = 0; i < 10; ++i) c.push(msg(i + 1.0));
-  std::vector<Message> out;
-  c.drain_sample(out, 0.0, rng);
-  EXPECT_TRUE(out.empty());
-  EXPECT_EQ(c.size(), 10u);
-  c.drain_sample(out, 1.0, rng);
-  EXPECT_EQ(out.size(), 10u);
-  EXPECT_TRUE(c.empty());
+  // The ends of the valid range (0, 1]: next to 0 nothing moves, at 1
+  // everything does.
+  Engine stuck = engine_with_receiver(SchedulerKind::kDelayedRandom, 1e-12, 10);
+  Engine eager = engine_with_receiver(SchedulerKind::kDelayedRandom, 1.0, 10);
+  for (int i = 0; i < 10; ++i) {
+    stuck.inject(0.9, msg(i + 1.0));
+    eager.inject(0.9, msg(i + 1.0));
+  }
+  stuck.run_round();
+  eager.run_round();
+  EXPECT_TRUE(relay(stuck, 0.9).received.empty());
+  EXPECT_EQ(stuck.pending_messages(), 10u);
+  EXPECT_EQ(relay(eager, 0.9).received.size(), 10u);
+  EXPECT_EQ(eager.pending_messages(), 0u);
 }
 
 TEST(Channel, DrainSampleDeliversEverythingEventually) {
-  Channel c;
-  util::Rng rng(11);
-  std::set<double> pushed;
+  Engine engine = engine_with_receiver(SchedulerKind::kDelayedRandom, 0.5, 11);
+  std::vector<Message> pushed;
   for (int i = 0; i < 50; ++i) {
-    c.push(msg(i + 1.0));
-    pushed.insert(i + 1.0);
+    pushed.push_back(msg(i + 1.0));
+    engine.inject(0.9, pushed.back());
   }
-  std::set<double> delivered;
-  std::vector<Message> out;
-  for (int round = 0; round < 200 && !c.empty(); ++round) {
-    c.drain_sample(out, 0.5, rng);
-    for (const Message& m : out) delivered.insert(m.id1);
-  }
-  EXPECT_EQ(delivered, pushed);  // fair receipt holds w.p. 1
+  for (int round = 0; round < 200 && engine.pending_messages() > 0; ++round)
+    engine.run_round();
+  EXPECT_EQ(payloads(relay(engine, 0.9).received), payloads(pushed));
 }
 
 TEST(Channel, PurgeReferencesRemovesMatching) {
@@ -198,79 +247,6 @@ TEST(Channel, PendingAccessor) {
   c.push(msg(4.0));
   ASSERT_EQ(c.pending().size(), 1u);
   EXPECT_DOUBLE_EQ(c.pending()[0].id1, 4.0);
-}
-
-TEST(Channel, PendingViewTracksFifoHead) {
-  // The head-indexed buffer must expose exactly the live suffix, oldest
-  // first, even while the consumed prefix is still physically present.
-  Channel c;
-  util::Rng rng(1);
-  for (int i = 0; i < 8; ++i) c.push(msg(i + 1.0));
-  c.take_one(ReceiptOrder::kFifo, rng);
-  c.take_one(ReceiptOrder::kFifo, rng);
-  ASSERT_EQ(c.pending().size(), 6u);
-  for (int i = 0; i < 6; ++i) EXPECT_DOUBLE_EQ(c.pending()[i].id1, i + 3.0);
-}
-
-TEST(Channel, FifoTakeAfterManyTakesStaysConstantTime) {
-  // Compaction keeps the consumed prefix bounded; FIFO order must survive
-  // arbitrarily many take/push cycles (this is the amortized-O(1) contract).
-  Channel c;
-  util::Rng rng(1);
-  double next_push = 1.0, next_expect = 1.0;
-  for (int i = 0; i < 128; ++i) c.push(msg(next_push++));
-  for (int cycle = 0; cycle < 5000; ++cycle) {
-    EXPECT_DOUBLE_EQ(c.take_one(ReceiptOrder::kFifo, rng).id1, next_expect++);
-    c.push(msg(next_push++));
-  }
-  EXPECT_EQ(c.size(), 128u);
-}
-
-TEST(Channel, RingBufferPropertyMixedOperations) {
-  // Property test: under mixed push / take_one(kFifo) / drain(kFifo) /
-  // purge_references sequences, the channel behaves exactly like an ideal
-  // FIFO queue (the reference model below).
-  Channel c;
-  util::Rng rng(77);
-  util::Rng op_rng(123);
-  std::vector<Message> model;  // front = oldest
-  std::vector<Message> out;
-  double next = 1.0;
-  for (int step = 0; step < 4000; ++step) {
-    const std::size_t op = op_rng.below(100);
-    if (op < 55) {
-      const Message m{0, next, op_rng.bernoulli(0.1) ? 0.25 : kPosInf};
-      ++next;
-      c.push(m);
-      model.push_back(m);
-    } else if (op < 85) {
-      if (!c.empty()) {
-        const Message got = c.take_one(ReceiptOrder::kFifo, rng);
-        ASSERT_DOUBLE_EQ(got.id1, model.front().id1);
-        model.erase(model.begin());
-      }
-    } else if (op < 95) {
-      const std::size_t purged = c.purge_references(0.25);
-      std::size_t expected = 0;
-      std::erase_if(model, [&expected](const Message& m) {
-        const bool hit = m.id1 == 0.25 || m.id2 == 0.25 || m.id3 == 0.25;
-        expected += hit ? 1u : 0u;
-        return hit;
-      });
-      ASSERT_EQ(purged, expected);
-    } else {
-      c.drain(out, ReceiptOrder::kFifo, rng);
-      ASSERT_EQ(out.size(), model.size());
-      for (std::size_t i = 0; i < out.size(); ++i)
-        ASSERT_DOUBLE_EQ(out[i].id1, model[i].id1);
-      model.clear();
-    }
-    ASSERT_EQ(c.size(), model.size());
-    // The pending view must agree with the model at every step.
-    const auto view = c.pending();
-    for (std::size_t i = 0; i < model.size(); ++i)
-      ASSERT_DOUBLE_EQ(view[i].id1, model[i].id1);
-  }
 }
 
 }  // namespace

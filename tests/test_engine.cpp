@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -229,13 +230,35 @@ TEST(Engine, InjectPlacesMessage) {
 }
 
 TEST(Engine, RemoveProcessPurgesReferences) {
-  Engine engine = make_engine();
-  engine.add_process(std::make_unique<Probe>(0.1));
-  engine.add_process(std::make_unique<Probe>(0.5));
-  engine.inject(0.1, Message{0, 0.5});        // references the victim
-  engine.inject(0.1, Message{0, 0.9});        // unrelated
-  EXPECT_TRUE(engine.remove_process(0.5));
-  EXPECT_EQ(engine.pending_messages(), 1u);   // only the unrelated one left
+  // Under every scheduler's channel storage: the leaver's own queue goes
+  // uncounted; a leave drops (and counts) the references others hold; a
+  // crash, which does not purge, leaves them in place.
+  for (const SchedulerKind kind : kAllSchedulers) {
+    SCOPED_TRACE(to_string(kind));
+    for (const bool purge : {true, false}) {
+      Engine engine = make_engine(kind);
+      engine.add_process(std::make_unique<Probe>(0.1));
+      engine.add_process(std::make_unique<Probe>(0.5));
+      engine.add_process(std::make_unique<Probe>(0.7));
+      engine.inject(0.5, Message{0, 0.1});          // queued for the leaver
+      engine.inject(0.1, Message{0, 0.5});          // references the leaver
+      engine.inject(0.7, Message{2, 0.9, 0.1, 0.5});  // ... in id3
+      engine.inject(0.1, Message{0, 0.9});          // unrelated
+      EXPECT_TRUE(engine.remove_process(0.5, purge));
+      std::vector<std::pair<Id, Message>> left;
+      engine.for_each_pending(
+          [&](Id to, const Message& m) { left.emplace_back(to, m); });
+      EXPECT_EQ(engine.pending_messages(), left.size());
+      if (purge) {
+        ASSERT_EQ(left.size(), 1u);  // only the unrelated one
+        EXPECT_DOUBLE_EQ(left[0].second.id1, 0.9);
+        EXPECT_EQ(engine.counters().dropped, 2u);
+      } else {
+        ASSERT_EQ(left.size(), 3u);  // the stale references stay in flight
+        EXPECT_EQ(engine.counters().dropped, 0u);
+      }
+    }
+  }
 }
 
 TEST(Engine, DeliveryHookObservesMessages) {
@@ -308,6 +331,44 @@ TEST(Engine, ForEachPendingSeesChannelContents) {
     ++pending;
   });
   EXPECT_EQ(pending, 1);
+
+  // Pushes interleaved across receivers are visited in rank order, then
+  // push order within one receiver.
+  engine.add_process(std::make_unique<Probe>(0.5));
+  engine.inject(0.9, Message{1, 0.61});
+  engine.inject(0.5, Message{1, 0.51});
+  engine.inject(0.9, Message{1, 0.62});
+  engine.inject(0.5, Message{1, 0.52});
+  std::vector<std::pair<Id, Id>> seen;
+  engine.for_each_pending(
+      [&](Id to, const Message& m) { seen.emplace_back(to, m.id1); });
+  EXPECT_EQ(seen, (std::vector<std::pair<Id, Id>>{
+                      {0.5, 0.51}, {0.5, 0.52}, {0.9, 0.1}, {0.9, 0.61}, {0.9, 0.62}}));
+}
+
+TEST(Engine, DelayedRandomKeepsUnsampledAheadOfLaterArrivals) {
+  // What a delayed-random receiver does not take this round stays at the
+  // front of its channel, in its old order, ahead of this round's sends.
+  Engine engine(EngineConfig{.scheduler = SchedulerKind::kDelayedRandom, .seed = 4});
+  engine.add_process(std::make_unique<Sender>(0.1, 0.9));
+  engine.add_process(std::make_unique<Probe>(0.9));
+  for (int i = 1; i <= 20; ++i) engine.inject(0.9, Message{1, i / 100.0});
+  engine.run_round();
+  const auto* receiver = dynamic_cast<const Probe*>(engine.find(0.9));
+  std::set<Id> taken;
+  for (const Message& m : receiver->received) taken.insert(m.id1);
+  ASSERT_GT(taken.size(), 0u);
+  ASSERT_LT(taken.size(), 20u);
+  std::vector<Id> expected;
+  for (int i = 1; i <= 20; ++i)
+    if (!taken.contains(i / 100.0)) expected.push_back(i / 100.0);
+  expected.push_back(0.1);  // this round's send from the regular pass
+  std::vector<Id> left;
+  engine.for_each_pending([&](Id to, const Message& m) {
+    EXPECT_DOUBLE_EQ(to, 0.9);
+    left.push_back(m.id1);
+  });
+  EXPECT_EQ(left, expected);
 }
 
 TEST(Engine, DeliveryProbabilityValidated) {
@@ -433,33 +494,39 @@ TEST(Engine, RemoveThenReAddSameIdRoutesToTheNewProcess) {
 
 TEST(Engine, PendingCountStaysConsistentAcrossChurnAndAsyncRounds) {
   // pending_messages() is maintained incrementally; this cross-checks it
-  // against an exhaustive channel walk after every perturbation.
-  Engine engine = make_engine(SchedulerKind::kRandomAsync, 11);
-  const auto audit = [&engine] {
-    std::size_t counted = 0;
-    engine.for_each_pending([&counted](Id, const Message&) { ++counted; });
-    ASSERT_EQ(engine.pending_messages(), counted);
-  };
-  const std::vector<double> ring{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
-  for (std::size_t i = 0; i < ring.size(); ++i)
-    engine.add_process(
-        std::make_unique<Sender>(ring[i], ring[(i + 1) % ring.size()]));
-  audit();
-  engine.run_rounds(3);
-  audit();
-  engine.inject(0.2, Message{1, 0.3});
-  engine.inject(0.2, Message{1, 0.4});
-  audit();
-  engine.remove_process(0.3);  // clears 0.3's channel, purges references
-  audit();
-  engine.run_rounds(3);
-  audit();
-  engine.add_process(std::make_unique<Sender>(0.35, 0.2));
-  engine.run_rounds(2);
-  audit();
-  engine.deliver_pending_once();
-  audit();
-  EXPECT_EQ(engine.pending_messages(), 0u);
+  // against an exhaustive channel walk after every perturbation, for both
+  // channel storages (random-async's channels, the others' log).
+  for (const SchedulerKind kind :
+       {SchedulerKind::kRandomAsync, SchedulerKind::kSynchronous,
+        SchedulerKind::kAdversarialLifo, SchedulerKind::kDelayedRandom}) {
+    SCOPED_TRACE(to_string(kind));
+    Engine engine = make_engine(kind, 11);
+    const auto audit = [&engine] {
+      std::size_t counted = 0;
+      engine.for_each_pending([&counted](Id, const Message&) { ++counted; });
+      ASSERT_EQ(engine.pending_messages(), counted);
+    };
+    const std::vector<double> ring{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+    for (std::size_t i = 0; i < ring.size(); ++i)
+      engine.add_process(
+          std::make_unique<Sender>(ring[i], ring[(i + 1) % ring.size()]));
+    audit();
+    engine.run_rounds(3);
+    audit();
+    engine.inject(0.2, Message{1, 0.3});
+    engine.inject(0.2, Message{1, 0.4});
+    audit();
+    engine.remove_process(0.3);  // clears 0.3's channel, purges references
+    audit();
+    engine.run_rounds(3);
+    audit();
+    engine.add_process(std::make_unique<Sender>(0.35, 0.2));
+    engine.run_rounds(2);
+    audit();
+    engine.deliver_pending_once();
+    audit();
+    EXPECT_EQ(engine.pending_messages(), 0u);
+  }
 }
 
 /// Runs a small forwarding network with interleaved add/remove churn under
