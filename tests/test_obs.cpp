@@ -12,10 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "analysis/stress.hpp"
 #include "core/network.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
 #include "routing/greedy.hpp"
+#include "service/slo.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -435,6 +437,96 @@ TEST(ObsIntegration, GreedyMetricsRecordRoutes) {
   ASSERT_NE(hops, nullptr);
   EXPECT_EQ(hops->count(), 2u);  // failures contribute no hop sample
   EXPECT_DOUBLE_EQ(hops->sum(), 6.0);
+}
+
+// --- pinned export -----------------------------------------------------------
+// The metrics.jsonl lines of two small runs, recorded literally: a crash-mode
+// E14 trial (engine.*, faults.*, node.* including the detector counters,
+// invariants.* and the engine gauges) and an E15 SLO trial, which adds the
+// service.lookup.* counters, the pending gauge and the lookup histograms.
+// Any change to what is counted, when, or how it is exported shows up here.
+
+constexpr const char* kCrashRecoveryLine =
+    R"({"round":0,"counters":{"engine.actions":85844,)"
+    R"("engine.messages.delivered":75478,"engine.messages.dropped":1226,)"
+    R"("engine.messages.lost":1588,"engine.messages.sent":78649,)"
+    R"("engine.rounds":273,"engine.timers.fired":2065,)"
+    R"("faults.messages.delayed":0,"faults.messages.duplicated":0,)"
+    R"("faults.messages.partition-dropped":0,"faults.messages.replayed":0,)"
+    R"("node.detector.acks":5302,"node.detector.evictions":10,)"
+    R"("node.detector.pongs":5118,"node.detector.probes":5488,)"
+    R"("node.detector.quarantine.hits":253,"node.detector.rescues":0,)"
+    R"("node.detector.retries":26,"node.detector.suspects":13,)"
+    R"("node.linearize.adoptions":12,"node.linearize.forwards":15641,)"
+    R"("node.lrl.forgets":1368,"node.lrl.moves":7530,)"
+    R"("node.lrl.resets":1374,"node.probe.repairs":6,)"
+    R"("node.ring.updates":1,"node.service.dead-skips":0,)"
+    R"("node.service.forwards":0,"node.service.hits":0,)"
+    R"("node.service.misses":0,"node.service.repairs":0,)"
+    R"("node.service.ttl-drops":0},"gauges":{"engine.channel.depth":324,)"
+    R"("engine.processes":29,"invariants.forgot-nodes":29,)"
+    R"("invariants.ring-closed":1,"invariants.sorted-pairs":29,)"
+    R"("invariants.unresolved-lrls":1,"node.detector.quarantined":3},)"
+    R"("histograms":{}})";
+
+constexpr const char* kSloLine =
+    R"({"round":0,"counters":{"engine.actions":381620,)"
+    R"("engine.messages.delivered":342602,"engine.messages.dropped":882,)"
+    R"("engine.messages.lost":0,"engine.messages.sent":341704,)"
+    R"("engine.rounds":1064,"engine.timers.fired":7778,)"
+    R"("faults.messages.delayed":0,"faults.messages.duplicated":0,)"
+    R"("faults.messages.partition-dropped":0,"faults.messages.replayed":0,)"
+    R"("node.detector.acks":20764,"node.detector.evictions":6,)"
+    R"("node.detector.pongs":20764,"node.detector.probes":20818,)"
+    R"("node.detector.quarantine.hits":894,"node.detector.rescues":0,)"
+    R"("node.detector.retries":14,"node.detector.suspects":7,)"
+    R"("node.linearize.adoptions":11,"node.linearize.forwards":60112,)"
+    R"("node.lrl.forgets":6128,"node.lrl.moves":31083,)"
+    R"("node.lrl.resets":6129,"node.probe.repairs":5,)"
+    R"("node.ring.updates":0,"node.service.dead-skips":807,)"
+    R"("node.service.forwards":16374,"node.service.hits":1985,)"
+    R"("node.service.misses":1,"node.service.repairs":0,)"
+    R"("node.service.ttl-drops":0,"service.lookup.attempts":2104,)"
+    R"("service.lookup.deadletter.no-progress":0,)"
+    R"("service.lookup.deadletter.target-dead":1,)"
+    R"("service.lookup.deadletter.timeout":0,)"
+    R"("service.lookup.deadletter.ttl":0,"service.lookup.failed":1,)"
+    R"("service.lookup.hedges":0,"service.lookup.issued":2000,)"
+    R"("service.lookup.retries":104,"service.lookup.stale":0,)"
+    R"("service.lookup.succeeded":1981},)"
+    R"("gauges":{"engine.channel.depth":289,"engine.processes":29,)"
+    R"("invariants.forgot-nodes":29,"invariants.ring-closed":1,)"
+    R"("invariants.sorted-pairs":29,"invariants.unresolved-lrls":0,)"
+    R"("node.detector.quarantined":0,"service.lookup.pending":18},)"
+    R"("histograms":{"service.lookup.hops":{"count":1981,"sum":14849,)"
+    R"("min":1,"max":39,"buckets":[[1,145],[2,170],[4,358],[8,596],[16,)"
+    R"(590],[32,116],[64,6]]},"service.lookup.latency":{"count":1981,)"
+    R"("sum":26338,"min":3,"max":175,"buckets":[[4,312],[8,680],[16,740],)"
+    R"([32,150],[64,3],[128,90],[256,6]]}}})";
+
+TEST(ObsExport, CrashRecoveryLineIsPinned) {
+  analysis::RecoveryOptions options;
+  options.n = 32;
+  options.trials = 1;
+  options.base_seed = 7;
+  options.crash_frac = 0.1;
+  options.message_loss = 0.02;
+  options.mode = analysis::RecoveryOptions::Mode::kCrash;
+  Registry registry;
+  analysis::measure_crash_recovery(options, &registry);
+  EXPECT_EQ(to_jsonl(registry, 0), kCrashRecoveryLine);
+}
+
+TEST(ObsExport, SloLineIsPinned) {
+  service::SloOptions options;
+  options.n = 32;
+  options.base_seed = 7;
+  options.crash_frac = 0.1;
+  options.warm_rounds = 64;
+  options.lookup.rate = 2.0;
+  Registry registry;
+  service::measure_slo(options, &registry);
+  EXPECT_EQ(to_jsonl(registry, 0), kSloLine);
 }
 
 // --- documentation coverage --------------------------------------------------
