@@ -69,7 +69,7 @@ void BM_Ablation_MultiLink(benchmark::State& state) {
   const auto graph = core::view_cp(network.engine(), index);
   util::Rng rng(bench::kBaseSeed + links);
   routing::RoutingStats stats;
-  network.engine().reset_counters();
+  const std::uint64_t sent_before = network.engine().counters().total_sent();
   for (auto _ : state) {
     stats = routing::evaluate_routing(graph, rng, 300, n);
     network.run_rounds(64);
@@ -77,7 +77,8 @@ void BM_Ablation_MultiLink(benchmark::State& state) {
   state.counters["hops_mean"] = stats.hops.mean;
   state.counters["success"] = stats.success_rate;
   state.counters["msgs_per_node_round"] =
-      static_cast<double>(network.engine().counters().total_sent()) /
+      static_cast<double>(network.engine().counters().total_sent() -
+                          sent_before) /
       static_cast<double>(n) / 64.0;
   state.counters["links"] = static_cast<double>(links);
 }

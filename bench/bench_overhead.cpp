@@ -27,18 +27,21 @@ void BM_Overhead_StableState(benchmark::State& state) {
   network.attach_metrics(registry);
 
   constexpr std::size_t kMeasureRounds = 256;
+  sim::EngineCounters before;
   for (auto _ : state) {
-    network.engine().reset_counters();
+    before = network.engine().counters();
     registry.reset();
     network.run_rounds(kMeasureRounds);
   }
   const auto& counters = network.engine().counters();
-  const double total = static_cast<double>(counters.total_sent());
+  const double total =
+      static_cast<double>(counters.total_sent() - before.total_sent());
   state.counters["msgs_per_node_round"] =
       total / static_cast<double>(n) / static_cast<double>(kMeasureRounds);
   for (sim::MessageType type = 0; type < core::kNumMsgTypes; ++type) {
+    const auto sent = counters.sent_by_type[type] - before.sent_by_type[type];
     state.counters[std::string(core::msg_type_name(type)) + "_share"] =
-        total > 0 ? static_cast<double>(counters.sent_by_type[type]) / total : 0.0;
+        total > 0 ? static_cast<double>(sent) / total : 0.0;
   }
   state.counters["probe_interval"] = static_cast<double>(state.range(0));
   bench::report_registry(state, registry);

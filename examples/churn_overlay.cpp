@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     // Alternate joins and leaves, with a slight join bias so the network
     // drifts upward in size like a real overlay.
     const bool join = rng.bernoulli(0.55) || net.size() < 8;
-    net.engine().reset_counters();
+    const std::uint64_t sent_before = net.engine().counters().total_sent();
     if (join) {
       sim::Id fresh;
       do {
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
         .add(join ? "join" : "leave")
         .add(net.size())
         .add(static_cast<std::uint64_t>(*rounds))
-        .add(net.engine().counters().total_sent());
+        .add(net.engine().counters().total_sent() - sent_before);
   }
 
   std::fputs(csv ? table.to_csv().c_str() : table.to_string().c_str(), stdout);

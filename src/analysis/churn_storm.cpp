@@ -16,7 +16,7 @@ ChurnStormResult run_churn_storm(const ChurnStormOptions& options) {
                                                  : options.burn_in_rounds);
 
   util::Rng event_rng(options.seed ^ 0x73746f726dull);  // "storm"
-  network.engine().reset_counters();
+  const std::uint64_t sent_before = network.engine().counters().total_sent();
   ChurnStormResult result;
 
   for (std::size_t event = 0; event < options.events; ++event) {
@@ -43,7 +43,8 @@ ChurnStormResult run_churn_storm(const ChurnStormOptions& options) {
       static_cast<double>(options.events * options.event_interval);
   result.messages_per_node_round =
       storm_rounds > 0
-          ? static_cast<double>(network.engine().counters().total_sent()) /
+          ? static_cast<double>(network.engine().counters().total_sent() -
+                                sent_before) /
                 static_cast<double>(network.size()) / storm_rounds
           : 0.0;
 

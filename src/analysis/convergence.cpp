@@ -108,14 +108,15 @@ ChurnResult measure_join(const ChurnOptions& options) {
     } while (new_id == 0.0 || network.engine().contains(new_id));
     const sim::Id contact = ids[rng.below(ids.size())];
 
-    network.engine().reset_counters();
+    const std::uint64_t sent_before = network.engine().counters().total_sent();
     ChurnTrial trial;
     if (!network.join(new_id, contact)) return trial;
     const auto rounds = network.run_until_sorted_list(options.max_recovery_rounds);
     if (!rounds.has_value()) return trial;
     trial.recovered = true;
     trial.rounds = static_cast<double>(*rounds);
-    trial.messages = static_cast<double>(network.engine().counters().total_sent());
+    trial.messages = static_cast<double>(
+        network.engine().counters().total_sent() - sent_before);
     return trial;
   };
   const auto trials = run_trials<ChurnTrial>(options.trials, options.base_seed, trial_fn);
@@ -146,14 +147,15 @@ ChurnResult measure_leave(const ChurnOptions& options) {
     const auto ids = network.engine().id_span();
     const sim::Id victim = ids[rng.below(ids.size())];
 
-    network.engine().reset_counters();
+    const std::uint64_t sent_before = network.engine().counters().total_sent();
     ChurnTrial trial;
     if (!network.leave(victim)) return trial;
     const auto rounds = network.run_until_sorted_ring(options.max_recovery_rounds);
     if (!rounds.has_value()) return trial;
     trial.recovered = true;
     trial.rounds = static_cast<double>(*rounds);
-    trial.messages = static_cast<double>(network.engine().counters().total_sent());
+    trial.messages = static_cast<double>(
+        network.engine().counters().total_sent() - sent_before);
     return trial;
   };
   const auto trials = run_trials<ChurnTrial>(options.trials, options.base_seed, trial_fn);

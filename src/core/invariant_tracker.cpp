@@ -40,21 +40,14 @@ void InvariantTracker::refresh_pair(Entry& e) noexcept {
   }
 }
 
-std::uint32_t InvariantTracker::count_unresolved(
-    const SmallWorldNode& node) const noexcept {
-  std::uint32_t absent = 0;
-  for (const SmallWorldNode::LongRangeLink& link : node.lrls())
-    if (!engine_.contains(link.target)) ++absent;
-  return absent;
-}
-
 void InvariantTracker::recount_unresolved() const {
-  unresolved_links_ = 0;
-  for (const Entry& e : entries_) {
-    if (e.node == nullptr) continue;
-    e.unresolved = count_unresolved(*e.node);
-    unresolved_links_ += e.unresolved;
+  std::size_t absent = 0;
+  for (std::size_t slot = 0; slot < entries_.size(); ++slot) {
+    if (entries_[slot].node == nullptr) continue;
+    for (const LongRangeLink& link : store_.lrls(slot))
+      if (!engine_.contains(link.target)) ++absent;
   }
+  unresolved_links_ = absent;
   unresolved_stale_ = false;
 }
 
@@ -131,12 +124,8 @@ void InvariantTracker::on_list_changed(const SmallWorldNode& node) {
   refresh_pair(entries_[node.slot()]);
 }
 
-void InvariantTracker::on_lrl_changed(const SmallWorldNode& node) {
-  if (unresolved_stale_) return;  // the next query recounts every link
-  Entry& e = entries_[node.slot()];
-  const std::uint32_t now = count_unresolved(node);
-  unresolved_links_ = unresolved_links_ - e.unresolved + now;
-  e.unresolved = now;
+void InvariantTracker::on_lrl_changed(const SmallWorldNode& /*node*/) {
+  unresolved_stale_ = true;  // the next query recounts every link
 }
 
 void InvariantTracker::on_forget(const SmallWorldNode& node) {
@@ -215,12 +204,8 @@ void InvariantTracker::verify_against(const sim::Engine& engine) const {
                    "entry epoch_counted diverged");
     if (want_fresh) ++fresh;
 
-    std::uint32_t want_unresolved = 0;
     for (const SmallWorldNode::LongRangeLink& link : node->lrls())
-      if (!engine.contains(link.target)) ++want_unresolved;
-    SSSW_CHECK_MSG(e.unresolved == want_unresolved,
-                   "entry unresolved count diverged");
-    unresolved += want_unresolved;
+      if (!engine.contains(link.target)) ++unresolved;
   }
 
   SSSW_CHECK_MSG(sorted_pairs_ == pairs, "sorted_pairs_ diverged");

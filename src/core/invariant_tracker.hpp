@@ -17,9 +17,12 @@
 //   forgot_nodes_     #nodes with forget_count() > 0 — the Phase-4 side
 //                     condition of Thm 4.22.
 //   unresolved_links_ #long-range links whose target is not a present node
-//                     — `lrls_resolve`.  Kept per entry while membership is
-//                     unchanged; a join, leave or crash marks the counts
-//                     stale and the next query recounts all n·k links once.
+//                     — `lrls_resolve`.  Any link write, join, leave or
+//                     crash marks it stale, and the next query recounts all
+//                     n·k links in one pass over the store's link column.
+//                     Queries are rare (the fuzz oracle) or once per round
+//                     (the metrics gauge), so that is cheaper than a
+//                     liveness probe on every write.
 //
 // Hook contract (enforced by the property test and verify_against):
 //   * every write to a node's l_/r_ calls notify_list()  → on_list_changed
@@ -39,7 +42,8 @@
 // unique_ptr, so the reference survives network moves.  There is no reverse
 // link index: who points at a node only matters when membership changes,
 // and the recount answers that in O(n·k), the order of the leave scan that
-// precedes it.
+// precedes it.  The link targets are read from the NodeStore directly, by
+// slot, in the same order as the entries.
 //
 // The recompute path in invariants.hpp remains the *oracle*: the fuzzer's
 // --paranoid mode, NetworkOptions.verify_tracker, and the property test
@@ -56,13 +60,15 @@
 
 namespace sssw::core {
 
+class NodeStore;
 class SmallWorldNode;
 
 class InvariantTracker {
  public:
-  /// Tracks the SmallWorldNodes of `engine`, which must outlive the tracker.
-  explicit InvariantTracker(const sim::Engine& engine) noexcept
-      : engine_(engine) {}
+  /// Tracks the SmallWorldNodes of `engine`, whose hot state lives in
+  /// `store`; both must outlive the tracker.
+  InvariantTracker(const sim::Engine& engine, const NodeStore& store) noexcept
+      : engine_(engine), store_(store) {}
 
   // --- membership (O(log n) for the rank, O(1) entries touched) ---------
   /// Seeds the entry for a node the engine just added and points its two
@@ -77,8 +83,9 @@ class InvariantTracker {
   void reserve(std::size_t nodes) { entries_.reserve(nodes); }
 
   // --- mutation hooks (O(1), called from SmallWorldNode) ----------------
-  // Each hook recomputes only the acting node's entry from that node's
-  // current state.
+  // on_list_changed and on_forget recompute only the acting node's entry
+  // from that node's current state; on_lrl_changed marks the unresolved
+  // count stale.
   void on_list_changed(const SmallWorldNode& node);
   void on_lrl_changed(const SmallWorldNode& node);
   void on_forget(const SmallWorldNode& node);
@@ -88,8 +95,8 @@ class InvariantTracker {
   bool sorted_list() const noexcept { return sorted_pairs_ == size(); }
   /// Definition 4.17 — mirrors is_sorted_ring().
   bool sorted_ring() const noexcept;
-  /// Mirrors lrls_resolve().  O(1), except the first query after a
-  /// membership change, which recounts every link.
+  /// Mirrors lrls_resolve().  O(1), except the first query after a link
+  /// write or a membership change, which recounts every link.
   bool lrls_resolve() const { return unresolved_links() == 0; }
   /// Phase-4 side condition: every node has forgotten at least once ever.
   bool all_forgot() const noexcept { return forgot_nodes_ == size(); }
@@ -106,7 +113,8 @@ class InvariantTracker {
   std::size_t size() const noexcept { return engine_.process_count(); }
   std::size_t sorted_pairs() const noexcept { return sorted_pairs_; }
   std::size_t forgot_nodes() const noexcept { return forgot_nodes_; }
-  /// Recounts first if membership changed since the last count.
+  /// Recounts first if a link or the membership changed since the last
+  /// count.
   std::size_t unresolved_links() const;
 
   /// Oracle cross-check: recomputes every tracked quantity from `engine`
@@ -125,9 +133,6 @@ class InvariantTracker {
     bool forgot = false;            ///< forget_count() > 0
     bool epoch_counted = false;     ///< counted toward epoch_fresh_
     std::uint64_t forget_baseline = 0;
-    /// #links whose target is absent; meaningless while the counts are
-    /// stale (the recount inside const queries rewrites it).
-    mutable std::uint32_t unresolved = 0;
   };
 
   /// The entry of a present node, found through the engine.
@@ -135,10 +140,10 @@ class InvariantTracker {
   /// Re-evaluates pair_ok against the cached expectations and folds the
   /// delta into sorted_pairs_.
   void refresh_pair(Entry& e) noexcept;
-  std::uint32_t count_unresolved(const SmallWorldNode& node) const noexcept;
   void recount_unresolved() const;
 
   const sim::Engine& engine_;
+  const NodeStore& store_;
   std::vector<Entry> entries_;  ///< by NodeStore slot
   std::size_t sorted_pairs_ = 0;
   std::size_t forgot_nodes_ = 0;

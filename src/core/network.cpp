@@ -21,7 +21,7 @@ SmallWorldNetwork::SmallWorldNetwork(NetworkOptions options)
           .message_loss = options.message_loss,
           .faults = options.faults,
           .adversary_delay = options.adversary_delay})),
-      tracker_(std::make_unique<InvariantTracker>(*engine_)) {}
+      tracker_(std::make_unique<InvariantTracker>(*engine_, *store_)) {}
 
 SmallWorldNetwork& SmallWorldNetwork::operator=(SmallWorldNetwork&& other) noexcept {
   if (this == &other) return *this;
@@ -31,14 +31,11 @@ SmallWorldNetwork& SmallWorldNetwork::operator=(SmallWorldNetwork&& other) noexc
   store_ = std::move(other.store_);
   engine_ = std::move(other.engine_);
   tracker_ = std::move(other.tracker_);
-  node_metrics_ = std::move(other.node_metrics_);
-  invariant_hook_ = other.invariant_hook_;
   return *this;
 }
 
 void SmallWorldNetwork::add_node(const NodeInit& init) {
   auto node = std::make_unique<SmallWorldNode>(init, *store_);
-  if (node_metrics_ != nullptr) node->set_metrics(node_metrics_.get());
   SmallWorldNode* raw = node.get();
   engine_->add_process(std::move(node));
   // Seed the tracker *after* the engine owns the node (the tracker reads
@@ -49,9 +46,34 @@ void SmallWorldNetwork::add_node(const NodeInit& init) {
 
 void SmallWorldNetwork::attach_metrics(obs::Registry& registry) {
   engine_->attach_metrics(registry);
-  node_metrics_ = std::make_unique<NodeMetrics>(registry);
-  for (const Id id : engine_->id_span())
-    if (SmallWorldNode* n = node(id)) n->set_metrics(node_metrics_.get());
+  static constexpr std::pair<const char*, std::uint64_t NodeCounts::*>
+      kNodeCounters[] = {
+          {"node.linearize.adoptions", &NodeCounts::linearize_adoptions},
+          {"node.linearize.forwards", &NodeCounts::linearize_forwards},
+          {"node.lrl.moves", &NodeCounts::lrl_moves},
+          {"node.lrl.forgets", &NodeCounts::lrl_forgets},
+          {"node.lrl.resets", &NodeCounts::lrl_resets},
+          {"node.ring.updates", &NodeCounts::ring_updates},
+          {"node.probe.repairs", &NodeCounts::probe_repairs},
+          {"node.detector.probes", &NodeCounts::detector_probes},
+          {"node.detector.acks", &NodeCounts::detector_acks},
+          {"node.detector.pongs", &NodeCounts::detector_pongs},
+          {"node.detector.suspects", &NodeCounts::detector_suspects},
+          {"node.detector.retries", &NodeCounts::detector_retries},
+          {"node.detector.evictions", &NodeCounts::detector_evictions},
+          {"node.detector.quarantine.hits",
+           &NodeCounts::detector_quarantine_hits},
+          {"node.detector.rescues", &NodeCounts::detector_rescues},
+          {"node.service.forwards", &NodeCounts::service_forwards},
+          {"node.service.hits", &NodeCounts::service_hits},
+          {"node.service.misses", &NodeCounts::service_misses},
+          {"node.service.dead-skips", &NodeCounts::service_dead_skips},
+          {"node.service.ttl-drops", &NodeCounts::service_ttl_drops},
+          {"node.service.repairs", &NodeCounts::service_repairs},
+      };
+  const std::shared_ptr<NodeCounts>& counts = store_->shared_counts();
+  for (const auto& [name, field] : kNodeCounters)
+    registry.counter(name).view(counts, {&((*counts).*field), 1});
   // Tracker gauges (doc/OBSERVABILITY.md invariants.*), refreshed once per
   // round.  The hook captures only what is stable across network moves:
   // gauge references (Registry stores metrics behind node-stable maps) and
@@ -68,9 +90,8 @@ void SmallWorldNetwork::attach_metrics(obs::Registry& registry) {
   // config-independent) but only summed — an O(n) walk — when the active
   // detector is on; disabled runs pay nothing beyond the branch.
   const bool detector_on = options_.protocol.detector.enabled;
-  invariant_hook_ = engine_->add_round_hook([=, &sorted_pairs, &ring_closed,
-                                             &forgot, &unresolved,
-                                             &quarantined](std::uint64_t) {
+  engine_->add_round_hook([=, &sorted_pairs, &ring_closed, &forgot,
+                           &unresolved, &quarantined](std::uint64_t) {
     sorted_pairs.set(static_cast<double>(tracker->sorted_pairs()));
     ring_closed.set(tracker->sorted_ring() ? 1.0 : 0.0);
     forgot.set(static_cast<double>(tracker->forgot_nodes()));
@@ -83,17 +104,6 @@ void SmallWorldNetwork::attach_metrics(obs::Registry& registry) {
       quarantined.set(static_cast<double>(total));
     }
   });
-}
-
-void SmallWorldNetwork::detach_metrics() {
-  engine_->detach_metrics();
-  for (const Id id : engine_->id_span())
-    if (SmallWorldNode* n = node(id)) n->set_metrics(nullptr);
-  node_metrics_.reset();
-  if (invariant_hook_ != 0) {
-    engine_->remove_round_hook(invariant_hook_);
-    invariant_hook_ = 0;
-  }
 }
 
 void SmallWorldNetwork::add_nodes(const std::vector<NodeInit>& inits) {

@@ -15,7 +15,6 @@
 #include "core/invariants.hpp"
 #include "core/node.hpp"
 #include "core/node_store.hpp"
-#include "core/node_metrics.hpp"
 #include "core/views.hpp"
 #include "sim/engine.hpp"
 
@@ -94,12 +93,16 @@ class SmallWorldNetwork {
   bool crash(sim::Id id);
 
   // --- observability ------------------------------------------------------
-  /// Attaches `registry` to the whole network: the engine's engine.* metrics
-  /// plus the shared node.* counters, covering current AND future nodes
-  /// (join() wires new nodes automatically).  The registry must outlive the
-  /// network, or call detach_metrics() first.  See doc/OBSERVABILITY.md.
+  /// Attaches `registry` to the whole network: the engine's engine.* and
+  /// faults.* metrics, the node.* counters of current AND future nodes, and
+  /// the invariants.* gauges.  Counters are views of counts the engine and
+  /// the store keep anyway (not retroactive; see obs::Counter::view), so
+  /// they cost nothing per event.  The gauges are set after every round, so
+  /// the registry must be alive whenever the network runs; the registry and
+  /// the network may be destroyed in either order.  Attaching a registry
+  /// that viewed another network's counts carries its values over.  See
+  /// doc/OBSERVABILITY.md.
   void attach_metrics(obs::Registry& registry);
-  void detach_metrics();
 
   // --- inspection ---------------------------------------------------------
   sim::Engine& engine() noexcept { return *engine_; }
@@ -139,8 +142,6 @@ class SmallWorldNetwork {
   std::unique_ptr<sim::Engine> engine_;
   /// Always on; reads membership from *engine_.
   std::unique_ptr<InvariantTracker> tracker_;
-  std::unique_ptr<NodeMetrics> node_metrics_;  ///< live iff metrics attached
-  sim::Engine::HookId invariant_hook_ = 0;     ///< live iff metrics attached
 };
 
 /// Builds a network whose nodes carry the given ids and whose initial state

@@ -4,7 +4,6 @@
 #include <array>
 
 #include "core/invariant_tracker.hpp"
-#include "core/node_metrics.hpp"
 #include "routing/next_hop.hpp"
 #include "util/check.hpp"
 
@@ -108,7 +107,7 @@ void SmallWorldNode::reset_lrls_matching(Id id) noexcept {
     if (link.target == id) {
       link.target = id_;
       changed = true;
-      if (metrics_ != nullptr) metrics_->lrl_resets.add(1);
+      ++counts().lrl_resets;
     }
   }
   if (changed) notify_lrl();
@@ -207,14 +206,14 @@ void SmallWorldNode::on_message(sim::Context& ctx, const sim::Message& m) {
       remember_contact(m.id1);  // the prober itself — live at send time
       if (config().detector.enabled && is_node_id(m.id1)) {
         ctx.send(m.id1, sim::Message{kPong, lv(), rv(), id_});
-        if (metrics_ != nullptr) metrics_->detector_acks.add(1);
+        ++counts().detector_acks;
       }
       break;
     case kPong:
       remember_contact(m.id3);  // the responder itself — live at send time
       if (detector_ != nullptr) {
         detector_->on_pong(m.id3, m.id1, m.id2);
-        if (metrics_ != nullptr) metrics_->detector_pongs.add(1);
+        ++counts().detector_pongs;
       }
       break;
     case kLookup:
@@ -236,7 +235,7 @@ bool SmallWorldNode::is_dead(Id id) const noexcept {
   if (!is_node_id(id) || id == id_) return false;
   if (detector_ == nullptr) return false;
   if (detector_->is_quarantined(id, now_) || detector_->is_suspect(id)) {
-    if (metrics_ != nullptr) metrics_->detector_quarantine_hits.add(1);
+    ++counts().detector_quarantine_hits;
     return true;
   }
   return false;
@@ -262,7 +261,7 @@ void SmallWorldNode::apply_eviction(sim::Context& ctx,
   }
   if (ringv() == target) ringv() = id_;
   reset_lrls_matching(target);
-  if (metrics_ != nullptr) metrics_->detector_evictions.add(1);
+  ++counts().detector_evictions;
   // Re-link through the dead node's last reported (l, r) view: linearize
   // integrates each survivor into this node's own neighbourhood, closing
   // the line over the gap.  Views predating the crash are fine — the ids
@@ -301,7 +300,7 @@ void SmallWorldNode::attempt_rescue(sim::Context& ctx) {
     // linearization (no quarantine gate — a node with no pointers left has
     // nothing to protect and everything to regain).
     ctx.send(contact, sim::Message{kLin, id_});
-    if (metrics_ != nullptr) metrics_->detector_rescues.add(1);
+    ++counts().detector_rescues;
   }
 }
 
@@ -321,11 +320,9 @@ void SmallWorldNode::on_timer(sim::Context& ctx, std::uint64_t tag) {
   detector_->tick(now_, pointer_scratch_);
   for (const FailureDetector::Probe& probe : detector_->probes()) {
     ctx.send(probe.target, sim::Message{kPing, id_});
-    if (metrics_ != nullptr) {
-      metrics_->detector_probes.add(1);
-      if (probe.retry) metrics_->detector_retries.add(1);
-      if (probe.suspect) metrics_->detector_suspects.add(1);
-    }
+    ++counts().detector_probes;
+    if (probe.retry) ++counts().detector_retries;
+    if (probe.suspect) ++counts().detector_suspects;
   }
   for (const FailureDetector::Eviction& ev : detector_->evictions()) {
     apply_eviction(ctx, ev);
@@ -367,7 +364,7 @@ void SmallWorldNode::linearize(sim::Context& ctx, Id id) {
       rv() = id;
       tidy_ring();
       notify_list();
-      if (metrics_ != nullptr) metrics_->linearize_adoptions.add(1);
+      ++counts().linearize_adoptions;
     } else {
       const Id shortcut =
           config().lrl_shortcut ? best_right_shortcut(id) : kNegInf;
@@ -378,7 +375,7 @@ void SmallWorldNode::linearize(sim::Context& ctx, Id id) {
       } else {
         send(ctx, rv(), kLin, id);
       }
-      if (metrics_ != nullptr) metrics_->linearize_forwards.add(1);
+      ++counts().linearize_forwards;
     }
   } else if (id < id_) {
     if (id > lv()) {
@@ -386,7 +383,7 @@ void SmallWorldNode::linearize(sim::Context& ctx, Id id) {
       lv() = id;
       tidy_ring();
       notify_list();
-      if (metrics_ != nullptr) metrics_->linearize_adoptions.add(1);
+      ++counts().linearize_adoptions;
     } else {
       const Id shortcut = config().lrl_shortcut ? best_left_shortcut(id) : kNegInf;
       if (is_node_id(shortcut) && shortcut != id) {
@@ -394,7 +391,7 @@ void SmallWorldNode::linearize(sim::Context& ctx, Id id) {
       } else {
         send(ctx, lv(), kLin, id);
       }
-      if (metrics_ != nullptr) metrics_->linearize_forwards.add(1);
+      ++counts().linearize_forwards;
     }
   }
   // id == id_ : nothing to do.
@@ -442,16 +439,14 @@ void SmallWorldNode::move_forget(sim::Context& ctx, Id id1, Id id2, Id responder
   ++link->age;  // one move step completed
   Age& max_seen = store_->max_age(slot_);
   if (link->age > max_seen) max_seen = link->age;
-  if (metrics_ != nullptr) metrics_->lrl_moves.add(1);
+  ++counts().lrl_moves;
   if (ctx.rng().bernoulli(forget_probability(link->age, config().epsilon))) {
     link->target = id_;  // the token restarts its walk from the origin
     link->age = 0;
     ++store_->forgets(slot_);
     notify_forget();
-    if (metrics_ != nullptr) {
-      metrics_->lrl_forgets.add(1);
-      metrics_->lrl_resets.add(1);
-    }
+    ++counts().lrl_forgets;
+    ++counts().lrl_resets;
   }
   notify_lrl();
 }
@@ -469,7 +464,7 @@ void SmallWorldNode::probing_r(sim::Context& ctx, Id target) {
     send(ctx, rv(), kProbr, target);
   } else if (id_ < target && target < rv()) {
     // Probe cannot advance: the destination lies in our gap — repair.
-    if (metrics_ != nullptr) metrics_->probe_repairs.add(1);
+    ++counts().probe_repairs;
     linearize(ctx, target);
   }
   // else: target ≤ id_, the probe overshot (stale message) — drop.
@@ -487,7 +482,7 @@ void SmallWorldNode::probing_l(sim::Context& ctx, Id target) {
   } else if (target <= lv()) {
     send(ctx, lv(), kProbl, target);
   } else if (id_ > target && target > lv()) {
-    if (metrics_ != nullptr) metrics_->probe_repairs.add(1);
+    ++counts().probe_repairs;
     linearize(ctx, target);
   }
 }
@@ -538,12 +533,12 @@ void SmallWorldNode::update_ring(Id candidate) {
   if (lv() == kNegInf) {
     if (candidate > ringv()) {
       ringv() = candidate;
-      if (metrics_ != nullptr) metrics_->ring_updates.add(1);
+      ++counts().ring_updates;
     }
   } else if (rv() == kPosInf) {
     if (candidate < ringv()) {
       ringv() = candidate;
-      if (metrics_ != nullptr) metrics_->ring_updates.add(1);
+      ++counts().ring_updates;
     }
   }
 }
@@ -590,7 +585,7 @@ void SmallWorldNode::handle_lookup(sim::Context& ctx, const sim::Message& m) {
     // Hit: echo the token unchanged — the remaining ttl lets the origin
     // compute the hop count without any per-hop state.
     ctx.send(origin, sim::Message{kLookupHit, target, origin, m.id3});
-    if (metrics_ != nullptr) metrics_->service_hits.add(1);
+    ++counts().service_hits;
     return;
   }
   LookupToken out = *token;
@@ -598,7 +593,7 @@ void SmallWorldNode::handle_lookup(sim::Context& ctx, const sim::Message& m) {
     out.reason = reason;
     ctx.send(origin,
              sim::Message{kLookupMiss, target, origin, pack_lookup_token(out)});
-    if (metrics_ != nullptr) metrics_->service_misses.add(1);
+    ++counts().service_misses;
   };
   if (is_dead(target)) {
     miss(LookupReason::kTargetDead);
@@ -614,11 +609,11 @@ void SmallWorldNode::handle_lookup(sim::Context& ctx, const sim::Message& m) {
   // lookup load doubles as repair traffic.  `target` is not locally dead
   // here (checked above), so this never readopts an evicted pointer.
   const auto preserve = [&] {
-    if (metrics_ != nullptr) metrics_->service_repairs.add(1);
+    ++counts().service_repairs;
     linearize(ctx, target);
   };
   if (token->ttl == 0) {
-    if (metrics_ != nullptr) metrics_->service_ttl_drops.add(1);
+    ++counts().service_ttl_drops;
     preserve();
     miss(LookupReason::kTtlExhausted);
     return;
@@ -637,7 +632,7 @@ void SmallWorldNode::handle_lookup(sim::Context& ctx, const sim::Message& m) {
   // and the best remaining pointer carries the lookup around the damage.
   const auto dead = [this](Id id) {
     if (!is_dead(id)) return false;
-    if (metrics_ != nullptr) metrics_->service_dead_skips.add(1);
+    ++counts().service_dead_skips;
     return true;
   };
   const routing::NextHop hop = routing::select_next_hop(
@@ -647,7 +642,7 @@ void SmallWorldNode::handle_lookup(sim::Context& ctx, const sim::Message& m) {
     out.ttl = token->ttl - 1;
     ctx.send(hop.to,
              sim::Message{kLookup, target, origin, pack_lookup_token(out)});
-    if (metrics_ != nullptr) metrics_->service_forwards.add(1);
+    ++counts().service_forwards;
     return;
   }
   if (hop.outcome == routing::HopOutcome::kTargetDead) {
@@ -669,14 +664,14 @@ void SmallWorldNode::probing(sim::Context& ctx) {
         if (ringv() <= lv()) {
           send(ctx, lv(), kProbl, ringv());
         } else if (id_ > ringv() && ringv() > lv()) {
-          if (metrics_ != nullptr) metrics_->probe_repairs.add(1);
+          ++counts().probe_repairs;
           linearize(ctx, ringv());
         }
       } else {
         if (ringv() >= rv()) {
           send(ctx, rv(), kProbr, ringv());
         } else if (id_ < ringv() && ringv() < rv()) {
-          if (metrics_ != nullptr) metrics_->probe_repairs.add(1);
+          ++counts().probe_repairs;
           linearize(ctx, ringv());
         }
       }
@@ -690,14 +685,14 @@ void SmallWorldNode::probing(sim::Context& ctx) {
       if (target <= lv()) {
         send(ctx, lv(), kProbl, target);
       } else if (id_ > target && target > lv()) {
-        if (metrics_ != nullptr) metrics_->probe_repairs.add(1);
+        ++counts().probe_repairs;
         linearize(ctx, target);
       }
     } else {
       if (target >= rv()) {
         send(ctx, rv(), kProbr, target);
       } else if (id_ < target && target < rv()) {
-        if (metrics_ != nullptr) metrics_->probe_repairs.add(1);
+        ++counts().probe_repairs;
         linearize(ctx, target);
       }
     }

@@ -32,7 +32,6 @@
 
 namespace sssw::core {
 
-struct NodeMetrics;      // node_metrics.hpp
 class InvariantTracker;  // invariant_tracker.hpp
 
 /// Initial internal-variable assignment for one node; the self-stabilization
@@ -137,10 +136,6 @@ class SmallWorldNode final : public sim::Process {
   /// Resets every long-range link whose target is `id` to home (used by the
   /// fail-stop leave cleanup).
   void reset_lrls_matching(sim::Id id) noexcept;
-
-  /// Points this node at a shared protocol-event counter sink (not owned;
-  /// may be null to detach).  See core/node_metrics.hpp.
-  void set_metrics(NodeMetrics* metrics) noexcept { metrics_ = metrics; }
 
   // --- in-band lookup service (src/service/, doc/SERVICE.md) -----------
   /// Opts this node into the completion inbox: kLookupHit/kLookupMiss
@@ -247,6 +242,9 @@ class SmallWorldNode final : public sim::Process {
   std::span<const LongRangeLink> links() const noexcept {
     return store_->lrls(slot_);
   }
+  /// The store's shared event counts (node.* metrics).  Const actions count
+  /// too: a refused adoption is an event of is_dead().
+  NodeCounts& counts() const noexcept { return store_->counts(); }
 
   /// Largest link target t with t ≤ bound and t > r_ (rightward shortcut),
   /// or kNegInf if none; mirror for the leftward query.
@@ -262,7 +260,6 @@ class SmallWorldNode final : public sim::Process {
   std::unique_ptr<NodeStore> owned_store_;
   NodeStore* store_;       ///< hot state lives here; never null, never owned
   std::size_t slot_;       ///< this node's dense index into *store_
-  NodeMetrics* metrics_ = nullptr;           ///< optional shared sink; never owned
   InvariantTracker* tracker_ = nullptr;      ///< optional, never owned
   std::uint32_t probe_countdown_ = 0;
   // Active probe/ack failure detector (config.detector) — null unless

@@ -16,6 +16,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -33,6 +34,37 @@ struct LongRangeLink {
   Age age = 0;
 };
 
+/// Protocol event counts summed over every node of one store — the node.*
+/// counters of doc/OBSERVABILITY.md.  Nodes count into it whether or not a
+/// registry is attached; SmallWorldNetwork::attach_metrics makes the
+/// registry's counters views of it.
+struct NodeCounts {
+  std::uint64_t linearize_adoptions = 0;  ///< lin payload adopted as closer l/r
+  std::uint64_t linearize_forwards = 0;   ///< lin payload delegated onward
+  std::uint64_t lrl_moves = 0;            ///< MOVE-FORGET advanced a token
+  std::uint64_t lrl_forgets = 0;          ///< φ(α) fired: token sent home
+  std::uint64_t lrl_resets = 0;           ///< link reset to home, any cause
+  std::uint64_t ring_updates = 0;         ///< UPDATERING improved a ring edge
+  std::uint64_t probe_repairs = 0;  ///< probe dead-end repaired via linearize
+  // Active probe/ack detector (config.detector; all zero while disabled).
+  std::uint64_t detector_probes = 0;    ///< pings sent (one per watched pointer per tick)
+  std::uint64_t detector_acks = 0;      ///< pings answered with a pong
+  std::uint64_t detector_pongs = 0;     ///< pongs received (acks that survived the channel)
+  std::uint64_t detector_suspects = 0;  ///< pointers that crossed suspect_threshold
+  std::uint64_t detector_retries = 0;   ///< backoff retry pings after suspicion
+  std::uint64_t detector_evictions = 0;  ///< pointers evicted (dead id quarantined)
+  std::uint64_t detector_quarantine_hits = 0;  ///< adoptions/spreads blocked by the detector
+  std::uint64_t detector_rescues = 0;  ///< isolation rescue announcements sent
+  // In-band lookup service (src/service/, doc/SERVICE.md); all zero unless a
+  // LookupManager injects load.
+  std::uint64_t service_forwards = 0;    ///< lookups forwarded one hop
+  std::uint64_t service_hits = 0;        ///< lookups answered at their target
+  std::uint64_t service_misses = 0;      ///< lookups dead-lettered at a hop
+  std::uint64_t service_dead_skips = 0;  ///< next-hop candidates skipped as dead
+  std::uint64_t service_ttl_drops = 0;   ///< misses caused by ttl exhaustion
+  std::uint64_t service_repairs = 0;     ///< dead-end targets fed to linearization
+};
+
 class NodeStore {
  public:
   explicit NodeStore(const Config& config) : config_(config) {
@@ -41,6 +73,13 @@ class NodeStore {
 
   const Config& config() const noexcept { return config_; }
   std::size_t lrl_count() const noexcept { return config_.lrl_count; }
+
+  /// The event counts of every node that ever held a slot here.  Shared,
+  /// so registry views keep reading them after the store is gone.
+  NodeCounts& counts() noexcept { return *counts_; }
+  const std::shared_ptr<NodeCounts>& shared_counts() const noexcept {
+    return counts_;
+  }
 
   /// Allocates a slot (recycling released ones) with zeroed/neutral state;
   /// the caller initializes the protocol variables afterwards.
@@ -105,6 +144,7 @@ class NodeStore {
   }
 
   const Config config_;
+  std::shared_ptr<NodeCounts> counts_ = std::make_shared<NodeCounts>();
   std::vector<sim::Id> l_;
   std::vector<sim::Id> r_;
   std::vector<sim::Id> ring_;

@@ -1,14 +1,24 @@
 // registry.hpp — the engine-wide metrics registry.
 //
-// Every layer of the system (sim::Engine, core::SmallWorldNode,
-// routing::greedy, the experiment drivers) reports its paper observables
-// through named metrics owned by one obs::Registry per simulation/trial:
+// Every layer of the system (sim::Engine, core::SmallWorldNetwork,
+// service::LookupManager, routing::greedy, the experiment drivers) reports
+// its paper observables through named metrics in one obs::Registry per
+// simulation/trial:
 //
 //   * Counter   — monotone event count (messages delivered, lrl forgets, …)
 //   * Gauge     — last-observed level (channel depth); merges by max, so a
 //                 merged gauge reads as the high-water mark across trials
 //   * Histogram — log-scale (power-of-two buckets) distribution of a
 //                 nonnegative sample (greedy-route hops, link lengths)
+//
+// Counting by pull: the engine, the network and the lookup manager keep
+// their event counts whether or not a registry is attached, and attaching
+// makes their counters *views* of those counts (Counter::view), read when
+// the registry is read.  An attached registry therefore costs nothing on
+// the event path.  A view co-owns the block it reads, so the registry and
+// the counting component may be destroyed in either order.  Gauges and
+// histograms are pushed: their owner writes them, so the registry must be
+// alive whenever an attached component runs.
 //
 // Metric names are dot-separated lowercase paths ("engine.messages.sent");
 // the full catalog lives in doc/OBSERVABILITY.md, and the test suite fails
@@ -25,22 +35,50 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace sssw::obs {
 
-/// Monotone event counter.
+/// Monotone event counter: a tally of its own (add), plus, once bound by
+/// view(), the growth of counts its owner keeps since the binding.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept { value_ += n; }
-  std::uint64_t value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
+  std::uint64_t value() const noexcept { return value_ + viewed() - base_; }
+  /// Zeroes the counter; a view counts on from its source's current value.
+  void reset() noexcept {
+    value_ = 0;
+    base_ = viewed();
+  }
   void merge(const Counter& other) noexcept { add(other.value()); }
 
+  /// Makes this counter read the sum of `counts`: counts that only ever
+  /// grow, kept alive by `owner`.  Counting starts now (not retroactive),
+  /// and the value read so far is kept, so re-binding to a new source
+  /// accumulates across both.
+  void view(std::shared_ptr<const void> owner,
+            std::span<const std::uint64_t> counts) noexcept {
+    value_ = value();
+    owner_ = std::move(owner);
+    counts_ = counts;
+    base_ = viewed();
+  }
+
  private:
+  std::uint64_t viewed() const noexcept {
+    std::uint64_t sum = 0;
+    for (const std::uint64_t count : counts_) sum += count;
+    return sum;
+  }
+
   std::uint64_t value_ = 0;
+  std::uint64_t base_ = 0;  ///< the viewed sum at the last view() or reset()
+  std::shared_ptr<const void> owner_;
+  std::span<const std::uint64_t> counts_;
 };
 
 /// Last-observed level.  Merge keeps the maximum, so a gauge merged across
@@ -142,8 +180,9 @@ class Registry {
   /// trials were scheduled across threads.
   void merge(const Registry& other);
 
-  /// Zeroes every metric, keeping the registered names (so cached Counter*
-  /// references held by instrumented components stay valid).
+  /// Zeroes every metric, keeping the registered names (so cached metric
+  /// references held by instrumented components stay valid); views count
+  /// on from their sources' current values.
   void reset() noexcept;
 
  private:

@@ -43,20 +43,7 @@ const char* to_string(LookupStatus status) noexcept {
 }
 
 LookupMetrics::LookupMetrics(obs::Registry& registry)
-    : issued(registry.counter("service.lookup.issued")),
-      attempts(registry.counter("service.lookup.attempts")),
-      retries(registry.counter("service.lookup.retries")),
-      hedges(registry.counter("service.lookup.hedges")),
-      succeeded(registry.counter("service.lookup.succeeded")),
-      failed(registry.counter("service.lookup.failed")),
-      stale(registry.counter("service.lookup.stale")),
-      deadletter_timeout(registry.counter("service.lookup.deadletter.timeout")),
-      deadletter_no_progress(
-          registry.counter("service.lookup.deadletter.no-progress")),
-      deadletter_target_dead(
-          registry.counter("service.lookup.deadletter.target-dead")),
-      deadletter_ttl(registry.counter("service.lookup.deadletter.ttl")),
-      pending(registry.gauge("service.lookup.pending")),
+    : pending(registry.gauge("service.lookup.pending")),
       hops(registry.histogram("service.lookup.hops")),
       latency(registry.histogram("service.lookup.latency")) {}
 
@@ -75,6 +62,22 @@ LookupManager::LookupManager(core::SmallWorldNetwork& net,
 LookupManager::~LookupManager() { net_.engine().remove_round_hook(hook_); }
 
 void LookupManager::attach_metrics(obs::Registry& registry) {
+  using T = Totals;
+  static constexpr std::pair<const char*, std::uint64_t T::*> kCounters[] = {
+      {"service.lookup.issued", &T::issued},
+      {"service.lookup.attempts", &T::attempts},
+      {"service.lookup.retries", &T::retries},
+      {"service.lookup.hedges", &T::hedges},
+      {"service.lookup.succeeded", &T::succeeded},
+      {"service.lookup.failed", &T::failed},
+      {"service.lookup.stale", &T::stale},
+      {"service.lookup.deadletter.timeout", &T::deadletter_timeout},
+      {"service.lookup.deadletter.no-progress", &T::deadletter_no_progress},
+      {"service.lookup.deadletter.target-dead", &T::deadletter_target_dead},
+      {"service.lookup.deadletter.ttl", &T::deadletter_ttl},
+  };
+  for (const auto& [name, field] : kCounters)
+    registry.counter(name).view(totals_, {&((*totals_).*field), 1});
   metrics_.emplace(registry);
 }
 
@@ -93,8 +96,7 @@ std::uint64_t LookupManager::issue(sim::Id source, sim::Id target) {
   req.last_reason = core::LookupReason::kNone;
   req.live_seqs.clear();
   ++pending_;
-  ++totals_.issued;
-  if (metrics_) metrics_->issued.add();
+  ++totals_->issued;
   issue_attempt(slot, round, /*is_retry=*/false, /*is_hedge=*/false);
   return req.request;
 }
@@ -122,15 +124,13 @@ void LookupManager::drain_inboxes(std::uint64_t round) {
     for (const sim::Message& m : node->drain_service_inbox()) {
       const auto token = core::unpack_lookup_token(m.id3);
       if (!token) {
-        ++totals_.stale;
-        if (metrics_) metrics_->stale.add();
+        ++totals_->stale;
         continue;
       }
       const auto it = seq_to_slot_.find(token->seq);
       if (it == seq_to_slot_.end()) {
         // Late or duplicate response for a request that already completed.
-        ++totals_.stale;
-        if (metrics_) metrics_->stale.add();
+        ++totals_->stale;
         continue;
       }
       const std::uint32_t slot = it->second;
@@ -245,16 +245,9 @@ void LookupManager::issue_attempt(std::uint32_t slot, std::uint64_t round,
   req.live_seqs.push_back(seq);
   seq_to_slot_.emplace(seq, slot);
   ++req.wire_attempts;
-  ++totals_.attempts;
-  if (metrics_) metrics_->attempts.add();
-  if (is_retry) {
-    ++totals_.retries;
-    if (metrics_) metrics_->retries.add();
-  }
-  if (is_hedge) {
-    ++totals_.hedges;
-    if (metrics_) metrics_->hedges.add();
-  }
+  ++totals_->attempts;
+  if (is_retry) ++totals_->retries;
+  if (is_hedge) ++totals_->hedges;
   timeout_wheel_[round + config_.timeout_rounds].push_back(seq);
   if (config_.hedge_after > 0 && !is_hedge && !req.hedged) {
     hedge_wheel_[round + config_.hedge_after].emplace_back(slot,
@@ -291,38 +284,33 @@ void LookupManager::complete(std::uint32_t slot, bool ok, LookupStatus status,
   for (const std::uint64_t seq : req.live_seqs) seq_to_slot_.erase(seq);
   req.live_seqs.clear();
   const std::uint64_t latency = round - req.first_issue;
+  Totals& totals = *totals_;
   if (ok) {
-    ++totals_.succeeded;
-    totals_.hop_sum += hops;
-    totals_.latency_sum += latency;
+    ++totals.succeeded;
+    totals.hop_sum += hops;
+    totals.latency_sum += latency;
     if (metrics_) {
-      metrics_->succeeded.add();
       metrics_->hops.observe(static_cast<double>(hops));
       metrics_->latency.observe(static_cast<double>(latency));
     }
   } else {
-    ++totals_.failed;
+    ++totals.failed;
     switch (status) {
       case LookupStatus::kTimeout:
-        ++totals_.deadletter_timeout;
-        if (metrics_) metrics_->deadletter_timeout.add();
+        ++totals.deadletter_timeout;
         break;
       case LookupStatus::kNoProgress:
-        ++totals_.deadletter_no_progress;
-        if (metrics_) metrics_->deadletter_no_progress.add();
+        ++totals.deadletter_no_progress;
         break;
       case LookupStatus::kTargetDead:
-        ++totals_.deadletter_target_dead;
-        if (metrics_) metrics_->deadletter_target_dead.add();
+        ++totals.deadletter_target_dead;
         break;
       case LookupStatus::kTtlExhausted:
-        ++totals_.deadletter_ttl;
-        if (metrics_) metrics_->deadletter_ttl.add();
+        ++totals.deadletter_ttl;
         break;
       case LookupStatus::kSucceeded:
         break;
     }
-    if (metrics_) metrics_->failed.add();
   }
   if (completion_hook_) {
     LookupCompletion record;

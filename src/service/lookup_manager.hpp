@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -76,21 +77,11 @@ struct LookupCompletion {
   std::uint32_t attempts = 1;        ///< wire attempts (1 + retries + hedges)
 };
 
-/// The service.* metric bundle (doc/OBSERVABILITY.md).
+/// The pushed service.* metrics (doc/OBSERVABILITY.md); the service.*
+/// counters are views of LookupManager::Totals.
 struct LookupMetrics {
   explicit LookupMetrics(obs::Registry& registry);
 
-  obs::Counter& issued;       ///< requests issued (first attempts)
-  obs::Counter& attempts;     ///< wire attempts (first + retries + hedges)
-  obs::Counter& retries;      ///< retry attempts after a failed attempt
-  obs::Counter& hedges;       ///< hedged parallel attempts
-  obs::Counter& succeeded;    ///< requests completed with a hit
-  obs::Counter& failed;       ///< requests dead-lettered
-  obs::Counter& stale;        ///< late/duplicate responses dropped
-  obs::Counter& deadletter_timeout;      ///< failures typed kTimeout
-  obs::Counter& deadletter_no_progress;  ///< failures typed kNoProgress
-  obs::Counter& deadletter_target_dead;  ///< failures typed kTargetDead
-  obs::Counter& deadletter_ttl;          ///< failures typed kTtlExhausted
   obs::Gauge& pending;        ///< in-flight requests at round end (high-water)
   obs::Histogram& hops;       ///< hop counts of successful lookups
   obs::Histogram& latency;    ///< round latency of successful lookups
@@ -106,7 +97,11 @@ class LookupManager {
   LookupManager(const LookupManager&) = delete;
   LookupManager& operator=(const LookupManager&) = delete;
 
-  /// Binds the service.* metrics in `registry` (must outlive the manager).
+  /// Exposes the service.* metrics in `registry`: the counters become views
+  /// of totals() (not retroactive), and the pending gauge and the hop and
+  /// latency histograms are written from the round hook, so the registry
+  /// must be alive whenever the network runs with this manager.  The
+  /// registry and the manager may be destroyed in either order.
   void attach_metrics(obs::Registry& registry);
 
   /// Called once per completed request, from the sequential round hook.
@@ -128,25 +123,25 @@ class LookupManager {
 
   /// Aggregate counters, maintained whether or not a registry is attached —
   /// the deterministic digest surface for the trajectory-digest and fuzz
-  /// tests.
+  /// tests, and the counts an attached registry's service.* counters view.
   struct Totals {
-    std::uint64_t issued = 0;
-    std::uint64_t attempts = 0;
-    std::uint64_t retries = 0;
-    std::uint64_t hedges = 0;
-    std::uint64_t succeeded = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t stale = 0;
-    std::uint64_t deadletter_timeout = 0;
-    std::uint64_t deadletter_no_progress = 0;
-    std::uint64_t deadletter_target_dead = 0;
-    std::uint64_t deadletter_ttl = 0;
+    std::uint64_t issued = 0;    ///< requests issued (first attempts)
+    std::uint64_t attempts = 0;  ///< wire attempts (first + retries + hedges)
+    std::uint64_t retries = 0;   ///< retry attempts after a failed attempt
+    std::uint64_t hedges = 0;    ///< hedged parallel attempts
+    std::uint64_t succeeded = 0;  ///< requests completed with a hit
+    std::uint64_t failed = 0;     ///< requests dead-lettered
+    std::uint64_t stale = 0;      ///< late/duplicate responses dropped
+    std::uint64_t deadletter_timeout = 0;      ///< failures typed kTimeout
+    std::uint64_t deadletter_no_progress = 0;  ///< failures typed kNoProgress
+    std::uint64_t deadletter_target_dead = 0;  ///< failures typed kTargetDead
+    std::uint64_t deadletter_ttl = 0;          ///< failures typed kTtlExhausted
     std::uint64_t hop_sum = 0;      ///< over successful lookups
     std::uint64_t latency_sum = 0;  ///< over successful lookups
 
     friend bool operator==(const Totals&, const Totals&) = default;
   };
-  const Totals& totals() const noexcept { return totals_; }
+  const Totals& totals() const noexcept { return *totals_; }
 
  private:
   struct Request {
@@ -192,7 +187,8 @@ class LookupManager {
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_request_ = 0;
   std::size_t pending_ = 0;
-  Totals totals_;
+  // Shared with the registry counters that view it.
+  std::shared_ptr<Totals> totals_ = std::make_shared<Totals>();
   std::optional<LookupMetrics> metrics_;
   std::function<void(const LookupCompletion&)> completion_hook_;
   std::vector<sim::Id> enabled_sources_;  ///< sorted; only these get drained

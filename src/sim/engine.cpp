@@ -145,8 +145,7 @@ bool Engine::remove_process(Id id, bool purge_references) {
     // history must forget the departed node or a later replay would
     // resurrect a reference that fail-stop already erased.
     if (faults_) purged += faults_->purge_references(id);
-    counters_.dropped += purged;
-    if (metrics_.dropped) metrics_.dropped->add(purged);
+    counters_->dropped += purged;
   }
   // A departed process must not be woken by a stale alarm — and a node that
   // later re-joins under the same identifier must not inherit one either.
@@ -162,7 +161,7 @@ bool Engine::remove_process(Id id, bool purge_references) {
 void Engine::schedule_timer(Id id, std::uint32_t delay, std::uint64_t tag) {
   SSSW_CHECK_MSG(delay >= 1, "timers must fire at least one round out");
   SSSW_CHECK_MSG(index_.contains(id), "cannot arm a timer for an unknown process");
-  timers_[counters_.rounds + delay].push_back(Timer{id, tag});
+  timers_[counters_->rounds + delay].push_back(Timer{id, tag});
   ++timer_count_;
 }
 
@@ -174,7 +173,7 @@ void Engine::schedule_timer(Id id, std::uint32_t delay, std::uint64_t tag) {
 /// pre-timer trajectory is untouched byte for byte.  Timer actions send
 /// directly: nothing is being received yet, so there is no pass to wait for.
 void Engine::fire_due_timers() {
-  while (!timers_.empty() && timers_.begin()->first <= counters_.rounds) {
+  while (!timers_.empty() && timers_.begin()->first <= counters_->rounds) {
     due_timers_.swap(timers_.begin()->second);
     timers_.erase(timers_.begin());
     timer_count_ -= due_timers_.size();
@@ -183,10 +182,8 @@ void Engine::fire_due_timers() {
     for (const Timer& timer : due_timers_) {
       const std::size_t slot_index = index_.find(timer.id);
       if (slot_index == IdSlotTable::kNone) continue;  // gone: the alarm lapses
-      ++counters_.actions;
-      ++counters_.timers;
-      if (metrics_.actions) metrics_.actions->add();
-      if (metrics_.timers) metrics_.timers->add();
+      ++counters_->actions;
+      ++counters_->timers;
       Slot& slot = slots_[slot_index];
       Context ctx(*this, timer.id, &slot.rng, slot_index, nullptr);
       slot.process->on_timer(ctx, timer.tag);
@@ -227,8 +224,7 @@ void Engine::post(std::size_t slot_index, const Message& message) {
 void Engine::enqueue_or_drop(Id to, const Message& message) {
   const std::size_t slot_index = index_.find(to);
   if (slot_index == IdSlotTable::kNone) {
-    ++counters_.dropped;
-    if (metrics_.dropped) metrics_.dropped->add();
+    ++counters_->dropped;
     return;
   }
   post(slot_index, message);
@@ -236,8 +232,7 @@ void Engine::enqueue_or_drop(Id to, const Message& message) {
 
 void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message) {
   SSSW_DCHECK(message.type < kMaxMessageTypes);
-  ++counters_.sent_by_type[message.type];
-  if (metrics_.sent) metrics_.sent->add();
+  ++counters_->sent_by_type[message.type];
   for (const auto& [id, hook] : send_hooks_) hook(to, message);
   // Loss and fault fates draw from the *sender's* stream: each process's
   // draw sequence (its channel drain, protocol flips during its action, then
@@ -246,8 +241,7 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
   Slot& sender = slots_[from_slot];
   if (config_.message_loss > 0.0 &&
       sender.rng.bernoulli(config_.message_loss)) {
-    ++counters_.lost;
-    if (metrics_.lost) metrics_.lost->add();
+    ++counters_->lost;
     return;
   }
   if (!faults_) {
@@ -260,25 +254,15 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
   // hooks, so a trace shows what the protocol did, not what the adversary
   // fabricated.
   const FaultInjector::SendDecision decision = faults_->on_send(
-      sender.process->id(), to, message, counters_.rounds + 1, sender.rng);
-  if (decision.duplicated) {
-    ++counters_.faults.duplicated;
-    if (metrics_.faults_duplicated) metrics_.faults_duplicated->add();
-  }
-  if (decision.held > 0) {
-    counters_.faults.delayed += decision.held;
-    if (metrics_.faults_delayed) metrics_.faults_delayed->add(decision.held);
-  }
-  if (decision.partition_dropped) {
-    ++counters_.faults.partition_dropped;
-    if (metrics_.faults_partition_dropped)
-      metrics_.faults_partition_dropped->add();
-  }
+      sender.process->id(), to, message, counters_->rounds + 1, sender.rng);
+  FaultCounters& faults = counters_->faults;
+  if (decision.duplicated) ++faults.duplicated;
+  faults.delayed += decision.held;
+  if (decision.partition_dropped) ++faults.partition_dropped;
   if (decision.deliver_now) enqueue_or_drop(to, message);
   if (decision.duplicate_now) enqueue_or_drop(to, message);
   if (decision.has_replay) {
-    ++counters_.faults.replayed;
-    if (metrics_.faults_replayed) metrics_.faults_replayed->add();
+    ++faults.replayed;
     enqueue_or_drop(decision.replay_to, decision.replay_message);
   }
 }
@@ -303,11 +287,8 @@ void Engine::flush_outbox() {
 }
 
 void Engine::deliver(Slot& slot, std::size_t slot_index, const Message& message) {
-  ++counters_.deliveries;
-  ++counters_.actions;
-  if (metrics_.delivered) metrics_.delivered->add();
-  if (metrics_.actions) metrics_.actions->add();
-  for (const auto& [id, hook] : delivery_hooks_) hook(slot.process->id(), message);
+  ++counters_->deliveries;
+  ++counters_->actions;
   Context ctx(*this, slot.process->id(), &slot.rng, slot_index, nullptr);
   slot.process->on_message(ctx, message);
 }
@@ -315,13 +296,12 @@ void Engine::deliver(Slot& slot, std::size_t slot_index, const Message& message)
 /// Common per-round epilogue: bumps the round counter, refreshes the
 /// level gauges, and fires the round hooks (snapshotters poll here).
 void Engine::finish_round() {
-  ++counters_.rounds;
-  if (metrics_.rounds) {
-    metrics_.rounds->add();
-    metrics_.channel_depth->set(static_cast<double>(pending_messages()));
-    metrics_.processes->set(static_cast<double>(process_count()));
+  ++counters_->rounds;
+  if (channel_depth_gauge_ != nullptr) {
+    channel_depth_gauge_->set(static_cast<double>(pending_messages()));
+    processes_gauge_->set(static_cast<double>(process_count()));
   }
-  for (const auto& [id, hook] : round_hooks_) hook(counters_.rounds);
+  for (const auto& [id, hook] : round_hooks_) hook(counters_->rounds);
 }
 
 /// One stable counting sort on receiver slot: count, prefix-sum, scatter.
@@ -381,16 +361,11 @@ void Engine::receive_pass(ReceiptOrder order, bool sample) {
       std::reverse(batch, batch + count);
     }
     pending_total_ -= count;
-    counters_.deliveries += count;
-    counters_.actions += count;
-    if (metrics_.delivered) metrics_.delivered->add(count);
-    if (metrics_.actions) metrics_.actions->add(count);
-    const Id self = slot.process->id();
-    Context ctx(*this, self, &slot.rng, slot_index, &outbox_);
-    for (std::size_t i = 0; i < count; ++i) {
-      for (const auto& [id, hook] : delivery_hooks_) hook(self, batch[i]);
+    counters_->deliveries += count;
+    counters_->actions += count;
+    Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &outbox_);
+    for (std::size_t i = 0; i < count; ++i)
       slot.process->on_message(ctx, batch[i]);
-    }
   }
   flush_outbox();
 }
@@ -400,8 +375,7 @@ void Engine::run_synchronous_round(ReceiptOrder order) {
   // Every node executes its (always enabled) regular action.
   for (const std::size_t slot_index : order_) {
     Slot& slot = slots_[slot_index];
-    ++counters_.actions;
-    if (metrics_.actions) metrics_.actions->add();
+    ++counters_->actions;
     Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &outbox_);
     slot.process->on_regular(ctx);
   }
@@ -426,8 +400,7 @@ void Engine::run_async_round() {
     if (pick < process_count()) {
       const std::size_t slot_index = order_[pick];
       Slot& slot = slots_[slot_index];
-      ++counters_.actions;
-      if (metrics_.actions) metrics_.actions->add();
+      ++counters_->actions;
       Context ctx(*this, slot.process->id(), &slot.rng, slot_index, nullptr);
       slot.process->on_regular(ctx);
     } else {
@@ -454,7 +427,7 @@ void Engine::run_async_round() {
 /// rounds is delivered exactly `extra` rounds later than it would have been.
 void Engine::release_due_messages() {
   if (!faults_) return;
-  faults_->collect_due(counters_.rounds, released_);
+  faults_->collect_due(counters_->rounds, released_);
   for (const FaultInjector::Held& held : released_)
     enqueue_or_drop(held.to, held.message);
   released_.clear();
@@ -536,20 +509,23 @@ void Engine::for_each_pending(
 }
 
 void Engine::attach_metrics(obs::Registry& registry) {
-  metrics_.rounds = &registry.counter("engine.rounds");
-  metrics_.actions = &registry.counter("engine.actions");
-  metrics_.sent = &registry.counter("engine.messages.sent");
-  metrics_.delivered = &registry.counter("engine.messages.delivered");
-  metrics_.dropped = &registry.counter("engine.messages.dropped");
-  metrics_.lost = &registry.counter("engine.messages.lost");
-  metrics_.timers = &registry.counter("engine.timers.fired");
-  metrics_.faults_duplicated = &registry.counter("faults.messages.duplicated");
-  metrics_.faults_delayed = &registry.counter("faults.messages.delayed");
-  metrics_.faults_replayed = &registry.counter("faults.messages.replayed");
-  metrics_.faults_partition_dropped =
-      &registry.counter("faults.messages.partition-dropped");
-  metrics_.channel_depth = &registry.gauge("engine.channel.depth");
-  metrics_.processes = &registry.gauge("engine.processes");
+  const EngineCounters& c = *counters_;
+  const auto view = [&](const char* name, const std::uint64_t& count) {
+    registry.counter(name).view(counters_, {&count, 1});
+  };
+  view("engine.rounds", c.rounds);
+  view("engine.actions", c.actions);
+  registry.counter("engine.messages.sent").view(counters_, c.sent_by_type);
+  view("engine.messages.delivered", c.deliveries);
+  view("engine.messages.dropped", c.dropped);
+  view("engine.messages.lost", c.lost);
+  view("engine.timers.fired", c.timers);
+  view("faults.messages.duplicated", c.faults.duplicated);
+  view("faults.messages.delayed", c.faults.delayed);
+  view("faults.messages.replayed", c.faults.replayed);
+  view("faults.messages.partition-dropped", c.faults.partition_dropped);
+  channel_depth_gauge_ = &registry.gauge("engine.channel.depth");
+  processes_gauge_ = &registry.gauge("engine.processes");
 }
 
 namespace {
@@ -576,15 +552,7 @@ bool remove_hook(std::vector<std::pair<Engine::HookId, Hook>>& hooks,
 
 }  // namespace
 
-Engine::HookId Engine::add_delivery_hook(DeliveryHook hook) {
-  return add_hook(delivery_hooks_, next_hook_id_, std::move(hook));
-}
-
-bool Engine::remove_delivery_hook(HookId id) noexcept {
-  return remove_hook(delivery_hooks_, id);
-}
-
-Engine::HookId Engine::add_send_hook(DeliveryHook hook) {
+Engine::HookId Engine::add_send_hook(SendHook hook) {
   return add_hook(send_hooks_, next_hook_id_, std::move(hook));
 }
 

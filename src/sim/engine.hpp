@@ -165,6 +165,10 @@ struct EngineConfig {
   std::uint32_t adversary_delay = 3;
 };
 
+/// The engine's event counts.  They only ever grow: the round count is
+/// also the clock of timers, the fault hold queue and the protocol's
+/// detector, and attached registry counters are views of these fields.  To
+/// count over a window, diff two copies of Engine::counters().
 struct EngineCounters {
   std::uint64_t rounds = 0;
   std::uint64_t actions = 0;     ///< atomic actions executed (receive + regular)
@@ -265,47 +269,45 @@ class Engine {
   /// (the channel's owner), in ascending owner order and push order within
   /// one owner (random-async: the channel's storage order, which its random
   /// takes permute); messages held by the fault layer are visited after the
-  /// channel contents, in hold order.  O(n + pending).  Not for delivery
-  /// hooks: during a synchronous receive pass the receivers still to act
-  /// hold their messages in the inbox, which this does not visit.
+  /// channel contents, in hold order.  O(n + pending).  Not for use from
+  /// inside an action: during a synchronous receive pass the receivers
+  /// still to act hold their messages in the inbox, which this does not
+  /// visit.
   void for_each_pending(const std::function<void(Id to, const Message&)>& fn) const;
 
-  const EngineCounters& counters() const noexcept { return counters_; }
-  void reset_counters() noexcept { counters_ = EngineCounters{}; }
+  const EngineCounters& counters() const noexcept { return *counters_; }
 
   /// The scheduler's stream.  Protocol code should use Context::rng (its
   /// per-process stream) instead; this one decides only scheduler-level
   /// draws (the random-async action picks).
   util::Rng& rng() noexcept { return rng_; }
-  std::uint64_t round() const noexcept { return counters_.rounds; }
+  std::uint64_t round() const noexcept { return counters_->rounds; }
 
-  /// Streams this engine's events into `registry` (counter and gauge names
-  /// per doc/OBSERVABILITY.md: engine.rounds, engine.messages.sent, …).
-  /// The registry must outlive the engine or be detached first.  Metrics
-  /// accumulate from the moment of attachment; they are not retroactive.
+  /// Exposes this engine's counts in `registry` (names per
+  /// doc/OBSERVABILITY.md: engine.rounds, engine.messages.sent, …).  The
+  /// counters become views of counters(), read when the registry is read,
+  /// and count from the moment of attachment; they are not retroactive.
+  /// The two engine gauges are set at the end of every round, so the
+  /// registry must be alive whenever this engine runs a round; either may
+  /// be destroyed first.
   void attach_metrics(obs::Registry& registry);
-  void detach_metrics() noexcept { metrics_ = Metrics{}; }
 
   // --- observation hooks ------------------------------------------------
   // Hooks are *chained*: any number of observers may attach at once (a
-  // Trace, the metrics layer, a test capture) and each receives every
-  // event.  add returns a token for targeted removal, so detaching one
-  // observer never silently disables another.
+  // metrics snapshotter, a test capture) and each receives every event.
+  // add returns a token for targeted removal, so detaching one observer
+  // never silently disables another.
   //
-  // Order: a delivery hook fires as the receive action starts; a send hook
-  // fires when the send is dispatched, which for sends made during a round
-  // pass is when that pass ends; round hooks fire after the round.
-  using DeliveryHook = std::function<void(Id to, const Message&)>;
+  // Order: a send hook fires when the send is dispatched, which for sends
+  // made during a round pass is when that pass ends; round hooks fire
+  // after the round.
+  using SendHook = std::function<void(Id to, const Message&)>;
   using RoundHook = std::function<void(std::uint64_t round)>;
   using HookId = std::uint64_t;
 
-  /// Observer invoked on every delivery (for traces/tests).
-  HookId add_delivery_hook(DeliveryHook hook);
-  bool remove_delivery_hook(HookId id) noexcept;
-
-  /// Observer invoked on every send, before loss/routing (for traces and
-  /// the conformance tests' send capture).
-  HookId add_send_hook(DeliveryHook hook);
+  /// Observer invoked on every send, before loss/routing (the conformance
+  /// tests' send capture).
+  HookId add_send_hook(SendHook hook);
   bool remove_send_hook(HookId id) noexcept;
 
   /// Observer invoked at the end of every round with the new round number
@@ -339,24 +341,6 @@ class Engine {
   struct Posted {
     std::size_t slot;
     Message message;
-  };
-
-  /// Cached metric handles (registry-owned); all null when detached, so the
-  /// hot paths pay one branch.
-  struct Metrics {
-    obs::Counter* rounds = nullptr;
-    obs::Counter* actions = nullptr;
-    obs::Counter* sent = nullptr;
-    obs::Counter* delivered = nullptr;
-    obs::Counter* dropped = nullptr;
-    obs::Counter* lost = nullptr;
-    obs::Counter* timers = nullptr;
-    obs::Counter* faults_duplicated = nullptr;
-    obs::Counter* faults_delayed = nullptr;
-    obs::Counter* faults_replayed = nullptr;
-    obs::Counter* faults_partition_dropped = nullptr;
-    obs::Gauge* channel_depth = nullptr;
-    obs::Gauge* processes = nullptr;
   };
 
   /// The send path: counts the send, fires send hooks, draws the loss/fault
@@ -432,11 +416,14 @@ class Engine {
   std::vector<std::size_t> bucket_start_;
   std::size_t pending_total_ = 0;  // every queued message, kept in step
   std::vector<PendingSend> outbox_;  // the current pass's sends, reused
-  EngineCounters counters_;
-  Metrics metrics_;
+  // Shared with the registry counters that view it, so it outlives
+  // whichever of the engine and the registry goes first.
+  std::shared_ptr<EngineCounters> counters_ = std::make_shared<EngineCounters>();
+  // The pushed gauges of an attached registry; null while none is.
+  obs::Gauge* channel_depth_gauge_ = nullptr;
+  obs::Gauge* processes_gauge_ = nullptr;
   HookId next_hook_id_ = 1;
-  std::vector<std::pair<HookId, DeliveryHook>> delivery_hooks_;
-  std::vector<std::pair<HookId, DeliveryHook>> send_hooks_;
+  std::vector<std::pair<HookId, SendHook>> send_hooks_;
   std::vector<std::pair<HookId, RoundHook>> round_hooks_;
   struct Timer {
     Id id;
@@ -466,7 +453,7 @@ inline void Context::send(Id to, const Message& message) {
 inline util::Rng& Context::rng() { return *rng_; }
 
 inline std::uint64_t Context::round() const noexcept {
-  return engine_.counters_.rounds;
+  return engine_.counters_->rounds;
 }
 
 inline void Context::schedule_timer(std::uint32_t delay, std::uint64_t tag) {

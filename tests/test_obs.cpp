@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -38,6 +41,33 @@ TEST(Counter, AddValueResetMerge) {
   EXPECT_EQ(a.value(), 50u);
   a.reset();
   EXPECT_EQ(a.value(), 0u);
+}
+
+TEST(Counter, ViewCountsItsSourceFromTheBinding) {
+  auto block = std::make_shared<std::array<std::uint64_t, 2>>();
+  (*block)[0] = 5;
+  Counter c;
+  c.add(3);
+  c.view(block, *block);  // not retroactive: the 5 already counted stay out
+  EXPECT_EQ(c.value(), 3u);
+  (*block)[0] += 2;
+  (*block)[1] += 4;
+  EXPECT_EQ(c.value(), 9u);  // the view sums its span
+  c.reset();                 // re-bases the view
+  EXPECT_EQ(c.value(), 0u);
+  ++(*block)[1];
+  EXPECT_EQ(c.value(), 1u);
+  // Re-binding folds the value so far in and counts on from the new source.
+  auto next = std::make_shared<std::array<std::uint64_t, 2>>();
+  (*next)[0] = 100;
+  c.view(next, std::span<const std::uint64_t>(next->data(), 1));
+  ++(*block)[0];  // the old source no longer counts
+  (*next)[0] += 2;
+  EXPECT_EQ(c.value(), 3u);
+  // The view co-owns its source: it reads the last counts after the owner
+  // lets go.
+  next.reset();
+  EXPECT_EQ(c.value(), 3u);
 }
 
 // --- Gauge -----------------------------------------------------------------
@@ -369,16 +399,102 @@ TEST(ObsIntegration, JoinedNodesInheritTheMetricsSink) {
   EXPECT_TRUE(net.sorted_ring());
 }
 
-TEST(ObsIntegration, DetachStopsRecording) {
+TEST(ObsIntegration, AttachingIsNotRetroactive) {
   core::SmallWorldNetwork net = core::make_stable_ring({0.1, 0.5, 0.9});
+  net.run_rounds(4);
+  const sim::EngineCounters before = net.engine().counters();
   Registry registry;
   net.attach_metrics(registry);
+  EXPECT_EQ(registry.find_counter("engine.messages.delivered")->value(), 0u);
+  EXPECT_EQ(registry.find_counter("node.lrl.moves")->value(), 0u);
   net.run_rounds(4);
-  const std::uint64_t frozen =
-      registry.find_counter("engine.messages.delivered")->value();
-  net.detach_metrics();
-  net.run_rounds(4);
-  EXPECT_EQ(registry.find_counter("engine.messages.delivered")->value(), frozen);
+  EXPECT_EQ(registry.find_counter("engine.messages.delivered")->value(),
+            net.engine().counters().deliveries - before.deliveries);
+  EXPECT_EQ(registry.find_counter("engine.rounds")->value(), 4u);
+}
+
+// --- lifetimes ---------------------------------------------------------------
+// Counter views co-own the blocks they read, so a registry and the network
+// (and lookup manager) it is attached to may die in either order.  CI runs
+// these under ASan.
+
+service::LookupConfig small_lookup_load() {
+  service::LookupConfig config;
+  config.rate = 2.0;
+  return config;
+}
+
+TEST(ObsLifetime, RegistryMayDieBeforeTheNetwork) {
+  // The order of perfbench's crash unit and measure_slo: the registry is
+  // declared after the network, so it is destroyed first.
+  util::Rng rng(3);
+  core::NetworkOptions options;
+  options.protocol.detector.enabled = true;
+  core::SmallWorldNetwork net =
+      core::make_stable_ring(core::random_ids(32, rng), options);
+  auto registry = std::make_unique<Registry>();
+  net.attach_metrics(*registry);
+  std::optional<service::LookupManager> manager;
+  manager.emplace(net, small_lookup_load());
+  manager->attach_metrics(*registry);
+  net.run_rounds(32);
+  EXPECT_EQ(registry->find_counter("engine.messages.sent")->value(),
+            net.engine().counters().total_sent());
+  EXPECT_EQ(registry->find_counter("service.lookup.issued")->value(),
+            manager->totals().issued);
+  manager.reset();
+  registry.reset();
+  // The network keeps its own counts and is torn down without the registry.
+  EXPECT_EQ(net.engine().counters().rounds, 32u);
+}
+
+TEST(ObsLifetime, RegistryIsReadAfterTheNetworkIsGone) {
+  // sssw_sim's `load`: the old network is destroyed while the registry
+  // lives on, and a snapshot may be written before anything re-attaches.
+  Registry registry;
+  std::uint64_t sent = 0, deliveries = 0, issued = 0, moves = 0;
+  {
+    util::Rng rng(5);
+    core::SmallWorldNetwork net = core::make_stable_ring(core::random_ids(32, rng));
+    net.attach_metrics(registry);
+    {
+      service::LookupManager manager(net, small_lookup_load());
+      manager.attach_metrics(registry);
+      net.run_rounds(32);
+      issued = manager.totals().issued;
+    }
+    sent = net.engine().counters().total_sent();
+    deliveries = net.engine().counters().deliveries;
+    moves = registry.find_counter("node.lrl.moves")->value();
+  }
+  EXPECT_EQ(registry.find_counter("engine.messages.sent")->value(), sent);
+  EXPECT_EQ(registry.find_counter("engine.messages.delivered")->value(), deliveries);
+  EXPECT_EQ(registry.find_counter("service.lookup.issued")->value(), issued);
+  EXPECT_EQ(registry.find_counter("node.lrl.moves")->value(), moves);
+  EXPECT_GT(issued, 0u);
+  EXPECT_GT(moves, 0u);
+}
+
+TEST(ObsLifetime, ReattachingToASecondNetworkKeepsAccumulating) {
+  Registry registry;
+  util::Rng rng(9);
+  core::SmallWorldNetwork net = core::make_stable_ring(core::random_ids(16, rng));
+  net.attach_metrics(registry);
+  net.run_rounds(10);
+  const std::uint64_t first_sent = net.engine().counters().total_sent();
+  const std::uint64_t first_moves = registry.find_counter("node.lrl.moves")->value();
+  // Replace the network (move assignment destroys the old one), run it a
+  // while unattached, then attach the same registry.
+  net = core::make_stable_ring(core::random_ids(16, rng));
+  net.run_rounds(5);
+  EXPECT_EQ(registry.find_counter("engine.messages.sent")->value(), first_sent);
+  const sim::EngineCounters before = net.engine().counters();
+  net.attach_metrics(registry);
+  net.run_rounds(10);
+  EXPECT_EQ(registry.find_counter("engine.rounds")->value(), 20u);
+  EXPECT_EQ(registry.find_counter("engine.messages.sent")->value(),
+            first_sent + net.engine().counters().total_sent() - before.total_sent());
+  EXPECT_GT(registry.find_counter("node.lrl.moves")->value(), first_moves);
 }
 
 TEST(ObsIntegration, MovedNetworkKeepsReportingItsOwnGauges) {
@@ -536,6 +652,8 @@ TEST(ObsDocs, EveryEmittedMetricNameIsDocumented) {
   Registry registry;
   core::SmallWorldNetwork net = core::make_stable_ring({0.25, 0.75});
   net.attach_metrics(registry);
+  service::LookupManager lookups(net, service::LookupConfig{});
+  lookups.attach_metrics(registry);
   routing::GreedyMetrics greedy(registry);
   (void)greedy;
 
@@ -551,7 +669,8 @@ TEST(ObsDocs, EveryEmittedMetricNameIsDocumented) {
   for (const auto& [name, metric] : registry.counters()) names.push_back(name);
   for (const auto& [name, metric] : registry.gauges()) names.push_back(name);
   for (const auto& [name, metric] : registry.histograms()) names.push_back(name);
-  ASSERT_GE(names.size(), 15u);  // engine(8) + node(8) + routing(4) at least
+  // engine(13) + node(22) + invariants(4) + service(14) + routing(4)
+  ASSERT_GE(names.size(), 57u);
   for (const std::string& name : names)
     EXPECT_NE(doc.find('`' + name + '`'), std::string::npos)
         << "metric `" << name << "` is not documented in doc/OBSERVABILITY.md";

@@ -102,6 +102,23 @@ TEST(ChurnStorm, LeaveHeavyStormUsuallySurvives) {
   EXPECT_GE(survived, 2);
 }
 
+TEST(ChurnStorm, DetectorKeepsProbingThroughTheStorm) {
+  // The storm's message rate is counted against a copy of the engine's
+  // counts; the round clock, which also drives the detector's probe timers,
+  // never goes back.  So with the detector on, its pings and pongs add to
+  // the storm's traffic however long the burn-in was.
+  ChurnStormOptions options;
+  options.n = 64;
+  options.events = 16;
+  options.event_interval = 4;
+  options.burn_in_rounds = 256;
+  options.seed = 7;
+  const double off = run_churn_storm(options).messages_per_node_round;
+  options.protocol.detector.enabled = true;
+  const double on = run_churn_storm(options).messages_per_node_round;
+  EXPECT_GT(on, off + 0.5);
+}
+
 TEST(ChurnStorm, DeterministicGivenSeed) {
   ChurnStormOptions options;
   options.n = 32;
