@@ -65,6 +65,34 @@ BENCHMARK(BM_Engine_ActionThroughput)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// The detector-on protocol path of E15's deployment: every node pings its
+// 3 + k stored pointers each probe period, and every adoption, link move,
+// probe step and lookup hop first asks the detector whether the id is dead.
+// A stable ring with k = 8 links, the active detector and the registry
+// attached, burnt in for four probe periods so every pointer is watched;
+// then one synchronous round per iteration.
+void BM_Engine_DetectorRound(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(bench::kBaseSeed);
+  core::NetworkOptions options;
+  options.seed = bench::kBaseSeed;
+  options.protocol.lrl_count = 8;
+  options.protocol.detector.enabled = true;
+  core::SmallWorldNetwork network =
+      core::make_stable_ring(core::random_ids(n, rng), options);
+  obs::Registry registry;
+  network.attach_metrics(registry);
+  network.run_rounds(4 * options.protocol.detector.probe_period);
+  const std::uint64_t burn_in = network.engine().counters().actions;
+  for (auto _ : state) network.run_rounds(1);
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      network.engine().counters().actions - burn_in));
+  bench::report_registry(state, registry);
+}
+BENCHMARK(BM_Engine_DetectorRound)->Arg(512)->Arg(10000)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // Million-node headline run: build a stable ring of 10^6 nodes (bulk construction is O(1) amortized per node
 // when ids arrive sorted), then knock EVERY node's l and r pointers up to
 // 64 ranks off — in-domain damage (l stays < id < r; the paper's variable

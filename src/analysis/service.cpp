@@ -36,7 +36,6 @@ Walk walk_pair(const core::SmallWorldNetwork& network, sim::Id source,
     candidates[count++] = node->r();
     candidates[count++] = node->ring();
     for (const core::LongRangeLink& link : node->lrls()) {
-      if (count == candidates.size()) break;
       candidates[count++] = link.target;
     }
     const routing::NextHop hop = routing::select_next_hop(

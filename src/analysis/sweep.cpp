@@ -181,7 +181,8 @@ std::optional<AblationSpec> parse_ablation_spec(const std::string& spec) {
   }
   if (kind == "multilink" || kind == "probe-interval") {
     std::uint64_t count = 0;
-    if (parts.size() != 2 || !parse_u64(parts[1], &count) || count == 0)
+    if (parts.size() != 2 || !parse_u64(parts[1], &count) || count == 0 ||
+        (kind == "multilink" && count > core::kMaxLrlCount))
       return std::nullopt;
     if (kind == "multilink")
       out.config.lrl_count = static_cast<std::uint32_t>(count);

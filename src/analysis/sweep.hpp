@@ -58,6 +58,7 @@ struct FaultSpec {
 /// One ablation-axis entry, parsed from:
 ///   full | no-shortcut | no-move-forget | no-probing | detector |
 ///   eps:X | multilink:K | probe-interval:K
+/// (K ≥ 1; multilink's K at most core::kMaxLrlCount).
 struct AblationSpec {
   std::string canonical = "full";
   core::Config config{};

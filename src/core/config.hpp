@@ -9,6 +9,12 @@
 
 namespace sssw::core {
 
+/// Most long-range links a node may hold (Config::lrl_count).  A lookup hop
+/// gathers l, r, ring and every link into one routing::kMaxNextHopCandidates
+/// array (core/node_store.hpp ties the two), so a link past this bound
+/// would be watched and probed but never routed on.
+inline constexpr std::uint32_t kMaxLrlCount = 13;
+
 /// Active failure detector (probe/ack liveness over stored pointers).
 ///
 /// Disabled by default: with `enabled == false` no node allocates a
@@ -66,6 +72,7 @@ struct Config {
   /// responder's identity (Message::id3) so the origin can match the
   /// response to the right link.  More links buy shorter greedy routes for
   /// proportionally more degree and inclrl/reslrl traffic (bench_ablation).
+  /// At most kMaxLrlCount; NodeStore rejects more at construction.
   std::uint32_t lrl_count = 1;
 
   /// Crash-stop failure detector (extension; defaults off = paper

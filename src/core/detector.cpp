@@ -17,6 +17,7 @@ FailureDetector::FailureDetector(sim::Id self, const DetectorConfig& config,
 }
 
 void FailureDetector::reset(Monitor& m, sim::Id target) {
+  if (suspected(m)) --suspects_;
   m.target = target;
   m.view_l = sim::kNegInf;
   m.view_r = sim::kPosInf;
@@ -35,6 +36,7 @@ void FailureDetector::tick(std::uint64_t now, std::span<const sim::Id> pointers)
     Monitor& m = monitors_[role];
     const sim::Id current = pointers[role];
     if (!sim::is_node_id(current) || current == self_) {
+      if (suspected(m)) --suspects_;
       m.target = sim::kPosInf;  // slot idle; nothing to watch
       continue;
     }
@@ -45,8 +47,9 @@ void FailureDetector::tick(std::uint64_t now, std::span<const sim::Id> pointers)
       // ping still in flight resets the counter, so only *consecutive*
       // silence accumulates.
       ++m.missed;
-      probes_.push_back(
-          Probe{current, false, m.missed == config_.suspect_threshold});
+      const bool crossed = m.missed == config_.suspect_threshold;
+      if (crossed) ++suspects_;
+      probes_.push_back(Probe{current, false, crossed});
       continue;
     }
     // Suspected: bounded retries with exponential backoff, then eviction.
@@ -70,6 +73,7 @@ void FailureDetector::on_pong(sim::Id responder, sim::Id view_l,
                               sim::Id view_r) {
   for (Monitor& m : monitors_) {
     if (m.target != responder) continue;
+    if (suspected(m)) --suspects_;
     m.missed = 0;
     m.retries = 0;
     m.cooldown = 0;
@@ -81,6 +85,7 @@ void FailureDetector::on_pong(sim::Id responder, sim::Id view_l,
 
 void FailureDetector::quarantine(sim::Id id, std::uint64_t now) {
   const std::uint64_t expiry = now + config_.quarantine_rounds;
+  quarantine_horizon_ = std::max(quarantine_horizon_, expiry);
   for (auto& [dead, until] : dead_) {
     if (dead == id) {
       until = std::max(until, expiry);  // refresh, don't duplicate
@@ -93,15 +98,15 @@ void FailureDetector::quarantine(sim::Id id, std::uint64_t now) {
   dead_.emplace_back(id, expiry);
 }
 
-bool FailureDetector::is_quarantined(sim::Id id,
-                                     std::uint64_t now) const noexcept {
+bool FailureDetector::scan_quarantined(sim::Id id,
+                                       std::uint64_t now) const noexcept {
   for (const auto& [dead, until] : dead_) {
     if (dead == id && now < until) return true;
   }
   return false;
 }
 
-std::size_t FailureDetector::quarantined_count(
+std::size_t FailureDetector::count_quarantined(
     std::uint64_t now) const noexcept {
   std::size_t count = 0;
   for (const auto& [dead, until] : dead_) {
@@ -110,7 +115,7 @@ std::size_t FailureDetector::quarantined_count(
   return count;
 }
 
-bool FailureDetector::is_suspect(sim::Id target) const noexcept {
+bool FailureDetector::scan_suspect(sim::Id target) const noexcept {
   if (!sim::is_node_id(target)) return false;
   for (const Monitor& m : monitors_) {
     if (m.target == target && m.missed >= config_.suspect_threshold) {

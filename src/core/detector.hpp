@@ -85,15 +85,26 @@ class FailureDetector {
   /// state of every role currently watching `responder`.
   void on_pong(sim::Id responder, sim::Id view_l, sim::Id view_r);
 
+  // The three queries below guard every adoption, link move, probe step
+  // and lookup hop, and nearly always answer "no".  Two exact summaries
+  // answer that case in O(1); the scans run only while a suspect exists or
+  // a quarantine expiry still lies ahead.
+
   /// True while `id` sits on the dead-id quarantine list at round `now`.
-  bool is_quarantined(sim::Id id, std::uint64_t now) const noexcept;
+  bool is_quarantined(sim::Id id, std::uint64_t now) const noexcept {
+    return now < quarantine_horizon_ && scan_quarantined(id, now);
+  }
 
   /// Number of ids quarantined at round `now` (for the obs gauge).
-  std::size_t quarantined_count(std::uint64_t now) const noexcept;
+  std::size_t quarantined_count(std::uint64_t now) const noexcept {
+    return now < quarantine_horizon_ ? count_quarantined(now) : 0;
+  }
 
   /// True if any role currently holds `target` at suspect_threshold or
   /// beyond (the node should stop routing through it while retries run).
-  bool is_suspect(sim::Id target) const noexcept;
+  bool is_suspect(sim::Id target) const noexcept {
+    return suspects_ > 0 && scan_suspect(target);
+  }
 
  private:
   /// Per-pointer-slot liveness state.  `target` is the pointer value the
@@ -112,6 +123,14 @@ class FailureDetector {
 
   void reset(Monitor& m, sim::Id target);
   void quarantine(sim::Id id, std::uint64_t now);
+  /// The monitors suspects_ counts: a finite target at or past the
+  /// threshold (an idle slot keeps its stale `missed`).
+  bool suspected(const Monitor& m) const noexcept {
+    return sim::is_node_id(m.target) && m.missed >= config_.suspect_threshold;
+  }
+  bool scan_quarantined(sim::Id id, std::uint64_t now) const noexcept;
+  std::size_t count_quarantined(std::uint64_t now) const noexcept;
+  bool scan_suspect(sim::Id target) const noexcept;
 
   sim::Id self_;
   DetectorConfig config_;
@@ -120,6 +139,12 @@ class FailureDetector {
   std::vector<Eviction> evictions_;
   /// Bounded FIFO of (dead id, expiry round); refreshed if re-evicted.
   std::vector<std::pair<sim::Id, std::uint64_t>> dead_;
+  /// Monitors for which suspected() holds; kept exact at every write to a
+  /// monitor's `target` or `missed`.
+  std::size_t suspects_ = 0;
+  /// The latest expiry quarantine() ever set: from this round on no entry
+  /// of dead_ is live.
+  std::uint64_t quarantine_horizon_ = 0;
 };
 
 }  // namespace sssw::core

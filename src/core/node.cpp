@@ -440,7 +440,7 @@ void SmallWorldNode::move_forget(sim::Context& ctx, Id id1, Id id2, Id responder
   Age& max_seen = store_->max_age(slot_);
   if (link->age > max_seen) max_seen = link->age;
   ++counts().lrl_moves;
-  if (ctx.rng().bernoulli(forget_probability(link->age, config().epsilon))) {
+  if (ctx.rng().bernoulli(store_->forget_probability(link->age))) {
     link->target = id_;  // the token restarts its walk from the origin
     link->age = 0;
     ++store_->forgets(slot_);
@@ -618,16 +618,14 @@ void SmallWorldNode::handle_lookup(sim::Context& ctx, const sim::Message& m) {
     miss(LookupReason::kTtlExhausted);
     return;
   }
-  // Candidates in the canonical l, r, ring, lrl order (next_hop.hpp).
+  // Candidates in the canonical l, r, ring, lrl order (next_hop.hpp); the
+  // store's kMaxLrlCount bound makes every link fit.
   std::array<Id, routing::kMaxNextHopCandidates> candidates;
   std::size_t count = 0;
   candidates[count++] = lv();
   candidates[count++] = rv();
   candidates[count++] = ringv();
-  for (const LongRangeLink& link : links()) {
-    if (count == candidates.size()) break;
-    candidates[count++] = link.target;
-  }
+  for (const LongRangeLink& link : links()) candidates[count++] = link.target;
   // Graceful degradation: suspected/quarantined hops are skipped (counted)
   // and the best remaining pointer carries the lookup around the damage.
   const auto dead = [this](Id id) {

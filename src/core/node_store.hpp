@@ -22,10 +22,15 @@
 
 #include "core/config.hpp"
 #include "core/forget.hpp"
+#include "routing/next_hop.hpp"
 #include "sim/id.hpp"
 #include "util/check.hpp"
 
 namespace sssw::core {
+
+// l, r and ring plus every link must fit one lookup hop's candidate array.
+static_assert(3 + kMaxLrlCount <= routing::kMaxNextHopCandidates,
+              "kMaxLrlCount links do not fit the next-hop candidate array");
 
 /// One long-range link: the endpoint of its token's walk plus its age.
 /// (Also aliased as SmallWorldNode::LongRangeLink for existing call sites.)
@@ -69,6 +74,8 @@ class NodeStore {
  public:
   explicit NodeStore(const Config& config) : config_(config) {
     SSSW_CHECK_MSG(config_.lrl_count >= 1, "lrl_count must be at least 1");
+    SSSW_CHECK_MSG(config_.lrl_count <= kMaxLrlCount,
+                   "lrl_count must be at most kMaxLrlCount (13)");
   }
 
   const Config& config() const noexcept { return config_; }
@@ -133,6 +140,27 @@ class NodeStore {
     return {lrls_.data() + s * config_.lrl_count, config_.lrl_count};
   }
 
+  /// Ages whose φ the store tables: 32 KB at most, and a link survives to
+  /// this age with probability about 3·10⁻⁵ at ε = 0.1.
+  static constexpr Age kForgetCacheAges = 4096;
+
+  /// φ(age) for this store's ε, bit-identical to core::forget_probability,
+  /// so no Bernoulli draw moves.  Ages below kForgetCacheAges read a table
+  /// that grows on first use up to the age asked for, so a store whose
+  /// links stay young fills only a few entries; older ages evaluate the
+  /// formula.
+  double forget_probability(Age age) {
+    if (age < forget_cache_.size()) return forget_cache_[age];
+    if (age >= kForgetCacheAges) {
+      return core::forget_probability(age, config_.epsilon);
+    }
+    while (forget_cache_.size() <= age) {
+      forget_cache_.push_back(
+          core::forget_probability(forget_cache_.size(), config_.epsilon));
+    }
+    return forget_cache_[age];
+  }
+
  private:
   void reset(std::size_t slot) noexcept {
     l_[slot] = sim::kNegInf;
@@ -152,6 +180,7 @@ class NodeStore {
   std::vector<std::uint64_t> forgets_;
   std::vector<Age> max_age_;
   std::vector<std::size_t> free_;
+  std::vector<double> forget_cache_;  ///< φ(a) for every a < size()
 };
 
 }  // namespace sssw::core

@@ -15,6 +15,7 @@
 #include "core/messages.hpp"
 #include "core/network.hpp"
 #include "obs/registry.hpp"
+#include "support/reference_detector.hpp"
 #include "topology/initial_states.hpp"
 #include "util/rng.hpp"
 
@@ -126,6 +127,91 @@ TEST(FailureDetector, QuarantineIsBoundedFifoWithRefresh) {
   EXPECT_TRUE(det.is_quarantined(0.2, t3));
   EXPECT_TRUE(det.is_quarantined(0.3, t3));
   EXPECT_EQ(det.quarantined_count(t3), 2u);
+}
+
+// The O(1) summaries (a count of suspected monitors, the latest quarantine
+// expiry) may only skip scans whose answer they already know.  Drive the
+// production detector and the scan-only reference through the same random
+// ticks and pongs and compare every output and every answer after each step.
+TEST(FailureDetector, SummariesAnswerLikeTheScanOnlyReference) {
+  const DetectorConfig config = small_config();  // capacity 2, 20 rounds
+  constexpr std::uint32_t kLinks = 3;
+  const Id self = 0.5;
+  FailureDetector det(self, config, kLinks);
+  testing::ReferenceDetector ref(self, config, kLinks);
+  const std::vector<Id> ids = {0.1, 0.2, 0.3, 0.6, 0.7, 0.8};
+  std::vector<Id> pool = ids;  // what a pointer or a query may hold
+  pool.insert(pool.end(), {sim::kNegInf, sim::kPosInf, self});
+  std::vector<Id> pointers(FailureDetector::kRoleLrlBase + kLinks, sim::kPosInf);
+  std::vector<std::uint64_t> expiry(ids.size(), 0);  // latest set per id
+  util::Rng rng(20120521);
+  std::uint64_t now = 0;
+  std::size_t suspicions = 0, evictions = 0, refreshes = 0, drops = 0,
+              expiries = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (rng.coin()) {
+      // A tick: most pointers stay put (so silence can reach eviction),
+      // a few move, and time advances 1-8 rounds.
+      for (Id& p : pointers) {
+        if (rng.below(10) == 0) p = pool[rng.below(pool.size())];
+      }
+      std::vector<bool> was_quarantined(ids.size());
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        was_quarantined[i] = ref.is_quarantined(ids[i], now);
+      }
+      now += 1 + rng.below(8);
+      det.tick(now, pointers);
+      ref.tick(now, pointers);
+      ASSERT_EQ(det.probes().size(), ref.probes().size()) << "step " << step;
+      for (std::size_t i = 0; i < ref.probes().size(); ++i) {
+        EXPECT_EQ(det.probes()[i].target, ref.probes()[i].target);
+        EXPECT_EQ(det.probes()[i].retry, ref.probes()[i].retry);
+        EXPECT_EQ(det.probes()[i].suspect, ref.probes()[i].suspect);
+        suspicions += ref.probes()[i].suspect ? 1 : 0;
+      }
+      ASSERT_EQ(det.evictions().size(), ref.evictions().size())
+          << "step " << step;
+      for (std::size_t i = 0; i < ref.evictions().size(); ++i) {
+        const auto& ev = ref.evictions()[i];
+        EXPECT_EQ(det.evictions()[i].role, ev.role);
+        EXPECT_EQ(det.evictions()[i].target, ev.target);
+        EXPECT_EQ(det.evictions()[i].via_l, ev.via_l);
+        EXPECT_EQ(det.evictions()[i].via_r, ev.via_r);
+        const auto at = std::find(ids.begin(), ids.end(), ev.target);
+        ASSERT_NE(at, ids.end());
+        const auto k = static_cast<std::size_t>(at - ids.begin());
+        ++evictions;
+        refreshes += was_quarantined[k] ? 1 : 0;
+        expiry[k] = now + config.quarantine_rounds;
+        std::replace(pointers.begin(), pointers.end(), ev.target,
+                     sim::kPosInf);  // the node purges the dead id
+      }
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (!was_quarantined[i] || ref.is_quarantined(ids[i], now)) continue;
+        ++(expiry[i] <= now ? expiries : drops);  // drop: FIFO overflow
+      }
+    } else {
+      const Id responder = pool[rng.below(pool.size())];
+      const Id view_l = pool[rng.below(pool.size())];
+      const Id view_r = pool[rng.below(pool.size())];
+      det.on_pong(responder, view_l, view_r);
+      ref.on_pong(responder, view_l, view_r);
+    }
+    for (const Id id : pool) {
+      ASSERT_EQ(det.is_suspect(id), ref.is_suspect(id))
+          << "step " << step << " id " << id;
+      ASSERT_EQ(det.is_quarantined(id, now), ref.is_quarantined(id, now))
+          << "step " << step << " id " << id;
+    }
+    ASSERT_EQ(det.quarantined_count(now), ref.quarantined_count(now))
+        << "step " << step;
+  }
+  // The walk reached every path the summaries shortcut.
+  EXPECT_GT(suspicions, 100u);
+  EXPECT_GT(evictions, 100u);
+  EXPECT_GT(refreshes, 0u);
+  EXPECT_GT(drops, 0u);
+  EXPECT_GT(expiries, 0u);
 }
 
 // --- the baseline wedge (regression satellite) -----------------------------

@@ -1,9 +1,12 @@
-// Tests for core/forget: φ(α) values and the telescoped survival law.
+// Tests for core/forget: φ(α) values, the telescoped survival law, and the
+// NodeStore's φ table that move-and-forget reads.
 #include "core/forget.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+
+#include "core/node_store.hpp"
 
 namespace sssw::core {
 namespace {
@@ -95,6 +98,37 @@ TEST(Survival, HeavyTail) {
   // The expected age is huge: survival decays only slightly faster than 1/α,
   // so P[age > 10^4] is still ~10^-4·polylog — not exponentially small.
   EXPECT_GT(survival_probability(10000, kEps), 1e-5);
+}
+
+// The store's table must be the formula, bit for bit: a φ that differed in
+// the last place would flip a Bernoulli draw somewhere and move a pinned
+// trajectory.  Cover the whole table and 64 ages past its bound.
+TEST(ForgetCache, IsTheFormulaBitForBit) {
+  for (const double epsilon : {0.1, 0.5}) {
+    Config config;
+    config.epsilon = epsilon;
+    NodeStore store(config);
+    for (Age age = 0; age < NodeStore::kForgetCacheAges + 64; ++age) {
+      EXPECT_EQ(store.forget_probability(age), forget_probability(age, epsilon))
+          << "eps " << epsilon << " age " << age;
+    }
+  }
+}
+
+TEST(ForgetCache, FillOrderDoesNotMatter) {
+  // First lookup at the table's last age fills it at once; then read it
+  // back from past the bound down to 0.
+  for (const double epsilon : {0.1, 0.5}) {
+    Config config;
+    config.epsilon = epsilon;
+    NodeStore store(config);
+    const Age last = NodeStore::kForgetCacheAges - 1;
+    EXPECT_EQ(store.forget_probability(last), forget_probability(last, epsilon));
+    for (Age age = NodeStore::kForgetCacheAges + 64; age-- > 0;) {
+      EXPECT_EQ(store.forget_probability(age), forget_probability(age, epsilon))
+          << "eps " << epsilon << " age " << age;
+    }
+  }
 }
 
 }  // namespace

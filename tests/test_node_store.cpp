@@ -101,6 +101,17 @@ TEST(NodeStore, StandaloneNodeOwnsAPrivateStore) {
   EXPECT_EQ(b.r(), sim::kPosInf);
 }
 
+TEST(NodeStore, RejectsMoreLinksThanALookupHopRoutesOn) {
+  // l, r, ring and 13 links fill routing::kMaxNextHopCandidates; a 14th
+  // link would be watched and probed but never routed on.
+  Config config;
+  config.lrl_count = kMaxLrlCount;
+  NodeStore most(config);
+  EXPECT_EQ(most.lrl_count(), 13u);
+  config.lrl_count = kMaxLrlCount + 1;
+  EXPECT_DEATH({ NodeStore store(config); }, "lrl_count must be at most");
+}
+
 TEST(NodeStore, GrowthPreservesExistingSlots) {
   Config config;
   NodeStore store(config);

@@ -145,6 +145,18 @@ TEST(SweepConfig, FaultSpecsCanonicalize) {
   EXPECT_FALSE(parse_fault_spec("dup").has_value());
 }
 
+TEST(SweepConfig, MultilinkCountIsBounded) {
+  // A lookup hop routes on l, r, ring and at most core::kMaxLrlCount links;
+  // a larger count would build nodes that probe links no lookup uses.
+  const auto most = parse_ablation_spec("multilink:13");
+  ASSERT_TRUE(most.has_value());
+  EXPECT_EQ(most->config.lrl_count, core::kMaxLrlCount);
+  EXPECT_EQ(most->canonical, "multilink:13");
+  EXPECT_FALSE(parse_ablation_spec("multilink:14").has_value());
+  EXPECT_FALSE(parse_ablation_spec("multilink:0").has_value());
+  EXPECT_TRUE(parse_ablation_spec("probe-interval:14").has_value());
+}
+
 // --- Expansion, collapsing, hashing ----------------------------------------
 
 SweepConfig tiny_config(const std::string& seeds = "seeds = 7\n") {
