@@ -4,22 +4,37 @@
 // substrate every experiment runs on: rounds/sec for stable rings of various
 // sizes, per-scheduler action throughput (which covers the channel path),
 // and graph-view extraction cost.
+#include <benchmark/benchmark.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "analysis/convergence.hpp"
 #include "core/invariants.hpp"
 #include "core/node.hpp"
 #include "core/views.hpp"
+#include "obs/registry.hpp"
 #include "topology/initial_states.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 using namespace sssw;
 
+/// Fixed base seed: every row is reproducible run-to-run.
+constexpr std::uint64_t kBaseSeed = 20120521;
+
+/// Publishes every metric of `registry` as a google-benchmark counter under
+/// its flat registry name (obs::flatten, the rule sweep cells use too).
+void report_registry(benchmark::State& state, const obs::Registry& registry) {
+  for (const auto& [name, value] : obs::flatten(registry))
+    state.counters[name] = value;
+}
+
 void BM_Engine_StableRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  core::SmallWorldNetwork network = bench::stabilized(n, bench::kBaseSeed, 8);
+  core::SmallWorldNetwork network = analysis::stabilized_network(n, kBaseSeed, 8);
   for (auto _ : state) network.run_rounds(1);
   const auto& counters = network.engine().counters();
   state.SetItemsProcessed(static_cast<std::int64_t>(counters.actions));
@@ -41,9 +56,9 @@ BENCHMARK(BM_Engine_StableRound)->Arg(100)->Arg(1000)->Arg(10000)
 void BM_Engine_ActionThroughput(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto kind = static_cast<sim::SchedulerKind>(state.range(1));
-  util::Rng rng(bench::kBaseSeed);
+  util::Rng rng(kBaseSeed);
   core::NetworkOptions options;
-  options.seed = bench::kBaseSeed;
+  options.seed = kBaseSeed;
   options.scheduler = kind;
   options.async_actions_per_round = 4096;
   core::SmallWorldNetwork network =
@@ -54,7 +69,7 @@ void BM_Engine_ActionThroughput(benchmark::State& state) {
   state.SetLabel(sim::to_string(kind));
   state.SetItemsProcessed(static_cast<std::int64_t>(
       registry.find_counter("engine.actions")->value()));
-  bench::report_registry(state, registry);
+  report_registry(state, registry);
 }
 BENCHMARK(BM_Engine_ActionThroughput)
     ->ArgsProduct({{1000, 10000, 100000},
@@ -73,9 +88,9 @@ BENCHMARK(BM_Engine_ActionThroughput)
 // then one synchronous round per iteration.
 void BM_Engine_DetectorRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(bench::kBaseSeed);
+  util::Rng rng(kBaseSeed);
   core::NetworkOptions options;
-  options.seed = bench::kBaseSeed;
+  options.seed = kBaseSeed;
   options.protocol.lrl_count = 8;
   options.protocol.detector.enabled = true;
   core::SmallWorldNetwork network =
@@ -87,7 +102,7 @@ void BM_Engine_DetectorRound(benchmark::State& state) {
   for (auto _ : state) network.run_rounds(1);
   state.SetItemsProcessed(static_cast<std::int64_t>(
       network.engine().counters().actions - burn_in));
-  bench::report_registry(state, registry);
+  report_registry(state, registry);
 }
 BENCHMARK(BM_Engine_DetectorRound)->Arg(512)->Arg(10000)
     ->UseRealTime()
@@ -106,9 +121,9 @@ void BM_Engine_MillionNodeRecovery(benchmark::State& state) {
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    util::Rng rng(bench::kBaseSeed);
+    util::Rng rng(kBaseSeed);
     core::NetworkOptions options;
-    options.seed = bench::kBaseSeed;
+    options.seed = kBaseSeed;
     core::SmallWorldNetwork network =
         core::make_stable_ring(core::random_ids(n, rng), options);
     const auto span = network.engine().id_span();
@@ -140,7 +155,7 @@ BENCHMARK(BM_Engine_MillionNodeRecovery)
 
 void BM_Views_ExtractCp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  core::SmallWorldNetwork network = bench::stabilized(n, bench::kBaseSeed, 8);
+  core::SmallWorldNetwork network = analysis::stabilized_network(n, kBaseSeed, 8);
   const core::IdIndex index = network.make_index();
   for (auto _ : state) {
     auto graph = core::view_cp(network.engine(), index);
@@ -153,7 +168,7 @@ BENCHMARK(BM_Views_ExtractCp)->Arg(1000)->Arg(10000)->Unit(benchmark::kMicroseco
 
 void BM_Invariant_SortedRingCheck(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  core::SmallWorldNetwork network = bench::stabilized(n, bench::kBaseSeed, 0);
+  core::SmallWorldNetwork network = analysis::stabilized_network(n, kBaseSeed, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(network.sorted_ring());
   }
@@ -202,7 +217,7 @@ void BM_Convergence_RunUntilSortedList(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     core::SmallWorldNetwork network = chain_network(
-        n, bench::kBaseSeed + n, sim::SchedulerKind::kSynchronous, 0);
+        n, kBaseSeed + n, sim::SchedulerKind::kSynchronous, 0);
     state.ResumeTiming();
     if (mode == OracleMode::kRecompute) {
       sim::Engine& engine = network.engine();
@@ -251,7 +266,7 @@ void BM_Convergence_ObservedRun(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     core::SmallWorldNetwork network = chain_network(
-        n, bench::kBaseSeed + n, sim::SchedulerKind::kRandomAsync, kSlice);
+        n, kBaseSeed + n, sim::SchedulerKind::kRandomAsync, kSlice);
     state.ResumeTiming();
     slices = 0;
     bool converged = false;
@@ -316,7 +331,7 @@ BENCHMARK(BM_Convergence_ObservedRun)
 void BM_Convergence_CheckEval(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto mode = static_cast<OracleMode>(state.range(1));
-  core::SmallWorldNetwork network = bench::stabilized(n, bench::kBaseSeed, 8);
+  core::SmallWorldNetwork network = analysis::stabilized_network(n, kBaseSeed, 8);
   if (mode == OracleMode::kRecompute) {
     for (auto _ : state) {
       benchmark::DoNotOptimize(core::is_sorted_ring(network.engine()));

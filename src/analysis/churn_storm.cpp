@@ -1,19 +1,17 @@
 #include "analysis/churn_storm.hpp"
 
+#include "analysis/convergence.hpp"
+#include "core/invariants.hpp"
 #include "core/network.hpp"
 #include "util/rng.hpp"
 
 namespace sssw::analysis {
 
 ChurnStormResult run_churn_storm(const ChurnStormOptions& options) {
-  util::Rng rng(options.seed);
-  core::NetworkOptions net_options;
-  net_options.protocol = options.protocol;
-  net_options.seed = options.seed;
-  core::SmallWorldNetwork network =
-      core::make_stable_ring(core::random_ids(options.n, rng), net_options);
-  network.run_rounds(options.burn_in_rounds == 0 ? 4 * options.n
-                                                 : options.burn_in_rounds);
+  core::SmallWorldNetwork network = stabilized_network(
+      options.n, options.seed,
+      options.burn_in_rounds == 0 ? 4 * options.n : options.burn_in_rounds,
+      options.protocol);
 
   util::Rng event_rng(options.seed ^ 0x73746f726dull);  // "storm"
   const std::uint64_t sent_before = network.engine().counters().total_sent();
@@ -48,9 +46,14 @@ ChurnStormResult run_churn_storm(const ChurnStormOptions& options) {
                 static_cast<double>(network.size()) / storm_rounds
           : 0.0;
 
-  const auto quiesce = network.run_until_sorted_ring(options.max_quiesce_rounds);
-  result.survived = quiesce.has_value();
-  result.quiesce_rounds = quiesce.value_or(0);
+  // A storm that split the CC graph can never re-form the ring (no node of
+  // one part holds or receives a reference to the other), so it has not
+  // survived; the quiesce budget is spent only on networks that can heal.
+  if (core::cc_weakly_connected(network.engine())) {
+    const auto quiesce = network.run_until_sorted_ring(options.max_quiesce_rounds);
+    result.survived = quiesce.has_value();
+    result.quiesce_rounds = quiesce.value_or(0);
+  }
   result.final_size = network.size();
   return result;
 }

@@ -26,21 +26,24 @@ struct ChurnTrial {
   double messages = 0.0;
 };
 
-/// Builds a stabilized ring of n random ids and burns in move-and-forget.
+std::size_t churn_burn_in(const ChurnOptions& options) {
+  return options.burn_in_rounds == 0 ? 4 * options.n : options.burn_in_rounds;
+}
+
+}  // namespace
+
 SmallWorldNetwork stabilized_network(std::size_t n, std::uint64_t seed,
-                                     const core::Config& protocol,
-                                     std::size_t burn_in_rounds) {
+                                     std::size_t burn_in_rounds,
+                                     const core::Config& protocol) {
   util::Rng rng(seed);
   auto ids = core::random_ids(n, rng);
   NetworkOptions options;
   options.protocol = protocol;
   options.seed = seed;
   SmallWorldNetwork network = core::make_stable_ring(std::move(ids), options);
-  network.run_rounds(burn_in_rounds == 0 ? 4 * n : burn_in_rounds);
+  network.run_rounds(burn_in_rounds);
   return network;
 }
-
-}  // namespace
 
 ConvergenceResult measure_convergence(topology::InitialShape shape,
                                       const ConvergenceOptions& options) {
@@ -96,7 +99,7 @@ ConvergenceResult measure_convergence(topology::InitialShape shape,
 ChurnResult measure_join(const ChurnOptions& options) {
   const auto trial_fn = [&](std::size_t, std::uint64_t seed) {
     SmallWorldNetwork network =
-        stabilized_network(options.n, seed, options.protocol, options.burn_in_rounds);
+        stabilized_network(options.n, seed, churn_burn_in(options), options.protocol);
     util::Rng rng(seed ^ 0x6a6f696eull);  // independent stream for the event
 
     // Draw a fresh id and a uniformly random contact.  (Span: the contact
@@ -141,7 +144,7 @@ ChurnResult measure_join(const ChurnOptions& options) {
 ChurnResult measure_leave(const ChurnOptions& options) {
   const auto trial_fn = [&](std::size_t, std::uint64_t seed) {
     SmallWorldNetwork network =
-        stabilized_network(options.n, seed, options.protocol, options.burn_in_rounds);
+        stabilized_network(options.n, seed, churn_burn_in(options), options.protocol);
     util::Rng rng(seed ^ 0x6c656176ull);
 
     const auto ids = network.engine().id_span();

@@ -1,16 +1,25 @@
 // convergence.hpp — drivers for experiments E1/E2 (stabilization) and
-// E6/E7 (join/leave recovery, §IV.G).
+// E6/E7 (join/leave recovery, §IV.G), and the stabilized-network builder
+// every experiment that starts from the legal state shares.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
 #include "core/config.hpp"
+#include "core/network.hpp"
 #include "sim/scheduler.hpp"
 #include "topology/initial_states.hpp"
 #include "util/stats.hpp"
 
 namespace sssw::analysis {
+
+/// A sorted ring of n random ids (drawn from `seed`, which also seeds the
+/// network) after exactly `burn_in_rounds` rounds of move-and-forget, so
+/// long-range links have spread.  0 rounds means none.
+core::SmallWorldNetwork stabilized_network(std::size_t n, std::uint64_t seed,
+                                           std::size_t burn_in_rounds,
+                                           const core::Config& protocol = {});
 
 struct ConvergenceOptions {
   std::size_t n = 128;

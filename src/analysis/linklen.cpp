@@ -1,7 +1,7 @@
 #include "analysis/linklen.hpp"
 #include <cmath>
 
-#include "core/network.hpp"
+#include "analysis/convergence.hpp"
 #include "topology/cfl.hpp"
 #include "util/rng.hpp"
 
@@ -67,15 +67,10 @@ LinkLenResult measure_protocol_linklen(const LinkLenOptions& options,
   const std::size_t stride =
       options.stride == 0 ? std::max<std::size_t>(1, options.n / 8) : options.stride;
 
-  util::Rng rng(options.seed);
-  auto ids = core::random_ids(options.n, rng);
-  core::NetworkOptions net_options;
-  net_options.protocol = protocol;
-  net_options.protocol.epsilon = options.epsilon;
-  net_options.seed = options.seed;
-  core::SmallWorldNetwork network = core::make_stable_ring(std::move(ids), net_options);
-
-  network.run_rounds(burn_in);
+  core::Config config = protocol;
+  config.epsilon = options.epsilon;
+  core::SmallWorldNetwork network =
+      stabilized_network(options.n, options.seed, burn_in, config);
   std::vector<std::size_t> lengths;
   lengths.reserve(options.snapshots * options.n);
   for (std::size_t snap = 0; snap < options.snapshots; ++snap) {

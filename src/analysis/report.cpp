@@ -34,6 +34,16 @@ std::size_t catalog_index(const std::string& experiment) {
   return experiments.size();
 }
 
+/// cell_key() with its n field zero-padded: string order on these keys is
+/// cell_key order, except that n compares as a number (64 < 128 < 1024).
+std::string order_key(const SweepCell& cell) {
+  std::string key = cell_key(cell);
+  const std::size_t at = key.find("|n=", key.find("|params=")) + 3;
+  const std::size_t digits = key.find('|', at) - at;
+  key.insert(at, 20 - std::min<std::size_t>(digits, 20), '0');
+  return key;
+}
+
 /// Sorted union of metric names over a set of cells.
 std::vector<std::string> metric_columns(const std::vector<const CellMeta*>& cells) {
   std::set<std::string> names;
@@ -160,7 +170,7 @@ std::optional<SweepRun> load_sweep_run(const std::filesystem::path& exp_dir) {
               const std::size_t ia = catalog_index(a.cell.experiment);
               const std::size_t ib = catalog_index(b.cell.experiment);
               if (ia != ib) return ia < ib;
-              return cell_key(a.cell) < cell_key(b.cell);
+              return order_key(a.cell) < order_key(b.cell);
             });
   return run;
 }
@@ -239,8 +249,7 @@ std::string render_report_md(const SweepRun& run) {
     const ExperimentDescriptor* descriptor = find_experiment(experiment);
     out += "\n## " + experiment + "\n\n";
     if (descriptor != nullptr)
-      out += std::string(descriptor->claim) + " (bench counterpart: `" +
-             std::string(descriptor->binary) + "`; see doc/BENCHMARKS.md).\n\n";
+      out += std::string(descriptor->claim) + " (see doc/BENCHMARKS.md).\n\n";
     out += render_markdown_table(run, experiment);
   }
   return out;

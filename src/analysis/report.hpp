@@ -20,13 +20,15 @@ namespace sssw::analysis {
 /// Everything the report stage needs from one sweep directory.
 struct SweepRun {
   SweepMeta meta;
-  std::vector<CellMeta> cells;  ///< catalog order, then cell_key order
+  std::vector<CellMeta> cells;  ///< catalog order, then cell_key order (n numeric)
 };
 
 /// Loads <exp_dir>/sweep.json plus every <hash>/meta.json under it.  Cells
-/// are sorted by experiment catalog order then canonical cell key, so the
-/// result (and everything rendered from it) is independent of directory
-/// iteration order.  nullopt if sweep.json is missing or unparseable.
+/// are sorted by experiment catalog order, then by the canonical cell key's
+/// fields in turn with n compared as a number, so the result (and every
+/// artifact rendered from it) is independent of directory iteration order
+/// and lists n = 64, 128, 1024 in that order.  nullopt if sweep.json is
+/// missing or unparseable.
 std::optional<SweepRun> load_sweep_run(const std::filesystem::path& exp_dir);
 
 /// runs.csv: one row per cell; fixed axis columns, then the sorted union of

@@ -7,7 +7,7 @@
 // recovery" curve.  Each walk takes the *same* forwarding decision the live
 // in-band lookup service uses (routing::select_next_hop, see src/service/
 // and doc/SERVICE.md): one routing decision function, two drivers, so the
-// snapshot curve and the live SLO bench (E15) cannot drift apart.
+// snapshot curve and the live SLO experiment (E15) cannot drift apart.
 #pragma once
 
 #include <cstdint>

@@ -2,12 +2,9 @@
 // under an active fault plan) and E14 (crash recovery under the active
 // failure detector).
 //
-// These used to live inside bench_faults.cpp / bench_recovery.cpp; they are
-// analysis-level drivers now so the bench binaries and the experiment-matrix
-// sweep runner (sweep.hpp, tools/sssw_sweep) execute the exact same
-// measurement — one definition, two front-ends.  Everything is a pure
-// function of the options (seeds included), so sweep cells replay
-// byte-identically.
+// The e13-faults and e14-recovery sweep experiments (experiments.hpp) run
+// them.  Everything is a pure function of the options (seeds included), so
+// sweep cells replay byte-identically.
 #pragma once
 
 #include <cstdint>

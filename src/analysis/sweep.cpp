@@ -233,12 +233,9 @@ bool parse_experiment_ref(std::string_view entry, ExperimentRef* out,
       return false;
     }
     const std::string_view key = parts[i].substr(0, eq);
-    bool allowed = false;
-    for (const std::string_view candidate : descriptor->allowed_params)
-      allowed |= candidate == key;
-    if (!allowed) {
-      *message = "experiment '" + out->name + "' takes no param '" +
-                 std::string(key) + "'";
+    if (std::string invalid = check_param(*descriptor, key, parts[i].substr(eq + 1));
+        !invalid.empty()) {
+      *message = std::move(invalid);
       return false;
     }
     for (const auto& [existing, value] : params) {

@@ -1,9 +1,8 @@
 // sweep.hpp — the experiment-matrix sweep runner (tools/sssw_sweep).
 //
-// E1–E14 used to be 14 ad-hoc bench binaries with hand-curated outputs; the
-// sweep runner makes the whole perf/behaviour story a build artifact.  A
-// matrix config (bench/experiments/*.cfg, a line-oriented `key = value`
-// format) names experiments and axis values; expand_cells() takes the cross
+// The sweep runner makes every experiment a build artifact.  A matrix
+// config (bench/experiments/*.cfg, a line-oriented `key = value` format)
+// names experiments and axis values; expand_cells() takes the cross
 // product of experiment × n × shape × scheduler × fault × ablation × seed,
 // collapses axes an experiment does not use (so the matrix never multiplies
 // by a dimension that cannot change the result), and dedupes.  run_sweep()
@@ -105,7 +104,9 @@ struct SweepParseError {
 /// Parses the `key = value` matrix format: '#' comments, blank lines,
 /// comma-separated list values.  Returns nullopt and fills *error on the
 /// first malformed line (unknown key, duplicate key, bad number, unknown
-/// shape/scheduler/fault/ablation/experiment, empty list).
+/// shape/scheduler/fault/ablation/experiment, an experiment param the
+/// descriptor does not declare or a value of the wrong kind or range,
+/// empty list).
 std::optional<SweepConfig> parse_sweep_config(std::string_view text,
                                               SweepParseError* error);
 

@@ -1,8 +1,8 @@
 // stats.hpp — descriptive statistics and model fits for experiment analysis.
 //
 // Everything here is deterministic and allocation-light: the experiment
-// drivers accumulate into Welford/Histogram objects inside hot loops and the
-// bench binaries call the summarising helpers once at the end.
+// drivers accumulate into Welford/Histogram objects inside hot loops and
+// call the summarising helpers once at the end.
 #pragma once
 
 #include <cstddef>

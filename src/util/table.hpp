@@ -1,8 +1,8 @@
 // table.hpp — aligned console tables and CSV output for experiment results.
 //
-// The bench binaries print one paper-style table per experiment; this keeps
-// the formatting logic in one place so every table in EXPERIMENTS.md has the
-// same shape.
+// The examples print their results as paper-style tables, and the sweep
+// report renders its values with format_double, so the number formatting
+// lives in one place.
 #pragma once
 
 #include <cstdint>

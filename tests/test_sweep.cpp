@@ -1,8 +1,9 @@
 // Tests for the experiment-matrix sweep runner (analysis/sweep.hpp), the
-// experiment catalog (analysis/experiments.hpp), the report renderer
-// (analysis/report.hpp), and the doc/BENCHMARKS.md coverage contract:
-// every catalog experiment and every bench binary must be documented, so an
-// experiment added without docs fails here rather than rotting silently.
+// experiment catalog and its cell drivers (analysis/experiments.hpp), the
+// report renderer (analysis/report.hpp), and the documentation contract:
+// every catalog experiment is documented in doc/BENCHMARKS.md and owns
+// exactly one generated table in EXPERIMENTS.md, so an experiment added
+// without docs fails here rather than rotting silently.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -155,6 +157,79 @@ TEST(SweepConfig, MultilinkCountIsBounded) {
   EXPECT_FALSE(parse_ablation_spec("multilink:14").has_value());
   EXPECT_FALSE(parse_ablation_spec("multilink:0").has_value());
   EXPECT_TRUE(parse_ablation_spec("probe-interval:14").has_value());
+}
+
+// Each experiment param has a declared kind; the parser rejects a value of
+// the wrong kind or out of range and names the config line.
+void expect_rejected(const std::string& entry, const std::string& fragment) {
+  SweepParseError error;
+  const auto config =
+      parse_sweep_config("name = x\nexperiments = " + entry + "\n", &error);
+  EXPECT_FALSE(config.has_value()) << "accepted: " << entry;
+  EXPECT_EQ(error.line, 2u) << error.to_string();
+  EXPECT_NE(error.message.find(fragment), std::string::npos)
+      << "message `" << error.message << "` lacks `" << fragment << "`";
+}
+
+TEST(SweepConfig, RejectsANumberThatDoesNotParse) {
+  expect_rejected("e14-recovery:crash=abc:mode=crash", "'crash' wants a number");
+  expect_rejected("e14-recovery:loss=0.05x", "'loss' wants a number");
+  expect_rejected("e15-service:crash=nan", "'crash' wants a number");
+}
+
+TEST(SweepConfig, RejectsANumberOutOfRange) {
+  expect_rejected("e14-recovery:crash=1", "'crash' wants a number in [0, 1)");
+  expect_rejected("a4-loss:loss=-0.1", "'loss' wants a number in [0, 1)");
+}
+
+TEST(SweepConfig, RejectsAnIntegerOutOfRange) {
+  // Unchecked, k = 0 reaches NodeStore's construction check and aborts the
+  // whole sweep after other cells have run.
+  expect_rejected("e15-service:k=0", "'k' wants an integer in 1..13");
+  expect_rejected("e15-service:k=14", "'k' wants an integer in 1..13");
+  expect_rejected("e15-service:detector=2", "'detector' wants an integer");
+}
+
+TEST(SweepConfig, RejectsAFractionalInteger) {
+  expect_rejected("e15-service:retries=1.5", "'retries' wants an integer");
+  expect_rejected("e7-storm:interval=1e2", "'interval' wants an integer");
+}
+
+TEST(SweepConfig, RejectsAWordOutsideItsSet) {
+  // Unchecked, a mistyped process runs the CFL reference and records "ok".
+  expect_rejected("e3-linklen:process=protcol",
+                  "'process' wants one of cfl|protocol");
+  expect_rejected("e14-recovery:crash=0.1:mode=crsh",
+                  "'mode' wants one of crash|leave");
+}
+
+TEST(SweepConfig, RejectsAParamNoCommittedMatrixUses) {
+  expect_rejected("e15-service:k=8:rate=-4", "takes no param 'rate'");
+  expect_rejected("e5-routing:pairs=64", "takes no param 'pairs'");
+}
+
+TEST(SweepConfig, ValidationKeepsTheCanonicalParamsText) {
+  SweepParseError error;
+  const auto config = parse_sweep_config(
+      "name = x\nexperiments = e15-service:crash=0.1:k=8:retries=0, "
+      "e14-recovery:crash=0.1:loss=0.05:mode=crash\n",
+      &error);
+  ASSERT_TRUE(config.has_value()) << error.to_string();
+  EXPECT_EQ(config->experiments[0].params, "crash=0.1;k=8;retries=0");
+  EXPECT_EQ(config->experiments[1].params, "crash=0.1;loss=0.05;mode=crash");
+}
+
+TEST(SweepConfig, EveryCommittedMatrixParses) {
+  std::size_t configs = 0;
+  for (const auto& entry : fs::directory_iterator(
+           std::string(SSSW_SOURCE_DIR) + "/bench/experiments")) {
+    if (entry.path().extension() != ".cfg") continue;
+    ++configs;
+    SweepParseError error;
+    EXPECT_TRUE(load_sweep_config(entry.path(), &error).has_value())
+        << entry.path() << ": " << error.to_string();
+  }
+  EXPECT_GE(configs, 2u);
 }
 
 // --- Expansion, collapsing, hashing ----------------------------------------
@@ -307,12 +382,135 @@ TEST(ExperimentCatalog, EveryDescriptorIsWellFormed) {
   for (const ExperimentDescriptor& exp : all_experiments()) {
     EXPECT_TRUE(names.insert(std::string(exp.name)).second)
         << "duplicate experiment " << exp.name;
-    EXPECT_FALSE(std::string(exp.binary).empty()) << exp.name;
     EXPECT_FALSE(std::string(exp.claim).empty()) << exp.name;
+    for (const ParamSpec& param : exp.params) {
+      EXPECT_FALSE(param.key.empty()) << exp.name;
+      if (param.kind == ParamSpec::Kind::kWord)
+        EXPECT_FALSE(param.words.empty()) << exp.name << ":" << param.key;
+      else
+        EXPECT_LT(param.min, param.max) << exp.name << ":" << param.key;
+    }
     EXPECT_NE(exp.run, nullptr) << exp.name;
     EXPECT_EQ(find_experiment(exp.name), &exp);
   }
   EXPECT_EQ(find_experiment("e99-nope"), nullptr);
+}
+
+TEST(ExperimentCatalog, EveryDescriptorRunsASmallCell) {
+  // Every driver, at its default params, on one small cell with one trial.
+  for (const ExperimentDescriptor& exp : all_experiments()) {
+    SweepCell cell;
+    cell.experiment = std::string(exp.name);
+    cell.n = 32;
+    cell.trials = 1;
+    cell.seed = 7;
+    const CellResult result = exp.run(cell, nullptr);
+    EXPECT_TRUE(result.error.empty()) << exp.name << ": " << result.error;
+    EXPECT_FALSE(result.metrics.empty()) << exp.name;
+  }
+}
+
+// --- Invariants the drivers' numbers must keep -----------------------------
+
+/// Runs `experiment` with `params` ("k=v;k=v") on one cell.
+std::vector<std::pair<std::string, double>> run_cell(
+    const std::string& experiment, const std::string& params, std::size_t n,
+    std::size_t trials = 2, const std::string& ablation = "full") {
+  SweepCell cell;
+  cell.experiment = experiment;
+  cell.params = params;
+  cell.n = n;
+  cell.trials = trials;
+  cell.seed = 20120521;
+  cell.ablation = ablation;
+  const CellResult result = find_experiment(experiment)->run(cell, nullptr);
+  EXPECT_TRUE(result.error.empty()) << experiment << ": " << result.error;
+  return result.metrics;
+}
+
+double metric(const std::vector<std::pair<std::string, double>>& metrics,
+              const std::string& name) {
+  for (const auto& [key, value] : metrics)
+    if (key == name) return value;
+  ADD_FAILURE() << "no metric " << name;
+  return -1;
+}
+
+TEST(ExperimentDrivers, EveryProbeReachesItsTargetOnAStabilizedRing) {
+  // Lemma 4.5: in the stable state no probe stops early to repair a link.
+  const auto m = run_cell("e4-probing", "", 128);
+  EXPECT_EQ(metric(m, "reached"), 1.0);
+  EXPECT_GT(metric(m, "hops_mean"), 1.0);
+  EXPECT_GT(metric(m, "lrl_hops_mean"), 0.0);
+}
+
+TEST(ExperimentDrivers, GreedyRoutingSucceedsOnEveryNavigableModel) {
+  for (const char* model :
+       {"stationary", "lookahead", "kleinberg", "ring", "chord"})
+    EXPECT_EQ(metric(run_cell("e5-routing", std::string("model=") + model, 128),
+                     "success"),
+              1.0)
+        << model;
+  EXPECT_EQ(metric(run_cell("e5b-in-engine", "", 32), "success"), 1.0);
+  // A plain ring routes in n/4 hops on average; greedy never beats it there.
+  EXPECT_NEAR(metric(run_cell("e5-routing", "model=ring", 128), "hops_mean"),
+              32.0, 4.0);
+}
+
+TEST(ExperimentDrivers, TorusModelsRouteEverywhere) {
+  // Lattice edges guarantee a strictly closer neighbour at every hop.
+  for (const char* model : {"ring", "torus", "cfl2d", "lattice"})
+    EXPECT_EQ(metric(run_cell("e11-navigability", std::string("model=") + model,
+                              64),
+                     "success"),
+              1.0)
+        << model;
+}
+
+TEST(ExperimentDrivers, LookupsAllSucceedOnceTheRingHasFormed) {
+  const auto m = run_cell("e1c-service", "", 64);
+  EXPECT_EQ(metric(m, "success_ring"), 1.0);
+  EXPECT_GT(metric(m, "ring_round"), 0.0);
+  EXPECT_LE(metric(m, "success_t0"), metric(m, "success_ring"));
+}
+
+TEST(ExperimentDrivers, OneCrashHealsAfterTheLeaveDoesPlusDetection) {
+  const auto m = run_cell("e7c-crash", "", 32);
+  EXPECT_EQ(metric(m, "leave_healed"), 1.0);
+  EXPECT_EQ(metric(m, "crash_healed"), 1.0);
+  EXPECT_GT(metric(m, "detection_latency"), 0.0);
+}
+
+TEST(ExperimentDrivers, StableTrafficSharesAddUp) {
+  const auto m = run_cell("e8-overhead", "", 64);
+  const double shares = metric(m, "lin_share") + metric(m, "lrl_share") +
+                        metric(m, "ring_share") + metric(m, "probe_share");
+  EXPECT_GT(metric(m, "msgs_per_node_round"), 0.0);
+  EXPECT_NEAR(shares, 1.0, 1e-9);  // no detector or lookups in this cell
+  EXPECT_EQ(metric(m, "success"), 1.0);
+  EXPECT_GT(metric(m, "stabilizing_rate"), 0.0);
+}
+
+TEST(ExperimentDrivers, SurvivalMatchesTheClosedForm) {
+  const auto m = run_cell("e10-forget", "", 128);
+  EXPECT_LT(metric(m, "survival_err"), 0.02);
+  EXPECT_GE(metric(m, "forgets_per_node"), 1.0);
+}
+
+TEST(ExperimentDrivers, ChordStaysConnectedUnderModestFailures) {
+  const auto m = run_cell("e9-robustness", "model=chord", 128);
+  EXPECT_EQ(metric(m, "lcc_10"), 1.0);
+  EXPECT_GT(metric(m, "degree"), 6.0);
+}
+
+TEST(ExperimentDrivers, LosslessAndBaselineRunsAllConverge) {
+  EXPECT_EQ(metric(run_cell("a4-loss", "loss=0", 32), "converged"), 1.0);
+  for (const char* overlay : {"linearization", "fingers"})
+    EXPECT_EQ(metric(run_cell("a5-baselines", std::string("overlay=") + overlay,
+                              32),
+                     "converged"),
+              1.0)
+        << overlay;
 }
 
 // --- End-to-end: run, resume, report ---------------------------------------
@@ -396,6 +594,40 @@ TEST(SweepRun, DryRunWritesNothing) {
   EXPECT_TRUE(fs::is_empty(tmp.path));
 }
 
+TEST(SweepReport, OrdersCellsByNumericN) {
+  // String order would read 1024, 128, 64; every artifact must read 64, 128,
+  // 1024, and a table with one n must keep its order.
+  TempDir tmp("order");
+  SweepMeta sweep;
+  sweep.name = "order";
+  sweep.seeds = {7};
+  sweep.planned = 3;
+  sweep.provenance = {"sha", "hash16", "machine"};
+  std::ofstream(tmp.path / "sweep.json") << to_json(sweep);
+  for (const std::size_t n : {1024u, 64u, 128u}) {
+    CellMeta meta;
+    meta.cell = expand_cells(tiny_config())[0];
+    meta.cell.n = n;
+    meta.hash = cell_hash(meta.cell);
+    meta.status = "ok";
+    meta.metrics = {{"rounds", static_cast<double>(n)}};
+    fs::create_directories(tmp.path / meta.hash);
+    std::ofstream(tmp.path / meta.hash / "meta.json") << to_json(meta);
+  }
+  const auto run = load_sweep_run(tmp.path);
+  ASSERT_TRUE(run.has_value());
+  ASSERT_EQ(run->cells.size(), 3u);
+  EXPECT_EQ(run->cells[0].cell.n, 64u);
+  EXPECT_EQ(run->cells[1].cell.n, 128u);
+  EXPECT_EQ(run->cells[2].cell.n, 1024u);
+  const std::string table = render_markdown_table(*run, "e1-convergence");
+  EXPECT_LT(table.find("| 64 |"), table.find("| 128 |")) << table;
+  EXPECT_LT(table.find("| 128 |"), table.find("| 1024 |")) << table;
+  const std::string csv = render_runs_csv(*run);
+  EXPECT_LT(csv.find(",64,"), csv.find(",128,")) << csv;
+  EXPECT_LT(csv.find(",128,"), csv.find(",1024,")) << csv;
+}
+
 // --- Markdown patching -----------------------------------------------------
 
 TEST(ReportPatch, ReplacesMarkedBlockOnly) {
@@ -421,30 +653,40 @@ TEST(BenchmarksDoc, EveryExperimentAndBenchIsDocumented) {
   const std::string doc =
       read_file(std::string(SSSW_SOURCE_DIR) + "/doc/BENCHMARKS.md");
   ASSERT_FALSE(doc.empty());
-
-  // Every sweep-catalog experiment and its backing binary.
-  for (const ExperimentDescriptor& exp : all_experiments()) {
+  for (const ExperimentDescriptor& exp : all_experiments())
     EXPECT_NE(doc.find('`' + std::string(exp.name) + '`'), std::string::npos)
         << "experiment `" << exp.name << "` is not documented in doc/BENCHMARKS.md";
-    EXPECT_NE(doc.find('`' + std::string(exp.binary) + '`'), std::string::npos)
-        << "binary `" << exp.binary << "` is not documented in doc/BENCHMARKS.md";
-  }
 
   // Every bench binary registered in bench/CMakeLists.txt.
   const std::string cmake =
       read_file(std::string(SSSW_SOURCE_DIR) + "/bench/CMakeLists.txt");
-  std::size_t pos = 0;
-  std::size_t found = 0;
-  while ((pos = cmake.find("sssw_bench(", pos)) != std::string::npos) {
-    pos += std::string("sssw_bench(").size();
-    const std::size_t end = cmake.find(')', pos);
-    ASSERT_NE(end, std::string::npos);
-    const std::string target = cmake.substr(pos, end - pos);
+  for (std::size_t pos = 0;
+       (pos = cmake.find("add_executable(", pos)) != std::string::npos;) {
+    pos += std::string("add_executable(").size();
+    const std::string target = cmake.substr(pos, cmake.find(' ', pos) - pos);
     EXPECT_NE(doc.find('`' + target + '`'), std::string::npos)
         << "bench target `" << target << "` is not documented in doc/BENCHMARKS.md";
-    ++found;
   }
-  EXPECT_GE(found, 8u) << "bench/CMakeLists.txt parse found too few targets";
+
+  // Every catalog experiment owns exactly one generated table in
+  // EXPERIMENTS.md, and every table names a catalog experiment.
+  const std::string experiments =
+      read_file(std::string(SSSW_SOURCE_DIR) + "/EXPERIMENTS.md");
+  const std::string open = "<!-- sssw:table ";
+  std::map<std::string, int> blocks;
+  for (std::size_t pos = 0;
+       (pos = experiments.find(open, pos)) != std::string::npos;) {
+    pos += open.size();
+    const std::string name =
+        experiments.substr(pos, experiments.find(' ', pos) - pos);
+    ++blocks[name];
+    EXPECT_NE(find_experiment(name), nullptr)
+        << "EXPERIMENTS.md block `" << name << "` names no catalog experiment";
+  }
+  for (const ExperimentDescriptor& exp : all_experiments())
+    EXPECT_EQ(blocks[std::string(exp.name)], 1)
+        << "experiment `" << exp.name
+        << "` must own exactly one sssw:table block in EXPERIMENTS.md";
 }
 
 }  // namespace
