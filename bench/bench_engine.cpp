@@ -15,7 +15,6 @@
 #include "core/node.hpp"
 #include "core/views.hpp"
 #include "obs/registry.hpp"
-#include "topology/initial_states.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -26,7 +25,7 @@ using namespace sssw;
 constexpr std::uint64_t kBaseSeed = 20120521;
 
 /// Publishes every metric of `registry` as a google-benchmark counter under
-/// its flat registry name (obs::flatten, the rule sweep cells use too).
+/// its flat registry name (obs::flatten).
 void report_registry(benchmark::State& state, const obs::Registry& registry) {
   for (const auto& [name, value] : obs::flatten(registry))
     state.counters[name] = value;
@@ -56,13 +55,11 @@ BENCHMARK(BM_Engine_StableRound)->Arg(100)->Arg(1000)->Arg(10000)
 void BM_Engine_ActionThroughput(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto kind = static_cast<sim::SchedulerKind>(state.range(1));
-  util::Rng rng(kBaseSeed);
   core::NetworkOptions options;
   options.seed = kBaseSeed;
   options.scheduler = kind;
   options.async_actions_per_round = 4096;
-  core::SmallWorldNetwork network =
-      core::make_stable_ring(core::random_ids(n, rng), options);
+  core::SmallWorldNetwork network = core::make_stable_ring(n, options);
   obs::Registry registry;
   network.attach_metrics(registry);
   for (auto _ : state) network.run_rounds(1);
@@ -88,13 +85,11 @@ BENCHMARK(BM_Engine_ActionThroughput)
 // then one synchronous round per iteration.
 void BM_Engine_DetectorRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(kBaseSeed);
   core::NetworkOptions options;
   options.seed = kBaseSeed;
   options.protocol.lrl_count = 8;
   options.protocol.detector.enabled = true;
-  core::SmallWorldNetwork network =
-      core::make_stable_ring(core::random_ids(n, rng), options);
+  core::SmallWorldNetwork network = core::make_stable_ring(n, options);
   obs::Registry registry;
   network.attach_metrics(registry);
   network.run_rounds(4 * options.protocol.detector.probe_period);
@@ -191,16 +186,11 @@ enum class OracleMode { kTracked = 0, kRecompute = 1 };
 core::SmallWorldNetwork chain_network(std::size_t n, std::uint64_t seed,
                                       sim::SchedulerKind scheduler,
                                       std::size_t async_slice) {
-  util::Rng rng(seed);
-  auto ids = core::random_ids(n, rng);
   core::NetworkOptions options;
-  options.seed = seed;
   options.scheduler = scheduler;
   options.async_actions_per_round = async_slice;
-  core::SmallWorldNetwork network(options);
-  network.add_nodes(topology::make_initial_state(
-      topology::InitialShape::kRandomChain, std::move(ids), rng));
-  return network;
+  return analysis::initial_network(topology::InitialShape::kRandomChain, n,
+                                   seed, options);
 }
 
 // E1-style sorted-list convergence from a random chain, synchronous rounds.

@@ -9,7 +9,6 @@
 
 #include "analysis/convergence.hpp"
 #include "analysis/churn_storm.hpp"
-#include "analysis/experiment.hpp"
 #include "analysis/linklen.hpp"
 #include "analysis/phases.hpp"
 #include "analysis/robustness.hpp"
@@ -37,6 +36,7 @@
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sssw::analysis {
 
@@ -132,26 +132,20 @@ core::Config ablation_config(const SweepCell& cell) {
   return spec->config;
 }
 
-FaultSpec fault_spec(const SweepCell& cell) {
-  const auto spec = parse_fault_spec(cell.fault);
-  SSSW_CHECK(spec.has_value());
-  return *spec;
-}
-
-/// The theorem-shaped budget (400n + 4000) scaled by the extra per-message
-/// latency the cell's scheduler/fault plan imposes — the same shape as
-/// fuzz.cpp's round_bound, minus the dimensions a sweep cell cannot carry.
-std::uint64_t cell_budget(const SweepCell& cell, const FaultSpec& fault) {
-  if (cell.max_rounds > 0) return cell.max_rounds;
-  std::uint64_t bound = 400 * static_cast<std::uint64_t>(cell.n) + 4000;
-  std::uint64_t latency = 1;
-  if (fault.plan.delay_probability > 0) latency += fault.plan.max_delay_rounds;
-  if (cell.scheduler == sim::SchedulerKind::kAdversarialOldestLast)
-    latency += fault.oldest_last_hold > 0 ? fault.oldest_last_hold : 3;
-  bound *= latency;
-  if (fault.plan.partition_rounds > 0)
-    bound += fault.plan.partition_start + fault.plan.partition_rounds;
-  return bound;
+/// The engine a cell runs on: its scheduler and fault plan, where an
+/// oldest-last fault is the adversarial-oldest-last scheduler with the
+/// fault's hold.
+sim::EngineConfig cell_engine(const SweepCell& cell) {
+  const auto fault = parse_fault_spec(cell.fault);
+  SSSW_CHECK(fault.has_value());
+  sim::EngineConfig engine;
+  engine.scheduler = cell.scheduler;
+  engine.faults = fault->plan;
+  if (fault->oldest_last()) {
+    engine.scheduler = sim::SchedulerKind::kAdversarialOldestLast;
+    engine.adversary_delay = fault->oldest_last_hold;
+  }
+  return engine;
 }
 
 /// Mean of `values`, or -1 when there are none (no trial got that far).
@@ -170,19 +164,6 @@ std::string tagged(std::string prefix, double value) {
   return prefix;
 }
 
-/// n random ids in the shape's initial state, registered with a fresh
-/// network — the start of every "converge from scratch" experiment.
-core::SmallWorldNetwork initial_network(topology::InitialShape shape,
-                                        std::size_t n, std::uint64_t seed,
-                                        core::NetworkOptions options) {
-  util::Rng rng(seed);
-  auto ids = core::random_ids(n, rng);
-  options.seed = seed;
-  core::SmallWorldNetwork network(options);
-  network.add_nodes(topology::make_initial_state(shape, std::move(ids), rng));
-  return network;
-}
-
 // --- E1/E2: convergence to the sorted ring (Thms 4.9/4.18) -----------------
 
 CellResult run_convergence(const SweepCell& cell, obs::Registry*) {
@@ -190,7 +171,7 @@ CellResult run_convergence(const SweepCell& cell, obs::Registry*) {
   options.n = cell.n;
   options.trials = cell.trials;
   options.base_seed = cell.seed;
-  options.max_rounds = cell_budget(cell, fault_spec(cell));
+  options.max_rounds = cell_budget(cell);
   options.protocol = ablation_config(cell);
   options.scheduler = cell.scheduler;
   const ConvergenceResult r = measure_convergence(cell.shape, options);
@@ -208,7 +189,7 @@ CellResult run_convergence(const SweepCell& cell, obs::Registry*) {
 CellResult run_phases(const SweepCell& cell, obs::Registry*) {
   PhaseTimelineOptions options;
   options.n = cell.n;
-  options.max_rounds = cell_budget(cell, fault_spec(cell));
+  options.max_rounds = cell_budget(cell);
   options.protocol = ablation_config(cell);
   options.scheduler = cell.scheduler;
   const core::Phase tracked[] = {core::Phase::kListConnected,
@@ -217,12 +198,16 @@ CellResult run_phases(const SweepCell& cell, obs::Registry*) {
                                  core::Phase::kSmallWorld};
   const char* names[] = {"list_connected_mean", "sorted_list_mean",
                          "sorted_ring_mean", "small_world_mean"};
+  const auto timelines = util::run_trials<PhaseTimeline>(
+      cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
+        PhaseTimelineOptions trial_options = options;
+        trial_options.seed = seed;
+        return measure_phase_timeline(cell.shape, trial_options);
+      });
   double sums[4] = {};
   std::size_t counts[4] = {};
   std::size_t completed = 0;
-  for (std::size_t trial = 0; trial < cell.trials; ++trial) {
-    options.seed = cell.seed + trial;
-    const PhaseTimeline timeline = measure_phase_timeline(cell.shape, options);
+  for (const PhaseTimeline& timeline : timelines) {
     if (timeline.completed()) ++completed;
     for (std::size_t i = 0; i < 4; ++i) {
       if (const auto round = timeline.at(tracked[i])) {
@@ -246,7 +231,7 @@ CellResult run_stabilizing_service(const SweepCell& cell, obs::Registry*) {
   struct Trial {
     double t0 = 0, half = 0, ring = 0, ring_round = -1;
   };
-  const auto trials = run_trials<Trial>(
+  const auto trials = util::run_trials<Trial>(
       cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
         ServiceOptions options;
         options.n = cell.n;
@@ -428,7 +413,7 @@ CellResult run_churn(const SweepCell& cell, obs::Registry*) {
   options.n = cell.n;
   options.trials = cell.trials;
   options.base_seed = cell.seed;
-  options.max_recovery_rounds = cell_budget(cell, fault_spec(cell));
+  options.max_recovery_rounds = cell_budget(cell);
   options.protocol = ablation_config(cell);
   const ChurnResult join = measure_join(options);
   const ChurnResult leave = measure_leave(options);
@@ -448,7 +433,7 @@ constexpr ParamSpec kStormParams[] = {
     {"interval", Kind::kInteger, 4, 1, 4096, {}}};
 
 CellResult run_storm(const SweepCell& cell, obs::Registry*) {
-  const auto results = run_trials<ChurnStormResult>(
+  const auto results = util::run_trials<ChurnStormResult>(
       cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
         ChurnStormOptions options;
         options.n = cell.n;
@@ -480,7 +465,7 @@ CellResult run_leave_vs_crash(const SweepCell& cell, obs::Registry*) {
     double rounds[2] = {-1, -1};  // [leave, crash]
   };
   const std::size_t n = cell.n;
-  const auto trials = run_trials<Trial>(
+  const auto trials = util::run_trials<Trial>(
       cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
         Trial trial;
         for (const bool crash : {false, true}) {
@@ -492,7 +477,7 @@ CellResult run_leave_vs_crash(const SweepCell& cell, obs::Registry*) {
           const auto ids = network.engine().id_span();
           const sim::Id victim = ids[rng.below(ids.size())];
           crash ? network.crash(victim) : network.leave(victim);
-          if (const auto rounds = network.run_until_sorted_ring(400 * n + 4000))
+          if (const auto rounds = network.run_until_sorted_ring(round_budget(n, {})))
             trial.rounds[crash] = static_cast<double>(*rounds);
         }
         return trial;
@@ -689,18 +674,16 @@ CellResult run_navigability(const SweepCell& cell, obs::Registry*) {
 // --- E13: convergence under the fault adversary ----------------------------
 
 CellResult run_faults(const SweepCell& cell, obs::Registry*) {
-  const FaultSpec fault = fault_spec(cell);
+  const sim::EngineConfig engine = cell_engine(cell);
   FaultSweepOptions options;
   options.n = cell.n;
   options.trials = cell.trials;
   options.base_seed = cell.seed;
-  options.faults = fault.plan;
-  options.scheduler = fault.oldest_last()
-                          ? sim::SchedulerKind::kAdversarialOldestLast
-                          : cell.scheduler;
-  if (fault.oldest_last()) options.adversary_delay = fault.oldest_last_hold;
+  options.faults = engine.faults;
+  options.scheduler = engine.scheduler;
+  options.adversary_delay = engine.adversary_delay;
   options.protocol = ablation_config(cell);
-  options.max_rounds = cell.max_rounds;
+  options.max_rounds = cell_budget(cell);
   const FaultSweepResult r = measure_fault_convergence(options);
   CellResult out;
   out.add("rounds", r.rounds);
@@ -797,7 +780,7 @@ CellResult run_service(const SweepCell& cell, obs::Registry* registry) {
 constexpr ParamSpec kLossParams[] = {{"loss", Kind::kNumber, 0, 0, 1, {}}};
 
 CellResult run_loss(const SweepCell& cell, obs::Registry*) {
-  const auto rounds = run_trials<double>(
+  const auto rounds = util::run_trials<double>(
       cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
         core::NetworkOptions options;
         options.message_loss = number_param(cell, "loss");
@@ -829,7 +812,7 @@ CellResult run_overlay(const SweepCell& cell, obs::Registry*) {
   };
   const bool fingers = word_param(cell, "overlay") == "fingers";
   const std::size_t n = cell.n;
-  const auto trials = run_trials<Trial>(
+  const auto trials = util::run_trials<Trial>(
       cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
         // The (l, r) pointers of the state initial_network() would build for
         // this seed: the protocol's runs start from the same chains.
@@ -965,6 +948,11 @@ constexpr ExperimentDescriptor kExperiments[] = {
 }  // namespace
 
 std::span<const ExperimentDescriptor> all_experiments() { return kExperiments; }
+
+std::uint64_t cell_budget(const SweepCell& cell) {
+  return cell.max_rounds > 0 ? cell.max_rounds
+                             : round_budget(cell.n, cell_engine(cell));
+}
 
 const ExperimentDescriptor* find_experiment(std::string_view name) {
   for (const ExperimentDescriptor& experiment : kExperiments)

@@ -77,6 +77,11 @@ std::span<const ExperimentDescriptor> all_experiments();
 /// Lookup by config-facing name; nullptr when unknown.
 const ExperimentDescriptor* find_experiment(std::string_view name);
 
+/// A cell's round budget to the sorted ring: cell.max_rounds when set, else
+/// round_budget (convergence.hpp) of the network its scheduler and fault
+/// axes describe — the bound the fuzzer grants the same case.
+std::uint64_t cell_budget(const SweepCell& cell);
+
 /// Splits a cell's canonical params string ("k=v;k=v") into pairs.
 std::vector<std::pair<std::string, std::string>> split_params(
     std::string_view params);

@@ -8,6 +8,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "analysis/convergence.hpp"
 #include "core/network.hpp"
 #include "service/lookup_manager.hpp"
 #include "util/check.hpp"
@@ -29,6 +30,17 @@ constexpr FuzzOracle kAllOracles[] = {
 
 bool has_crash_schedule(const FuzzCase& c) {
   return c.crash_frac > 0.0 && c.crash_round > 0;
+}
+
+core::NetworkOptions network_options(const FuzzCase& c, bool paranoid) {
+  core::NetworkOptions options;
+  options.protocol = c.protocol;
+  options.scheduler = c.scheduler;
+  options.faults = c.faults;
+  options.adversary_delay = c.adversary_delay;
+  options.message_loss = c.message_loss;
+  options.verify_tracker = paranoid;
+  return options;
 }
 
 constexpr core::Phase kAllPhases[] = {
@@ -64,27 +76,10 @@ std::optional<FuzzOracle> oracle_from_string(const std::string& name) {
 }
 
 std::uint64_t round_bound(const FuzzCase& c) {
-  // The in-tree convergence property tests pin 400n + 4000 as a sufficient
-  // budget for every shape × scheduler combination; each round a message is
-  // held stretches the effective round length, and nothing useful can
-  // happen before the partition window closes.
-  std::uint64_t bound = 400 * static_cast<std::uint64_t>(c.n) + 4000;
-  std::uint64_t latency = 1;
-  if (c.faults.delay_probability > 0.0) latency += c.faults.max_delay_rounds;
-  if (c.scheduler == sim::SchedulerKind::kAdversarialOldestLast)
-    latency += c.adversary_delay;
-  bound *= latency;
-  if (c.faults.partition_rounds > 0)
-    bound += c.faults.partition_start + c.faults.partition_rounds;
-  // The additions below only fire on the new loss/crash dimensions, so
+  std::uint64_t bound = round_budget(c.n, network_options(c, false));
+  // The additions below only fire on the crash and lookup dimensions, so
   // every pre-existing corpus case keeps its exact bound (and therefore its
   // recorded digest).
-  if (c.message_loss > 0.0) {
-    // Loss only delays: pointers persist and SENDID re-announces every
-    // round, so doubling the budget covers the retransmission tax at the
-    // grid's loss rates.
-    bound *= 2;
-  }
   if (has_crash_schedule(c)) {
     // Detect + repair budget: one eviction takes (threshold + retries +
     // the backoff cooldowns) probe ticks; re-linking can chain through
@@ -95,8 +90,7 @@ std::uint64_t round_bound(const FuzzCase& c) {
         (static_cast<std::uint64_t>(d.suspect_threshold) + d.max_retries +
          (2ull << d.max_retries)) *
         d.probe_period;
-    bound += c.crash_round + evict_latency * c.n +
-             400 * static_cast<std::uint64_t>(c.n) + 4000;
+    bound += c.crash_round + evict_latency * c.n + round_budget(c.n, {});
   }
   if (c.lookup_rate > 0.0) {
     // Headroom for the service failure horizon, so in-flight retries and
@@ -216,45 +210,12 @@ std::uint64_t fold_lookup_totals(std::uint64_t hash,
       .value();
 }
 
-core::SmallWorldNetwork build_network(const FuzzCase& c, bool paranoid) {
-  util::Rng rng(c.seed);
-  auto ids = core::random_ids(c.n, rng);
-  core::NetworkOptions options;
-  options.protocol = c.protocol;
-  options.scheduler = c.scheduler;
-  options.seed = c.seed;
-  options.faults = c.faults;
-  options.adversary_delay = c.adversary_delay;
-  options.message_loss = c.message_loss;
-  options.verify_tracker = paranoid;
-  core::SmallWorldNetwork net(options);
-  net.add_nodes(topology::make_initial_state(c.shape, std::move(ids), rng));
-  return net;
-}
-
-/// The deterministic crash pick: a dedicated stream off the case seed (the
-/// engine's stream must stay untouched so detector-off crash cases keep the
-/// pre-crash trajectory byte-identical to their crash-free twin), choosing
-/// `crash_frac * n` live ids, at least 1, never more than survivors − 2.
-std::vector<sim::Id> pick_crash_ids(const FuzzCase& c, const sim::Engine& engine) {
-  std::vector<sim::Id> live(engine.id_span().begin(), engine.id_span().end());
-  if (live.size() < 3) return {};
-  std::size_t count = static_cast<std::size_t>(c.crash_frac * static_cast<double>(live.size()));
-  count = std::clamp<std::size_t>(count, 1, live.size() - 2);
-  util::Rng rng(c.seed ^ 0x9e3779b97f4a7c15ull);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t j = i + rng.below(live.size() - i);
-    std::swap(live[i], live[j]);
-  }
-  live.resize(count);
-  return live;
-}
-
 }  // namespace
 
 FuzzVerdict run_case(const FuzzCase& c, const FuzzOptions& options) {
   c.faults.validate();
-  core::SmallWorldNetwork net = build_network(c, options.paranoid);
+  core::SmallWorldNetwork net = initial_network(
+      c.shape, c.n, c.seed, network_options(c, options.paranoid));
   const sim::Engine& engine = net.engine();
 
   // In-band lookup load riding the whole run (declared after `net`: the
@@ -300,7 +261,9 @@ FuzzVerdict run_case(const FuzzCase& c, const FuzzOptions& options) {
   bool crashed = false;
   for (std::uint64_t round = 1; round <= bound && !violated; ++round) {
     if (has_crash && !crashed && round == c.crash_round) {
-      for (const sim::Id id : pick_crash_ids(c, engine)) net.crash(id);
+      for (const sim::Id id :
+           core::crash_victims(engine.id_span(), c.crash_frac, c.seed))
+        net.crash(id);
       crashed = true;
     }
     net.run_rounds(1);

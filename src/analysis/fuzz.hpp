@@ -100,10 +100,9 @@ struct FuzzCase {
   bool operator==(const FuzzCase&) const = default;
 };
 
-/// The theorem-derived budget: the empirical 400n + 4000 bound the in-tree
-/// convergence property tests pin, scaled by the latency the fault plan and
-/// scheduler add (each held round stretches the effective round length) and
-/// shifted past the partition window.
+/// The theorem-derived budget: round_budget (convergence.hpp) of the case's
+/// network — the bound E13 grants the same plan — plus a detect-and-repair
+/// run after a scheduled crash and the lookup service's failure horizon.
 std::uint64_t round_bound(const FuzzCase& c);
 
 /// What one run concluded.  Replaying the same case yields the same verdict

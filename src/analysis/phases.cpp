@@ -2,21 +2,18 @@
 
 #include <algorithm>
 
+#include "analysis/convergence.hpp"
 #include "core/network.hpp"
-#include "util/rng.hpp"
 
 namespace sssw::analysis {
 
 PhaseTimeline measure_phase_timeline(topology::InitialShape shape,
                                      const PhaseTimelineOptions& options) {
-  util::Rng rng(options.seed);
-  auto ids = core::random_ids(options.n, rng);
   core::NetworkOptions net_options;
   net_options.protocol = options.protocol;
   net_options.scheduler = options.scheduler;
-  net_options.seed = options.seed;
-  core::SmallWorldNetwork network(net_options);
-  network.add_nodes(topology::make_initial_state(shape, std::move(ids), rng));
+  core::SmallWorldNetwork network =
+      initial_network(shape, options.n, options.seed, net_options);
 
   PhaseTimeline timeline;
   // The ≥ sorted-list rungs are O(1) via the network's invariant tracker

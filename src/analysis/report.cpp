@@ -1,6 +1,7 @@
 #include "analysis/report.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -34,14 +35,30 @@ std::size_t catalog_index(const std::string& experiment) {
   return experiments.size();
 }
 
-/// cell_key() with its n field zero-padded: string order on these keys is
-/// cell_key order, except that n compares as a number (64 < 128 < 1024).
-std::string order_key(const SweepCell& cell) {
-  std::string key = cell_key(cell);
-  const std::size_t at = key.find("|n=", key.find("|params=")) + 3;
-  const std::size_t digits = key.find('|', at) - at;
-  key.insert(at, 20 - std::min<std::size_t>(digits, 20), '0');
-  return key;
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+/// cell_key() order, except that every numeral compares by value: n,
+/// params and ablations list as 64 < 128 < 1024, loss = 0 < 0.05 < 0.1 and
+/// probe-interval:2 < 16.  Keys equal under that rule fall back to text.
+bool cell_order_less(const SweepCell& left, const SweepCell& right) {
+  const std::string a = cell_key(left), b = cell_key(right);
+  const char *p = a.data(), *const p_end = p + a.size();
+  const char *q = b.data(), *const q_end = q + b.size();
+  while (p < p_end && q < q_end) {
+    if (is_digit(*p) && is_digit(*q)) {
+      double x = 0, y = 0;
+      p = std::from_chars(p, p_end, x).ptr;
+      q = std::from_chars(q, q_end, y).ptr;
+      if (x != y) return x < y;
+    } else if (*p != *q) {
+      return static_cast<unsigned char>(*p) < static_cast<unsigned char>(*q);
+    } else {
+      ++p;
+      ++q;
+    }
+  }
+  if (p < p_end || q < q_end) return p == p_end;
+  return a < b;
 }
 
 /// Sorted union of metric names over a set of cells.
@@ -170,7 +187,7 @@ std::optional<SweepRun> load_sweep_run(const std::filesystem::path& exp_dir) {
               const std::size_t ia = catalog_index(a.cell.experiment);
               const std::size_t ib = catalog_index(b.cell.experiment);
               if (ia != ib) return ia < ib;
-              return order_key(a.cell) < order_key(b.cell);
+              return cell_order_less(a.cell, b.cell);
             });
   return run;
 }

@@ -1,8 +1,8 @@
 #include "analysis/service.hpp"
 
-#include <array>
 #include <span>
 
+#include "analysis/convergence.hpp"
 #include "core/network.hpp"
 #include "core/node.hpp"
 #include "routing/next_hop.hpp"
@@ -12,7 +12,8 @@ namespace sssw::analysis {
 namespace {
 
 // One frozen-view greedy walk, taken with the *same* forwarding decision the
-// live lookup service uses (routing::select_next_hop) so this curve predicts
+// live lookup service uses (routing::select_next_hop over the node's own
+// SmallWorldNode::lookup_candidates) so this curve predicts
 // what service::LookupManager would deliver on the snapshot: every node is
 // treated as live (constant-false deadness — the snapshot has no channel
 // state to suspect anyone over) and fallback is off (strict progress cannot
@@ -30,17 +31,8 @@ Walk walk_pair(const core::SmallWorldNetwork& network, sim::Id source,
   while (walk.hops <= max_hops) {
     const core::SmallWorldNode* node = network.node(current);
     if (node == nullptr) return walk;
-    std::array<sim::Id, routing::kMaxNextHopCandidates> candidates;
-    std::size_t count = 0;
-    candidates[count++] = node->l();
-    candidates[count++] = node->r();
-    candidates[count++] = node->ring();
-    for (const core::LongRangeLink& link : node->lrls()) {
-      candidates[count++] = link.target;
-    }
     const routing::NextHop hop = routing::select_next_hop(
-        current, target, std::span<const sim::Id>(candidates.data(), count),
-        alive);
+        current, target, node->lookup_candidates().view(), alive);
     if (hop.outcome == routing::HopOutcome::kArrived) {
       walk.success = true;
       return walk;
@@ -56,13 +48,10 @@ Walk walk_pair(const core::SmallWorldNetwork& network, sim::Id source,
 
 std::vector<ServicePoint> measure_service_during_stabilization(
     topology::InitialShape shape, const ServiceOptions& options) {
-  util::Rng rng(options.seed);
-  auto ids = core::random_ids(options.n, rng);
   core::NetworkOptions net_options;
   net_options.protocol = options.protocol;
-  net_options.seed = options.seed;
-  core::SmallWorldNetwork network(net_options);
-  network.add_nodes(topology::make_initial_state(shape, std::move(ids), rng));
+  core::SmallWorldNetwork network =
+      initial_network(shape, options.n, options.seed, net_options);
 
   util::Rng eval_rng(options.seed ^ 0x73657276ull);  // "serv"
   std::vector<ServicePoint> curve;

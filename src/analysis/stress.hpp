@@ -29,9 +29,9 @@ struct FaultSweepOptions {
   sim::SchedulerKind scheduler = sim::SchedulerKind::kSynchronous;
   std::uint32_t adversary_delay = 3;
   core::Config protocol{};
-  /// Round budget per trial; 0 = the theorem-shaped 400n + 4000 bound scaled
-  /// by the latency the plan imposes (mirrors analysis::round_bound).
-  std::size_t max_rounds = 0;
+  /// Round budget per trial, partition window included (the sweep passes
+  /// cell_budget, the budget the fuzzer grants the same case).
+  std::size_t max_rounds = 100000;
 };
 
 struct FaultSweepResult {
@@ -40,9 +40,6 @@ struct FaultSweepResult {
   double survived = 0;   ///< fraction still weakly connected after the window
   double injected = 0;   ///< mean fault events injected per trial
 };
-
-/// The latency-scaled default budget for one E13 trial.
-std::size_t fault_sweep_budget(const FaultSweepOptions& options);
 
 FaultSweepResult measure_fault_convergence(const FaultSweepOptions& options);
 
@@ -59,7 +56,8 @@ struct RecoveryOptions {
   double message_loss = 0.0;
   Mode mode = Mode::kCrash;
   core::Config protocol{};  ///< detector.enabled is forced by the mode
-  /// Healing budget per trial; 0 = 400n + 4000 (doubled under loss).
+  /// Healing budget per trial; 0 = round_budget (convergence.hpp): 400n +
+  /// 4000, doubled under loss.
   std::size_t max_rounds = 0;
 };
 

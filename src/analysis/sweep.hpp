@@ -170,8 +170,8 @@ Provenance collect_provenance(const SweepConfig& config,
                               const std::filesystem::path& start = ".");
 
 /// The parsed form of one cell's meta.json.  Field order in the serialized
-/// file is fixed; `metrics` are the experiment's flat observables plus any
-/// obs registry values under their registry names.
+/// file is fixed; `metrics` are the experiment's flat observables (a cell's
+/// obs registry goes to its metrics.jsonl instead).
 struct CellMeta {
   SweepCell cell{};
   std::string hash;

@@ -71,7 +71,8 @@ struct Config {
   /// link runs its own move-and-forget walk; reslrl responses carry the
   /// responder's identity (Message::id3) so the origin can match the
   /// response to the right link.  More links buy shorter greedy routes for
-  /// proportionally more degree and inclrl/reslrl traffic (bench_ablation).
+  /// proportionally more degree and inclrl/reslrl traffic (the
+  /// `multilink:K` rows of e8-overhead).
   /// At most kMaxLrlCount; NodeStore rejects more at construction.
   std::uint32_t lrl_count = 1;
 

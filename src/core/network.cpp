@@ -13,14 +13,7 @@ using sim::kPosInf;
 SmallWorldNetwork::SmallWorldNetwork(NetworkOptions options)
     : options_(options),
       store_(std::make_unique<NodeStore>(options.protocol)),
-      engine_(std::make_unique<sim::Engine>(sim::EngineConfig{
-          .scheduler = options.scheduler,
-          .seed = options.seed,
-          .async_actions_per_round = options.async_actions_per_round,
-          .delivery_probability = options.delivery_probability,
-          .message_loss = options.message_loss,
-          .faults = options.faults,
-          .adversary_delay = options.adversary_delay})),
+      engine_(std::make_unique<sim::Engine>(options)),
       tracker_(std::make_unique<InvariantTracker>(*engine_, *store_)) {}
 
 SmallWorldNetwork& SmallWorldNetwork::operator=(SmallWorldNetwork&& other) noexcept {
@@ -289,6 +282,25 @@ SmallWorldNetwork make_stable_ring(std::vector<Id> ids, NetworkOptions options) 
   SmallWorldNetwork network(options);
   network.add_nodes(inits);
   return network;
+}
+
+SmallWorldNetwork make_stable_ring(std::size_t n, const NetworkOptions& options) {
+  util::Rng rng(options.seed);
+  return make_stable_ring(random_ids(n, rng), options);
+}
+
+std::vector<Id> crash_victims(std::span<const Id> live, double frac,
+                              std::uint64_t seed) {
+  if (frac <= 0.0 || live.size() < 3) return {};
+  std::vector<Id> pool(live.begin(), live.end());
+  const auto count = std::clamp<std::size_t>(
+      static_cast<std::size_t>(frac * static_cast<double>(pool.size())), 1,
+      pool.size() - 2);
+  util::Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
+  for (std::size_t i = 0; i < count; ++i)
+    std::swap(pool[i], pool[i + rng.below(pool.size() - i)]);
+  pool.resize(count);
+  return pool;
 }
 
 std::vector<Id> random_ids(std::size_t n, util::Rng& rng) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -20,24 +21,10 @@
 
 namespace sssw::core {
 
-struct NetworkOptions {
+/// The engine's settings (scheduler, seed, loss, faults; see
+/// sim::EngineConfig) plus the protocol's.
+struct NetworkOptions : sim::EngineConfig {
   Config protocol{};
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kSynchronous;
-  std::uint64_t seed = 1;
-  /// Per-message loss probability (0 = the paper's lossless model).
-  double message_loss = 0.0;
-  /// kDelayedRandom only: per-round delivery probability of each pending
-  /// message, in (0, 1] (see sim::EngineConfig::delivery_probability).
-  double delivery_probability = 0.5;
-  /// kRandomAsync only: atomic actions per "round"; 0 = #processes +
-  /// #pending messages (see sim::EngineConfig::async_actions_per_round).
-  std::size_t async_actions_per_round = 0;
-  /// Fault-injection adversary (duplication, extra delay, partitions, stale
-  /// replay); inactive by default.  See sim/faults.hpp and doc/FAULTS.md.
-  sim::FaultPlan faults{};
-  /// kAdversarialOldestLast only: rounds each message is held before its
-  /// channel sees it (see sim::EngineConfig::adversary_delay).
-  std::uint32_t adversary_delay = 3;
   /// Debug mode: cross-check the incremental invariant tracker against the
   /// recompute oracle on every sorted_list/sorted_ring/phase query.  O(n+m)
   /// per query — for tests and the fuzzer's --paranoid mode, not production.
@@ -149,7 +136,19 @@ class SmallWorldNetwork {
 /// move-and-forget" state used by routing/probing experiments.
 SmallWorldNetwork make_stable_ring(std::vector<sim::Id> ids, NetworkOptions options = {});
 
+/// The same ring over n random ids drawn from Rng(options.seed): the start
+/// of every experiment that begins in the legal state.
+SmallWorldNetwork make_stable_ring(std::size_t n, const NetworkOptions& options);
+
 /// Generates n distinct uniform ids in (0,1).
 std::vector<sim::Id> random_ids(std::size_t n, util::Rng& rng);
+
+/// The nodes a simultaneous crash of a `frac` share of `live` takes out, in
+/// pick order: ⌊frac · |live|⌋ ids, at least 1 and at most |live| − 2 when
+/// frac > 0, drawn by a partial Fisher–Yates shuffle from a stream of its
+/// own derived from `seed`, so the pick leaves the engine's streams
+/// untouched.  None when frac is 0 or fewer than three nodes are live.
+std::vector<sim::Id> crash_victims(std::span<const sim::Id> live, double frac,
+                                   std::uint64_t seed);
 
 }  // namespace sssw::core

@@ -1,7 +1,6 @@
 #include "core/node.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "core/invariant_tracker.hpp"
 #include "routing/next_hop.hpp"
@@ -183,10 +182,8 @@ void SmallWorldNode::on_message(sim::Context& ctx, const sim::Message& m) {
       update_ring(m.id1);
       break;
     case kProbr:
-      probing_r(ctx, m.id1);
-      break;
     case kProbl:
-      probing_l(ctx, m.id1);
+      forward_probe(ctx, m.type, m.id1);
       break;
     case kPing:
       // Unconditional reply = detector completeness: a live node always
@@ -452,36 +449,38 @@ void SmallWorldNode::move_forget(sim::Context& ctx, Id id1, Id id2, Id responder
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm 5 — PROBINGR(id)
+// Algorithms 5/6 — PROBINGR(id) / PROBINGL(id)
 // ---------------------------------------------------------------------------
 
-void SmallWorldNode::probing_r(sim::Context& ctx, Id target) {
-  if (!is_node_id(target) || is_dead(target)) return;
-  const Id shortcut = best_right_shortcut(target);
-  if (is_node_id(shortcut)) {
-    send(ctx, shortcut, kProbr, target);
-  } else if (target >= rv()) {
-    send(ctx, rv(), kProbr, target);
-  } else if (id_ < target && target < rv()) {
-    // Probe cannot advance: the destination lies in our gap — repair.
-    ++counts().probe_repairs;
-    linearize(ctx, target);
+SmallWorldNode::ProbeHop SmallWorldNode::probe_hop(sim::MessageType type,
+                                                   Id target) const noexcept {
+  using Kind = ProbeHop::Kind;
+  if (type == kProbr) {
+    const Id shortcut = best_right_shortcut(target);
+    if (is_node_id(shortcut)) return {Kind::kForward, shortcut, kProbr};
+    if (target >= rv()) return {Kind::kForward, rv(), kProbr};
+    // The probe cannot advance: the destination lies in our gap — repair.
+    if (id_ < target && target < rv()) return {Kind::kRepair};
+    return {};  // target <= id_: the probe overshot (stale message)
   }
-  // else: target ≤ id_, the probe overshot (stale message) — drop.
+  const Id shortcut = best_left_shortcut(target);
+  if (is_node_id(shortcut)) return {Kind::kForward, shortcut, kProbl};
+  if (target <= lv()) return {Kind::kForward, lv(), kProbl};
+  if (id_ > target && target > lv()) return {Kind::kRepair};
+  return {};
 }
 
-// ---------------------------------------------------------------------------
-// Algorithm 6 — PROBINGL(id)
-// ---------------------------------------------------------------------------
-
-void SmallWorldNode::probing_l(sim::Context& ctx, Id target) {
+void SmallWorldNode::forward_probe(sim::Context& ctx, sim::MessageType type,
+                                   Id target) {
   if (!is_node_id(target) || is_dead(target)) return;
-  const Id shortcut = best_left_shortcut(target);
-  if (is_node_id(shortcut)) {
-    send(ctx, shortcut, kProbl, target);
-  } else if (target <= lv()) {
-    send(ctx, lv(), kProbl, target);
-  } else if (id_ > target && target > lv()) {
+  apply_probe_hop(ctx, probe_hop(type, target), target);
+}
+
+void SmallWorldNode::apply_probe_hop(sim::Context& ctx, const ProbeHop& hop,
+                                     Id target) {
+  if (hop.kind == ProbeHop::Kind::kForward) {
+    send(ctx, hop.to, hop.type, target);
+  } else if (hop.kind == ProbeHop::Kind::kRepair) {
     ++counts().probe_repairs;
     linearize(ctx, target);
   }
@@ -575,6 +574,17 @@ void SmallWorldNode::send_id(sim::Context& ctx) {
 // cannot drift.
 // ---------------------------------------------------------------------------
 
+SmallWorldNode::LookupCandidates SmallWorldNode::lookup_candidates()
+    const noexcept {
+  // The store's kMaxLrlCount bound makes every link fit.
+  LookupCandidates out;
+  out.ids[out.count++] = lv();
+  out.ids[out.count++] = rv();
+  out.ids[out.count++] = ringv();
+  for (const LongRangeLink& link : links()) out.ids[out.count++] = link.target;
+  return out;
+}
+
 void SmallWorldNode::handle_lookup(sim::Context& ctx, const sim::Message& m) {
   const Id target = m.id1;
   const Id origin = m.id2;
@@ -618,14 +628,6 @@ void SmallWorldNode::handle_lookup(sim::Context& ctx, const sim::Message& m) {
     miss(LookupReason::kTtlExhausted);
     return;
   }
-  // Candidates in the canonical l, r, ring, lrl order (next_hop.hpp); the
-  // store's kMaxLrlCount bound makes every link fit.
-  std::array<Id, routing::kMaxNextHopCandidates> candidates;
-  std::size_t count = 0;
-  candidates[count++] = lv();
-  candidates[count++] = rv();
-  candidates[count++] = ringv();
-  for (const LongRangeLink& link : links()) candidates[count++] = link.target;
   // Graceful degradation: suspected/quarantined hops are skipped (counted)
   // and the best remaining pointer carries the lookup around the damage.
   const auto dead = [this](Id id) {
@@ -633,9 +635,9 @@ void SmallWorldNode::handle_lookup(sim::Context& ctx, const sim::Message& m) {
     ++counts().service_dead_skips;
     return true;
   };
+  const LookupCandidates candidates = lookup_candidates();
   const routing::NextHop hop = routing::select_next_hop(
-      id_, target, std::span<const Id>(candidates.data(), count), dead,
-      /*allow_fallback=*/true);
+      id_, target, candidates.view(), dead, /*allow_fallback=*/true);
   if (hop.outcome == routing::HopOutcome::kForward) {
     out.ttl = token->ttl - 1;
     ctx.send(hop.to,
@@ -655,45 +657,23 @@ void SmallWorldNode::handle_lookup(sim::Context& ctx, const sim::Message& m) {
 // Algorithm 10 — PROBING()
 // ---------------------------------------------------------------------------
 
+SmallWorldNode::ProbeHop SmallWorldNode::first_probe_hop(Id target) const noexcept {
+  using Kind = ProbeHop::Kind;
+  if (!is_node_id(target) || target == id_) return {};
+  if (target < id_)
+    return target <= lv() ? ProbeHop{Kind::kForward, lv(), kProbl}
+                          : ProbeHop{Kind::kRepair};
+  return target >= rv() ? ProbeHop{Kind::kForward, rv(), kProbr}
+                        : ProbeHop{Kind::kRepair};
+}
+
 void SmallWorldNode::probing(sim::Context& ctx) {
-  if (lv() == kNegInf || rv() == kPosInf) {
-    if (is_node_id(ringv()) && ringv() != id_) {
-      if (ringv() < id_) {
-        if (ringv() <= lv()) {
-          send(ctx, lv(), kProbl, ringv());
-        } else if (id_ > ringv() && ringv() > lv()) {
-          ++counts().probe_repairs;
-          linearize(ctx, ringv());
-        }
-      } else {
-        if (ringv() >= rv()) {
-          send(ctx, rv(), kProbr, ringv());
-        } else if (id_ < ringv() && ringv() < rv()) {
-          ++counts().probe_repairs;
-          linearize(ctx, ringv());
-        }
-      }
-    }
-  }
+  if (lv() == kNegInf || rv() == kPosInf)
+    apply_probe_hop(ctx, first_probe_hop(ringv()), ringv());
   if (!config().move_and_forget_enabled) return;
   for (std::size_t i = 0; i < links().size(); ++i) {
     const Id target = links()[i].target;
-    if (!is_node_id(target) || target == id_) continue;
-    if (target < id_) {
-      if (target <= lv()) {
-        send(ctx, lv(), kProbl, target);
-      } else if (id_ > target && target > lv()) {
-        ++counts().probe_repairs;
-        linearize(ctx, target);
-      }
-    } else {
-      if (target >= rv()) {
-        send(ctx, rv(), kProbr, target);
-      } else if (id_ < target && target < rv()) {
-        ++counts().probe_repairs;
-        linearize(ctx, target);
-      }
-    }
+    apply_probe_hop(ctx, first_probe_hop(target), target);
   }
 }
 

@@ -28,6 +28,7 @@
 #include "core/forget.hpp"
 #include "core/messages.hpp"
 #include "core/node_store.hpp"
+#include "routing/next_hop.hpp"
 #include "sim/engine.hpp"
 
 namespace sssw::core {
@@ -93,6 +94,41 @@ class SmallWorldNode final : public sim::Process {
   /// True when this node stores a ring edge per the paper's rule
   /// ("only set if p.l = −∞ or p.r = ∞") and it is not the inert self-link.
   bool has_ring_edge() const noexcept;
+
+  // --- forwarding rules ------------------------------------------------
+  // The decisions this node's own handlers take, exposed so frozen-state
+  // walks (routing::probe_walk, the lookup walk of analysis/service.cpp)
+  // replay exactly the protocol's hops.
+
+  /// One probe forwarding decision.
+  struct ProbeHop {
+    enum class Kind : std::uint8_t {
+      kForward,  ///< send a `type` probe to `to`
+      kRepair,   ///< target lies in this node's gap: linearize(target)
+      kDrop,     ///< nothing to do (no target, or the probe overshot)
+    };
+    Kind kind = Kind::kDrop;
+    sim::Id to = sim::kNegInf;
+    sim::MessageType type = kProbr;  ///< kProbr or kProbl
+  };
+
+  /// Algorithm 10's first hop of this node's own probe toward `target` (its
+  /// ring edge or a link target): a kProbl to l or a kProbr to r.
+  ProbeHop first_probe_hop(sim::Id target) const noexcept;
+
+  /// Algorithms 5/6: where a received probe of `type` (kProbr or kProbl)
+  /// toward `target` goes next — the farthest long-range link that does not
+  /// pass the target, else the list neighbour.
+  ProbeHop probe_hop(sim::MessageType type, sim::Id target) const noexcept;
+
+  /// The pointers one lookup hop chooses among, in the canonical order l,
+  /// r, ring, lrl[0..k) that routing::select_next_hop breaks ties by.
+  struct LookupCandidates {
+    std::array<sim::Id, routing::kMaxNextHopCandidates> ids;
+    std::size_t count = 0;
+    std::span<const sim::Id> view() const noexcept { return {ids.data(), count}; }
+  };
+  LookupCandidates lookup_candidates() const noexcept;
 
   /// Ids currently on the active detector's dead-id quarantine list (0
   /// when the detector is disabled); feeds the node.detector.quarantined
@@ -166,12 +202,15 @@ class SmallWorldNode final : public sim::Process {
   void respond_lrl(sim::Context& ctx, sim::Id origin);           // Alg. 3
   void move_forget(sim::Context& ctx, sim::Id id1, sim::Id id2,
                    sim::Id responder);                           // Alg. 4
-  void probing_r(sim::Context& ctx, sim::Id target);             // Alg. 5
-  void probing_l(sim::Context& ctx, sim::Id target);             // Alg. 6
+  void forward_probe(sim::Context& ctx, sim::MessageType type,
+                     sim::Id target);                            // Algs. 5/6
   void respond_ring(sim::Context& ctx, sim::Id origin);          // Alg. 7
   void update_ring(sim::Id candidate);                           // Alg. 8
   void send_id(sim::Context& ctx);                               // Alg. 9
   void probing(sim::Context& ctx);                               // Alg. 10
+
+  /// Carries out one probe decision for `target` (send, or repair).
+  void apply_probe_hop(sim::Context& ctx, const ProbeHop& hop, sim::Id target);
 
   /// send with sentinel suppression: no-op if target or any payload id is
   /// non-finite.

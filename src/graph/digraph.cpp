@@ -6,12 +6,6 @@
 
 namespace sssw::graph {
 
-Vertex Digraph::add_vertices(std::size_t count) {
-  const auto first = static_cast<Vertex>(adjacency_.size());
-  adjacency_.resize(adjacency_.size() + count);
-  return first;
-}
-
 void Digraph::add_edge(Vertex from, Vertex to) {
   SSSW_DCHECK(from < adjacency_.size() && to < adjacency_.size());
   adjacency_[from].push_back(to);
@@ -27,13 +21,6 @@ bool Digraph::add_edge_unique(Vertex from, Vertex to) {
 bool Digraph::has_edge(Vertex from, Vertex to) const noexcept {
   const auto& list = adjacency_[from];
   return std::find(list.begin(), list.end(), to) != list.end();
-}
-
-std::vector<std::size_t> Digraph::in_degrees() const {
-  std::vector<std::size_t> degrees(vertex_count(), 0);
-  for (const auto& list : adjacency_)
-    for (const Vertex to : list) ++degrees[to];
-  return degrees;
 }
 
 std::vector<Edge> Digraph::edges() const {

@@ -28,9 +28,6 @@ class Digraph {
   std::size_t vertex_count() const noexcept { return adjacency_.size(); }
   std::size_t edge_count() const noexcept { return edge_count_; }
 
-  /// Appends `count` fresh vertices and returns the index of the first.
-  Vertex add_vertices(std::size_t count);
-
   /// Adds a directed edge; parallel edges are kept (callers that need
   /// simple graphs use add_edge_unique).  Self-loops are allowed but ignored
   /// by the metrics that do not want them.
@@ -46,9 +43,6 @@ class Digraph {
     return adjacency_[v];
   }
   std::size_t out_degree(Vertex v) const noexcept { return adjacency_[v].size(); }
-
-  /// In-degrees of every vertex (O(V+E)).
-  std::vector<std::size_t> in_degrees() const;
 
   /// All edges in (from, to) order.
   std::vector<Edge> edges() const;

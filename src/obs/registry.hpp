@@ -195,10 +195,9 @@ class Registry {
 
 /// Flattens every metric of `registry` to (name, value) pairs, name-ordered
 /// within each kind: counters and gauges pass through verbatim; a histogram
-/// `h` becomes `h_count`, `h_mean`, and `h_p90`.  The one flattening rule
-/// shared by every scalar sink — google-benchmark counters (bench_common),
-/// sweep cell metrics (analysis::run_sweep), CSV columns — so a metric shows
-/// up under the same flat name everywhere.
+/// `h` becomes `h_count`, `h_mean`, and `h_p90`.  bench_engine publishes its
+/// registry as google-benchmark counters this way; sweep cells write theirs
+/// whole (obs::to_jsonl, snapshotter.hpp).
 std::vector<std::pair<std::string, double>> flatten(const Registry& registry);
 
 }  // namespace sssw::obs

@@ -6,22 +6,6 @@
 
 namespace sssw::routing {
 
-GreedyMetrics::GreedyMetrics(obs::Registry& registry)
-    : routes(registry.counter("routing.greedy.routes")),
-      delivered(registry.counter("routing.greedy.delivered")),
-      deadends(registry.counter("routing.greedy.deadends")),
-      hops(registry.histogram("routing.greedy.hops")) {}
-
-void GreedyMetrics::record(const RouteResult& result) {
-  routes.add(1);
-  if (result.success) {
-    delivered.add(1);
-    hops.observe(static_cast<double>(result.hops));
-  } else {
-    deadends.add(1);
-  }
-}
-
 std::size_t ring_rank_distance(std::size_t a, std::size_t b, std::size_t n) noexcept {
   const std::size_t direct = a > b ? a - b : b - a;
   return direct < n - direct ? direct : n - direct;
@@ -109,8 +93,7 @@ namespace {
 
 template <typename RouteFn>
 RoutingStats evaluate_with(const graph::Digraph& graph, util::Rng& rng,
-                           std::size_t pairs, RouteFn&& route_fn,
-                           GreedyMetrics* metrics) {
+                           std::size_t pairs, RouteFn&& route_fn) {
   RoutingStats stats;
   const std::size_t n = graph.vertex_count();
   if (n < 2) return stats;
@@ -122,7 +105,6 @@ RoutingStats evaluate_with(const graph::Digraph& graph, util::Rng& rng,
     auto target = static_cast<graph::Vertex>(rng.below(n - 1));
     if (target >= source) ++target;
     const RouteResult route = route_fn(source, target);
-    if (metrics != nullptr) metrics->record(route);
     if (route.success) {
       ++successes;
       hop_samples.push_back(static_cast<double>(route.hops));
@@ -138,25 +120,21 @@ RoutingStats evaluate_with(const graph::Digraph& graph, util::Rng& rng,
 }  // namespace
 
 RoutingStats evaluate_routing(const graph::Digraph& graph, util::Rng& rng,
-                              std::size_t pairs, std::size_t max_hops, Metric metric,
-                              GreedyMetrics* metrics) {
-  return evaluate_with(
-      graph, rng, pairs,
-      [&](graph::Vertex source, graph::Vertex target) {
-        return greedy_route(graph, source, target, max_hops, metric);
-      },
-      metrics);
+                              std::size_t pairs, std::size_t max_hops, Metric metric) {
+  return evaluate_with(graph, rng, pairs,
+                       [&](graph::Vertex source, graph::Vertex target) {
+                         return greedy_route(graph, source, target, max_hops, metric);
+                       });
 }
 
 RoutingStats evaluate_routing_lookahead(const graph::Digraph& graph, util::Rng& rng,
                                         std::size_t pairs, std::size_t max_hops,
-                                        Metric metric, GreedyMetrics* metrics) {
-  return evaluate_with(
-      graph, rng, pairs,
-      [&](graph::Vertex source, graph::Vertex target) {
-        return greedy_route_lookahead(graph, source, target, max_hops, metric);
-      },
-      metrics);
+                                        Metric metric) {
+  return evaluate_with(graph, rng, pairs,
+                       [&](graph::Vertex source, graph::Vertex target) {
+                         return greedy_route_lookahead(graph, source, target,
+                                                       max_hops, metric);
+                       });
 }
 
 }  // namespace sssw::routing

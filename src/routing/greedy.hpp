@@ -9,7 +9,6 @@
 #include <cstddef>
 
 #include "graph/digraph.hpp"
-#include "obs/registry.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -18,21 +17,6 @@ namespace sssw::routing {
 struct RouteResult {
   bool success = false;
   std::size_t hops = 0;
-};
-
-/// Observability sink for greedy routing (doc/OBSERVABILITY.md): per-route
-/// counters plus a hop-count histogram over delivered routes.  Failures —
-/// local minima and hop-budget exhaustion alike — count as dead-ends.
-struct GreedyMetrics {
-  /// Binds the routing.greedy.* metrics; `registry` must outlive this object.
-  explicit GreedyMetrics(obs::Registry& registry);
-
-  obs::Counter& routes;       ///< routes attempted
-  obs::Counter& delivered;    ///< routes that reached the target
-  obs::Counter& deadends;     ///< routes that failed (stuck or out of hops)
-  obs::Histogram& hops;       ///< hop counts of delivered routes
-
-  void record(const RouteResult& result);
 };
 
 /// Distance notion used by the greedy rule.  Symmetric ring distance is the
@@ -59,18 +43,15 @@ struct RoutingStats {
   std::size_t pairs = 0;
 };
 
-/// Routes `pairs` uniformly random (source, target) pairs.  When `metrics`
-/// is non-null every attempted route is also recorded there.
+/// Routes `pairs` uniformly random (source, target) pairs.
 RoutingStats evaluate_routing(const graph::Digraph& graph, util::Rng& rng,
                               std::size_t pairs, std::size_t max_hops,
-                              Metric metric = Metric::kRingSymmetric,
-                              GreedyMetrics* metrics = nullptr);
+                              Metric metric = Metric::kRingSymmetric);
 
 /// Same, using greedy_route_lookahead.
 RoutingStats evaluate_routing_lookahead(const graph::Digraph& graph, util::Rng& rng,
                                         std::size_t pairs, std::size_t max_hops,
-                                        Metric metric = Metric::kRingSymmetric,
-                                        GreedyMetrics* metrics = nullptr);
+                                        Metric metric = Metric::kRingSymmetric);
 
 /// Greedy routing with one-hop lookahead (neighbour-of-neighbour, as used by
 /// Manku et al. to improve small-world routing): each step moves to the

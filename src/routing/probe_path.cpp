@@ -7,99 +7,29 @@ namespace sssw::routing {
 
 using core::SmallWorldNode;
 using sim::Id;
-using sim::is_node_id;
-
-namespace {
-
-/// The first hop: Algorithm 10 sends the probe to p.l / p.r (or handles the
-/// degenerate nearby cases locally).  Returns the next node, or origin
-/// itself when the walk terminates immediately.
-Id first_hop(const SmallWorldNode& node, Id target, ProbeResult& result) {
-  if (target < node.id()) {
-    if (is_node_id(node.l()) && target <= node.l()) return node.l();
-    if (target > node.l()) {
-      // linearize(target): target is already within the gap — local repair.
-      result.repaired = true;
-    }
-    return node.id();
-  }
-  if (target > node.id()) {
-    if (is_node_id(node.r()) && target >= node.r()) return node.r();
-    if (target < node.r()) result.repaired = true;
-    return node.id();
-  }
-  return node.id();
-}
-
-}  // namespace
 
 ProbeResult probe_walk(const core::SmallWorldNetwork& network, Id origin, Id target,
                        std::size_t max_hops) {
+  using Kind = SmallWorldNode::ProbeHop::Kind;
   ProbeResult result;
   const SmallWorldNode* node = network.node(origin);
   SSSW_CHECK_MSG(node != nullptr, "probe origin must exist");
-  if (!is_node_id(target) || target == origin) {
-    result.stopped_at = origin;
-    return result;
-  }
-
-  Id current = first_hop(*node, target, result);
-  if (current == origin) {
-    result.stopped_at = origin;
-    return result;
-  }
-  ++result.hops;
-
-  const bool rightward = target > origin;
-  while (result.hops < max_hops) {
+  // Algorithm 10 hands the probe to l or r, or repairs on the spot; every
+  // later hop is the receiving node's own Algorithm 5/6 decision.
+  SmallWorldNode::ProbeHop hop = node->first_probe_hop(target);
+  Id current = origin;
+  while (hop.kind == Kind::kForward && result.hops < max_hops) {
+    current = hop.to;
+    ++result.hops;
     if (current == target) {
       result.reached = true;
-      result.stopped_at = current;
-      return result;
+      break;
     }
-    const SmallWorldNode* p = network.node(current);
-    if (p == nullptr) {
-      // Probe landed on a departed node: message would be dropped.
-      result.stopped_at = current;
-      return result;
-    }
-    Id next;
-    if (rightward) {
-      // Algorithm 5 — PROBINGR(id)
-      if (target >= p->lrl() && p->lrl() > p->r()) {
-        next = p->lrl();
-      } else if (target >= p->r()) {
-        next = p->r();
-      } else if (p->id() < target && target < p->r()) {
-        result.repaired = true;  // linearize(target) fires here
-        result.stopped_at = current;
-        return result;
-      } else {
-        result.stopped_at = current;  // stale probe: dropped
-        return result;
-      }
-    } else {
-      // Algorithm 6 — PROBINGL(id)
-      if (target <= p->lrl() && p->lrl() < p->l()) {
-        next = p->lrl();
-      } else if (target <= p->l()) {
-        next = p->l();
-      } else if (p->id() > target && target > p->l()) {
-        result.repaired = true;
-        result.stopped_at = current;
-        return result;
-      } else {
-        result.stopped_at = current;
-        return result;
-      }
-    }
-    if (!is_node_id(next)) {
-      result.stopped_at = current;
-      return result;
-    }
-    current = next;
-    ++result.hops;
+    node = network.node(current);
+    if (node == nullptr) break;  // a departed node: the message is dropped
+    hop = node->probe_hop(hop.type, target);
   }
+  result.repaired = hop.kind == Kind::kRepair;
   result.stopped_at = current;
   return result;
 }

@@ -6,8 +6,7 @@
 
 #include "core/network.hpp"
 #include "obs/registry.hpp"
-#include "topology/initial_states.hpp"
-#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sssw::service {
 
@@ -131,68 +130,67 @@ SloResult measure_slo(const SloOptions& options, obs::Registry* registry) {
           ? options.post_rounds
           : 3 * static_cast<std::size_t>(result.detection_window);
 
+  struct Trial {
+    std::vector<Sample> samples;  ///< rel_round relative to the crash
+    std::int64_t recovery = -1;   ///< recovery_round's answer
+    LookupManager::Totals totals;
+    obs::Registry registry;
+  };
+  core::NetworkOptions net_options;
+  net_options.message_loss = options.message_loss;
+  net_options.protocol = options.protocol;
+  net_options.protocol.detector.enabled = options.detector;
+  const std::int64_t horizon = static_cast<std::int64_t>(post_rounds);
+  auto trials = util::run_trials<Trial>(
+      options.trials, options.base_seed, [&](std::size_t, std::uint64_t seed) {
+        Trial trial;
+        core::NetworkOptions trial_options = net_options;
+        trial_options.seed = seed;
+        core::SmallWorldNetwork net = core::make_stable_ring(options.n, trial_options);
+        net.attach_metrics(trial.registry);
+        net.run_rounds(burn_in);  // links spread, probe timers cycling
+
+        LookupConfig lookup = options.lookup;
+        lookup.seed = seed ^ options.lookup.seed;
+        LookupManager manager(net, lookup);
+        manager.attach_metrics(trial.registry);
+        std::vector<Sample>& samples = trial.samples;
+        std::int64_t crash_rel = 0;  // completion rounds relative to the crash
+        manager.set_completion_hook([&](const LookupCompletion& c) {
+          samples.push_back({static_cast<std::int64_t>(c.round) - crash_rel,
+                             c.ok, static_cast<double>(c.latency_rounds),
+                             static_cast<double>(c.hops)});
+        });
+
+        net.run_rounds(options.warm_rounds);
+
+        const std::int64_t crash_round =
+            static_cast<std::int64_t>(net.engine().round());
+        for (const sim::Id victim :
+             core::crash_victims(net.engine().id_span(), options.crash_frac, seed))
+          net.crash(victim);
+
+        // Re-base the completions recorded so far (hook captured crash_rel
+        // by reference; everything before this point is pre-crash, negative
+        // rel).
+        crash_rel = crash_round;
+        for (Sample& s : samples) s.rel_round -= crash_round;
+
+        net.run_rounds(post_rounds);
+
+        trial.recovery = recovery_round(
+            samples, horizon, static_cast<std::int64_t>(options.recovery_window),
+            options.slo_target);
+        trial.totals = manager.totals();
+        return trial;
+      });
+
   std::vector<Sample> pooled_pre, pooled_during, pooled_post;
   double recovery_sum = 0.0;
   std::size_t recovered = 0;
   bool all_in_window = true;
-
-  for (std::size_t trial = 0; trial < options.trials; ++trial) {
-    const std::uint64_t seed = options.base_seed + trial;
-    util::Rng rng(seed);
-    auto ids = core::random_ids(options.n, rng);
-    core::NetworkOptions net_options;
-    net_options.seed = seed;
-    net_options.message_loss = options.message_loss;
-    net_options.protocol = options.protocol;
-    net_options.protocol.detector.enabled = options.detector;
-    core::SmallWorldNetwork net =
-        core::make_stable_ring(std::move(ids), net_options);
-    obs::Registry trial_registry;
-    net.attach_metrics(trial_registry);
-    net.run_rounds(burn_in);  // links spread, probe timers cycling
-
-    LookupConfig lookup = options.lookup;
-    lookup.seed = seed ^ options.lookup.seed;
-    LookupManager manager(net, lookup);
-    manager.attach_metrics(trial_registry);
-    std::vector<Sample> samples;
-    std::int64_t crash_rel = 0;  // completion rounds relative to the crash
-    manager.set_completion_hook([&](const LookupCompletion& c) {
-      samples.push_back({static_cast<std::int64_t>(c.round) - crash_rel, c.ok,
-                         static_cast<double>(c.latency_rounds),
-                         static_cast<double>(c.hops)});
-    });
-
-    net.run_rounds(options.warm_rounds);
-
-    // Victim pick: the fuzzer's recipe (dedicated stream, partial shuffle).
-    std::vector<sim::Id> victims(net.engine().id_span().begin(),
-                                 net.engine().id_span().end());
-    std::size_t count = static_cast<std::size_t>(
-        options.crash_frac * static_cast<double>(victims.size()));
-    if (options.crash_frac > 0) count = std::max<std::size_t>(count, 1);
-    count = std::min(count, victims.size() - 2);
-    util::Rng pick(seed ^ 0x9e3779b97f4a7c15ull);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t j = i + pick.below(victims.size() - i);
-      std::swap(victims[i], victims[j]);
-    }
-    victims.resize(count);
-    const std::int64_t crash_round =
-        static_cast<std::int64_t>(net.engine().round());
-    for (const sim::Id victim : victims) net.crash(victim);
-
-    // Re-base the completions recorded so far (hook captured crash_rel by
-    // reference; everything before this point is pre-crash, negative rel).
-    crash_rel = crash_round;
-    for (Sample& s : samples) s.rel_round -= crash_round;
-
-    net.run_rounds(post_rounds);
-
-    const std::int64_t horizon = static_cast<std::int64_t>(post_rounds);
-    const std::int64_t rec = recovery_round(
-        samples, horizon, static_cast<std::int64_t>(options.recovery_window),
-        options.slo_target);
+  for (const Trial& trial : trials) {
+    const std::int64_t rec = trial.recovery;
     if (rec >= 0) {
       ++recovered;
       recovery_sum += static_cast<double>(rec);
@@ -202,7 +200,7 @@ SloResult measure_slo(const SloOptions& options, obs::Registry* registry) {
       all_in_window = false;
     }
     const std::int64_t during_end = rec >= 0 ? rec : horizon;
-    for (const Sample& s : samples) {
+    for (const Sample& s : trial.samples) {
       if (s.rel_round < 0) {
         pooled_pre.push_back(s);
       } else if (s.rel_round < during_end) {
@@ -212,7 +210,7 @@ SloResult measure_slo(const SloOptions& options, obs::Registry* registry) {
       }
     }
 
-    const LookupManager::Totals& t = manager.totals();
+    const LookupManager::Totals& t = trial.totals;
     result.totals.issued += t.issued;
     result.totals.attempts += t.attempts;
     result.totals.retries += t.retries;
@@ -226,11 +224,10 @@ SloResult measure_slo(const SloOptions& options, obs::Registry* registry) {
     result.totals.deadletter_ttl += t.deadletter_ttl;
     result.totals.hop_sum += t.hop_sum;
     result.totals.latency_sum += t.latency_sum;
-    if (registry != nullptr) registry->merge(trial_registry);
+    if (registry != nullptr) registry->merge(trial.registry);
   }
 
   const std::int64_t warm = static_cast<std::int64_t>(options.warm_rounds);
-  const std::int64_t horizon = static_cast<std::int64_t>(post_rounds);
   result.pre = window_stats(pooled_pre, -warm, 0);
   result.during_crash = window_stats(pooled_during, 0, horizon);
   result.post = window_stats(pooled_post, 0, horizon + 1);

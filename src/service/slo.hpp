@@ -13,9 +13,10 @@
 // window", with detector-off and retries-off rows as ablations.
 //
 // Like the other analysis drivers this is a pure function of its options:
-// trial seeds, victim picks (the fuzzer's partial-shuffle recipe), and the
-// lookup workload all derive from base_seed, so sweep cells and benches
-// replay byte-identically.
+// trial seeds, victim picks (core::crash_victims, the fuzzer's pick), and
+// the lookup workload all derive from base_seed, so sweep cells and benches
+// replay byte-identically.  Trials run in parallel (util::run_trials) and
+// are folded in trial order.
 #pragma once
 
 #include <cstddef>

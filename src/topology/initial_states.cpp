@@ -56,8 +56,7 @@ void store_link(NodeInit& from, Id to) {
 }  // namespace
 
 std::vector<NodeInit> make_initial_state(InitialShape shape, std::vector<Id> ids,
-                                         util::Rng& rng,
-                                         const InitialStateOptions& options) {
+                                         util::Rng& rng) {
   std::sort(ids.begin(), ids.end());
   const std::size_t n = ids.size();
   std::vector<NodeInit> inits;
@@ -145,10 +144,6 @@ std::vector<NodeInit> make_initial_state(InitialShape shape, std::vector<Id> ids
     }
   }
 
-  if (options.randomize_lrl && shape != InitialShape::kScrambledLrl &&
-      shape != InitialShape::kBridgedChains && n > 0) {
-    for (NodeInit& init : inits) init.lrl = ids[rng.below(n)];
-  }
   return inits;
 }
 

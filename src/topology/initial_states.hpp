@@ -40,18 +40,11 @@ const char* to_string(InitialShape shape) noexcept;
 /// Inverse of to_string; nullopt for an unknown name.
 std::optional<InitialShape> shape_from_string(std::string_view name) noexcept;
 
-struct InitialStateOptions {
-  /// Additionally point every node's lrl at a uniformly random node (keeps
-  /// weak connectivity, adds clutter the protocol must digest).
-  bool randomize_lrl = false;
-};
-
 /// Generates one initial configuration over the given ids (need not be
 /// sorted; they are sorted internally).  The result is always weakly
 /// connected in CC.
 std::vector<core::NodeInit> make_initial_state(InitialShape shape,
                                                std::vector<sim::Id> ids,
-                                               util::Rng& rng,
-                                               const InitialStateOptions& options = {});
+                                               util::Rng& rng);
 
 }  // namespace sssw::topology

@@ -51,26 +51,4 @@ Rng Rng::split() noexcept {
   return Rng(splitmix64(sm));
 }
 
-void Rng::long_jump() noexcept {
-  static constexpr std::uint64_t kJump[] = {
-      0x76e15d3efefdcbbfull, 0xc5004e441c522fb3ull, 0x77710069854ee241ull,
-      0x39109bb02acbe635ull};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (const std::uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (1ull << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      operator()();
-    }
-  }
-  s_[0] = s0;
-  s_[1] = s1;
-  s_[2] = s2;
-  s_[3] = s3;
-}
-
 }  // namespace sssw::util

@@ -86,9 +86,6 @@ class Rng {
   /// suitable for handing to a worker thread or a per-node generator.
   Rng split() noexcept;
 
-  /// xoshiro256++ long_jump: skips 2^192 outputs in-place.
-  void long_jump() noexcept;
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

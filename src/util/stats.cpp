@@ -203,17 +203,6 @@ PolylogFit fit_polylog(std::span<const double> x, std::span<const double> y) {
   return fit;
 }
 
-double chi_square(std::span<const double> observed, std::span<const double> expected) {
-  SSSW_CHECK(observed.size() == expected.size());
-  double stat = 0.0;
-  for (std::size_t i = 0; i < observed.size(); ++i) {
-    if (expected[i] <= 0.0) continue;
-    const double diff = observed[i] - expected[i];
-    stat += diff * diff / expected[i];
-  }
-  return stat;
-}
-
 double mean_of(std::span<const double> data) {
   if (data.empty()) return 0.0;
   double s = 0.0;

@@ -140,10 +140,6 @@ struct PolylogFit {
 
 PolylogFit fit_polylog(std::span<const double> x, std::span<const double> y);
 
-/// Pearson chi-square statistic of observed counts vs expected counts
-/// (both must be the same length; expected entries <= 0 are skipped).
-double chi_square(std::span<const double> observed, std::span<const double> expected);
-
 /// Mean of a sample (0 for empty).
 double mean_of(std::span<const double> data);
 

@@ -1,14 +1,15 @@
 // thread_pool.hpp — fixed-size worker pool with a parallel_for helper.
 //
 // Monte-Carlo experiment drivers run independent trials (one seed each) in
-// parallel; each trial owns its simulator and RNG, so the only shared state
-// is the result slot it writes.  The pool is deliberately simple: a mutex-
+// parallel through run_trials; each trial owns its simulator and RNG, so the
+// only shared state is the result slot it writes.  The pool is deliberately simple: a mutex-
 // guarded deque is far from the bottleneck when each task is a whole
 // simulation run.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -65,5 +66,21 @@ ThreadPool& shared_pool();
 /// Convenience: runs body(i) for i in [0, count) on the shared pool, or
 /// serially when count <= 1 (no pool is ever constructed in that case).
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
+
+/// Runs `trials` invocations of `trial(index, seed)` on the shared pool and
+/// returns the results in index order.  Seeds are base_seed + index, so any
+/// single trial can be replayed in isolation; callers fold the results in
+/// index order, so a run's output does not depend on the pool's schedule.
+/// The shared pool is not re-entrant: a trial must not call run_trials or
+/// parallel_for itself.
+template <typename T>
+std::vector<T> run_trials(std::size_t trials, std::uint64_t base_seed,
+                          const std::function<T(std::size_t, std::uint64_t)>& trial) {
+  std::vector<T> results(trials);
+  parallel_for(trials, [&](std::size_t index) {
+    results[index] = trial(index, base_seed + index);
+  });
+  return results;
+}
 
 }  // namespace sssw::util

@@ -1,30 +1,13 @@
-// Tests for analysis/{experiment,convergence,robustness} drivers.
+// Tests for analysis/convergence and analysis/robustness.
 #include <gtest/gtest.h>
 
 #include "analysis/convergence.hpp"
-#include "analysis/experiment.hpp"
 #include "analysis/robustness.hpp"
 #include "topology/chord.hpp"
 #include "topology/kleinberg.hpp"
 
 namespace sssw::analysis {
 namespace {
-
-TEST(RunTrials, ResultsInIndexOrderWithDistinctSeeds) {
-  const auto results = run_trials<std::uint64_t>(
-      16, 100, [](std::size_t index, std::uint64_t seed) {
-        EXPECT_EQ(seed, 100 + index);
-        return seed * 2;
-      });
-  ASSERT_EQ(results.size(), 16u);
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(results[i], (100 + i) * 2);
-}
-
-TEST(RunTrials, ZeroTrials) {
-  const auto results =
-      run_trials<int>(0, 1, [](std::size_t, std::uint64_t) { return 1; });
-  EXPECT_TRUE(results.empty());
-}
 
 TEST(MeasureConvergence, RandomChainConverges) {
   ConvergenceOptions options;

@@ -498,5 +498,35 @@ TEST(CrashRecovery, DisabledDetectorSendsNothingAndArmsNoTimer) {
   EXPECT_EQ(net.engine().counters().sent_by_type[kPong], 0u);
 }
 
+// --- the crash pick (fuzzer, E14, E15, sssw_sim --crash-frac) ---------------
+
+TEST(CrashPick, KeepsTheVictimsOfTheFuzzerRecipe) {
+  // ⌊0.25 · 16⌋ victims of random_ids(16, Rng(7)) under seed 7, in pick
+  // order, as the fuzzer, E14, E15 and sssw_sim each drew them before they
+  // shared one function.
+  util::Rng rng(7);
+  const std::vector<Id> live = random_ids(16, rng);
+  EXPECT_EQ(crash_victims(live, 0.25, 7),
+            (std::vector<Id>{0x1.b5767da98c6p-2, 0x1.c583400555d2p-5,
+                             0x1.cf3305d746a18p-4, 0x1.f6f2fe9a2738p-1}));
+}
+
+TEST(CrashPick, ClampsToOneAndToAllButTwo) {
+  util::Rng rng(7);
+  const std::vector<Id> live = random_ids(16, rng);
+  EXPECT_EQ(crash_victims(live, 0.01, 7).size(), 1u);
+  EXPECT_EQ(crash_victims(live, 0.99, 7).size(), 14u);
+}
+
+TEST(CrashPick, ZeroFractionPicksNone) {
+  util::Rng rng(7);
+  EXPECT_TRUE(crash_victims(random_ids(16, rng), 0.0, 7).empty());
+}
+
+TEST(CrashPick, FewerThanThreeLiveNodesPicksNone) {
+  const std::vector<Id> live{0.25, 0.75};
+  EXPECT_TRUE(crash_victims(live, 0.5, 7).empty());
+}
+
 }  // namespace
 }  // namespace sssw::core

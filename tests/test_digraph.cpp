@@ -14,13 +14,6 @@ TEST(Digraph, StartsEmpty) {
   EXPECT_EQ(g.edge_count(), 0u);
 }
 
-TEST(Digraph, AddVerticesReturnsFirstIndex) {
-  Digraph g;
-  EXPECT_EQ(g.add_vertices(3), 0u);
-  EXPECT_EQ(g.add_vertices(2), 3u);
-  EXPECT_EQ(g.vertex_count(), 5u);
-}
-
 TEST(Digraph, AddEdgeIsDirected) {
   Digraph g(3);
   g.add_edge(0, 1);
@@ -53,17 +46,6 @@ TEST(Digraph, OutNeighbors) {
   EXPECT_EQ(neighbors[0], 1u);
   EXPECT_EQ(neighbors[1], 3u);
   EXPECT_TRUE(g.out_neighbors(2).empty());
-}
-
-TEST(Digraph, InDegrees) {
-  Digraph g(3);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  const auto in = g.in_degrees();
-  EXPECT_EQ(in[0], 1u);
-  EXPECT_EQ(in[1], 0u);
-  EXPECT_EQ(in[2], 2u);
 }
 
 TEST(Digraph, EdgesLists) {

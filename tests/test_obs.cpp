@@ -19,7 +19,6 @@
 #include "core/network.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
-#include "routing/greedy.hpp"
 #include "service/slo.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -540,21 +539,6 @@ TEST(ObsIntegration, MovedNetworkKeepsReportingItsOwnGauges) {
   EXPECT_GT(peak, 0.0) << "the crashes never reached a quarantine list";
 }
 
-TEST(ObsIntegration, GreedyMetricsRecordRoutes) {
-  Registry registry;
-  routing::GreedyMetrics metrics(registry);
-  metrics.record({.success = true, .hops = 4});
-  metrics.record({.success = true, .hops = 2});
-  metrics.record({.success = false, .hops = 9});
-  EXPECT_EQ(registry.find_counter("routing.greedy.routes")->value(), 3u);
-  EXPECT_EQ(registry.find_counter("routing.greedy.delivered")->value(), 2u);
-  EXPECT_EQ(registry.find_counter("routing.greedy.deadends")->value(), 1u);
-  const Histogram* hops = registry.find_histogram("routing.greedy.hops");
-  ASSERT_NE(hops, nullptr);
-  EXPECT_EQ(hops->count(), 2u);  // failures contribute no hop sample
-  EXPECT_DOUBLE_EQ(hops->sum(), 6.0);
-}
-
 // --- pinned export -----------------------------------------------------------
 // The metrics.jsonl lines of two small runs, recorded literally: a crash-mode
 // E14 trial (engine.*, faults.*, node.* including the detector counters,
@@ -654,8 +638,6 @@ TEST(ObsDocs, EveryEmittedMetricNameIsDocumented) {
   net.attach_metrics(registry);
   service::LookupManager lookups(net, service::LookupConfig{});
   lookups.attach_metrics(registry);
-  routing::GreedyMetrics greedy(registry);
-  (void)greedy;
 
   // ...then require each name to appear in doc/OBSERVABILITY.md.
   const std::string doc_path = std::string(SSSW_SOURCE_DIR) + "/doc/OBSERVABILITY.md";
@@ -669,8 +651,8 @@ TEST(ObsDocs, EveryEmittedMetricNameIsDocumented) {
   for (const auto& [name, metric] : registry.counters()) names.push_back(name);
   for (const auto& [name, metric] : registry.gauges()) names.push_back(name);
   for (const auto& [name, metric] : registry.histograms()) names.push_back(name);
-  // engine(13) + node(22) + invariants(4) + service(14) + routing(4)
-  ASSERT_GE(names.size(), 57u);
+  // engine(13) + node(22) + invariants(4) + service(14)
+  ASSERT_GE(names.size(), 53u);
   for (const std::string& name : names)
     EXPECT_NE(doc.find('`' + name + '`'), std::string::npos)
         << "metric `" << name << "` is not documented in doc/OBSERVABILITY.md";

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/messages.hpp"
 #include "core/network.hpp"
 #include "util/rng.hpp"
 
@@ -39,6 +42,35 @@ TEST(ProbeWalk, UsesLrlShortcuts) {
   const ProbeResult r = probe_walk(net, 0.1, 0.7, 100);
   EXPECT_TRUE(r.reached);
   EXPECT_EQ(r.hops, 3u);  // 0.1→0.2 (first hop), 0.2→0.6 (lrl), 0.6→0.7
+}
+
+TEST(ProbeWalk, FollowsTheBestLongRangeLink) {
+  // With two links, Algorithm 5 forwards along the farthest link that does
+  // not pass the target, whichever slot holds it; the walk must take the
+  // hops the live protocol takes.
+  core::NetworkOptions options;
+  options.protocol.lrl_count = 2;
+  SmallWorldNetwork net =
+      make_stable_ring({0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}, options);
+  net.node(0.2)->set_lrl(0.4);  // link 0: the shorter shortcut
+  // Link 1 (at home) moves to 0.6 the way the protocol moves a link: by a
+  // reslrl from the node it points at.
+  net.engine().inject(0.2, sim::Message{core::kReslrl, 0.6, 0.6, 0.2});
+  net.engine().deliver_pending_once();
+  ASSERT_DOUBLE_EQ(net.node(0.2)->lrls()[1].target, 0.6);
+
+  // The live hops of a probe toward 0.7 that 0.1 hands to its r, 0.2.
+  std::vector<sim::Id> live{0.2};
+  net.engine().add_send_hook([&](sim::Id to, const sim::Message& m) {
+    if (m.type == core::kProbr && m.id1 == 0.7) live.push_back(to);
+  });
+  net.engine().inject(0.2, sim::Message{core::kProbr, 0.7});
+  for (int pass = 0; pass < 4; ++pass) net.engine().deliver_pending_once();
+  EXPECT_EQ(live, (std::vector<sim::Id>{0.2, 0.6, 0.7}));
+
+  const ProbeResult r = probe_walk(net, 0.1, 0.7, 100);
+  EXPECT_TRUE(r.reached);
+  EXPECT_EQ(r.hops, live.size());  // 0.1→0.2, 0.2→0.6 (link 1), 0.6→0.7
 }
 
 TEST(ProbeWalk, DoesNotOvershootWithLrl) {

@@ -132,14 +132,6 @@ TEST(Rng, SplitStreamsAreUncorrelated) {
   EXPECT_LT(same, 3);
 }
 
-TEST(Rng, LongJumpChangesStream) {
-  Rng a(43), b(43);
-  b.long_jump();
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += (a() == b());
-  EXPECT_LT(same, 3);
-}
-
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(47);
   std::vector<int> v(100);

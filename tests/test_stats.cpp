@@ -197,17 +197,6 @@ TEST(PolylogFit, RecoverExponent) {
   EXPECT_NEAR(fit.prefactor, 3.0, 1e-6);
 }
 
-TEST(ChiSquare, ZeroForPerfectMatch) {
-  const std::vector<double> o{10, 20, 30};
-  EXPECT_EQ(chi_square(o, o), 0.0);
-}
-
-TEST(ChiSquare, KnownValue) {
-  const std::vector<double> o{12, 8};
-  const std::vector<double> e{10, 10};
-  EXPECT_DOUBLE_EQ(chi_square(o, e), 0.4 + 0.4);
-}
-
 TEST(MeanOf, Basics) {
   EXPECT_EQ(mean_of({}), 0.0);
   const std::vector<double> v{1, 2, 3};

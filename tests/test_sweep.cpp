@@ -18,9 +18,11 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
+#include "analysis/fuzz.hpp"
 #include "analysis/report.hpp"
 #include "analysis/sweep.hpp"
 #include "obs/registry.hpp"
+#include "obs/snapshotter.hpp"
 
 namespace sssw::analysis {
 namespace {
@@ -410,6 +412,30 @@ TEST(ExperimentCatalog, EveryDescriptorRunsASmallCell) {
   }
 }
 
+TEST(ExperimentCatalog, ParallelTrialCellsRepeatExactly) {
+  // These experiments run their trials on the shared pool and fold them in
+  // trial order, so a cell repeats exactly: same metrics, same registry.
+  for (const char* name :
+       {"e1b-phases", "e13-faults", "e14-recovery", "e15-service"}) {
+    std::vector<std::pair<std::string, double>> metrics[2];
+    std::string lines[2];
+    for (int pass = 0; pass < 2; ++pass) {
+      SweepCell cell;
+      cell.experiment = name;
+      cell.n = 32;
+      cell.trials = 2;
+      cell.seed = 20120521;
+      obs::Registry registry;
+      const CellResult result = find_experiment(name)->run(cell, &registry);
+      ASSERT_TRUE(result.error.empty()) << name << ": " << result.error;
+      metrics[pass] = result.metrics;
+      lines[pass] = obs::to_jsonl(registry, 0);
+    }
+    EXPECT_EQ(metrics[0], metrics[1]) << name;
+    EXPECT_EQ(lines[0], lines[1]) << name;
+  }
+}
+
 // --- Invariants the drivers' numbers must keep -----------------------------
 
 /// Runs `experiment` with `params` ("k=v;k=v") on one cell.
@@ -626,6 +652,72 @@ TEST(SweepReport, OrdersCellsByNumericN) {
   const std::string csv = render_runs_csv(*run);
   EXPECT_LT(csv.find(",64,"), csv.find(",128,")) << csv;
   EXPECT_LT(csv.find(",128,"), csv.find(",1024,")) << csv;
+}
+
+TEST(SweepReport, OrdersParamsAndAblationsByValue) {
+  // String order would read loss = 0.05, 0.1, 0.5, 0 and probe-interval:16
+  // before 2; every numeric run of the cell key compares by value instead.
+  TempDir tmp("byvalue");
+  SweepParseError error;
+  const auto config = parse_sweep_config(
+      "name = byvalue\n"
+      "experiments = a4-loss:loss=0.5, a4-loss:loss=0, a4-loss:loss=0.1, "
+      "a4-loss:loss=0.05, e8-overhead\n"
+      "n = 64\nablations = probe-interval:16, probe-interval:2, "
+      "probe-interval:4\nseeds = 7\ntrials = 1\n",
+      &error);
+  ASSERT_TRUE(config.has_value()) << error.to_string();
+  const std::vector<SweepCell> cells = expand_cells(*config);
+  SweepMeta sweep;
+  sweep.name = "byvalue";
+  sweep.seeds = {7};
+  sweep.planned = cells.size();
+  sweep.provenance = {"sha", "hash16", "machine"};
+  std::ofstream(tmp.path / "sweep.json") << to_json(sweep);
+  for (const SweepCell& cell : cells) {
+    CellMeta meta;
+    meta.cell = cell;
+    meta.hash = cell_hash(cell);
+    meta.status = "ok";
+    meta.metrics = {{"rounds", 1.0}};
+    fs::create_directories(tmp.path / meta.hash);
+    std::ofstream(tmp.path / meta.hash / "meta.json") << to_json(meta);
+  }
+  const auto run = load_sweep_run(tmp.path);
+  ASSERT_TRUE(run.has_value());
+  std::vector<std::string> order;
+  for (const CellMeta& meta : run->cells)
+    order.push_back(meta.cell.experiment == "a4-loss" ? meta.cell.params
+                                                      : meta.cell.ablation);
+  // Catalog order first (E8 before A4), then the cell key by value.
+  EXPECT_EQ(order, (std::vector<std::string>{
+                       "probe-interval:2", "probe-interval:4",
+                       "probe-interval:16", "loss=0", "loss=0.05", "loss=0.1",
+                       "loss=0.5"}));
+  const std::string csv = render_runs_csv(*run);
+  EXPECT_LT(csv.find(",loss=0,"), csv.find(",loss=0.05,")) << csv;
+  EXPECT_LT(csv.find("probe-interval:2,"), csv.find("probe-interval:16,")) << csv;
+}
+
+// --- Round budgets -----------------------------------------------------------
+
+TEST(RoundBudget, E13MatchesTheFuzzer) {
+  // e13-faults' delay:0.2:3 cell under the adversarial-oldest-last
+  // scheduler and the fuzz case with the same plan get one budget:
+  // (400n + 4000) × (1 + 3 rounds of extra delay + the default hold of 3).
+  SweepCell cell;
+  cell.experiment = "e13-faults";
+  cell.n = 64;
+  cell.scheduler = sim::SchedulerKind::kAdversarialOldestLast;
+  cell.fault = "delay:0.2:3";
+  FuzzCase c;
+  c.n = 64;
+  c.scheduler = sim::SchedulerKind::kAdversarialOldestLast;
+  c.faults.delay_probability = 0.2;
+  c.faults.max_delay_rounds = 3;
+  c.adversary_delay = 3;
+  EXPECT_EQ(round_bound(c), (400u * 64 + 4000) * 7);
+  EXPECT_EQ(cell_budget(cell), round_bound(c));
 }
 
 // --- Markdown patching -----------------------------------------------------

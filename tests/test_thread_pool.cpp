@@ -1,4 +1,5 @@
-// Tests for util/thread_pool: parallel_for coverage, exceptions, futures.
+// Tests for util/thread_pool: parallel_for coverage, exceptions, futures,
+// and run_trials.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -115,6 +116,22 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
   });
   for (std::size_t i = 0; i < 500; ++i)
     EXPECT_EQ(results[i], static_cast<long>(i * (i + 1) / 2));
+}
+
+TEST(RunTrials, ResultsInIndexOrderWithDistinctSeeds) {
+  const auto results = run_trials<std::uint64_t>(
+      16, 100, [](std::size_t index, std::uint64_t seed) {
+        EXPECT_EQ(seed, 100 + index);
+        return seed * 2;
+      });
+  ASSERT_EQ(results.size(), 16u);
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(results[i], (100 + i) * 2);
+}
+
+TEST(RunTrials, ZeroTrials) {
+  const auto results =
+      run_trials<int>(0, 1, [](std::size_t, std::uint64_t) { return 1; });
+  EXPECT_TRUE(results.empty());
 }
 
 }  // namespace

@@ -28,12 +28,11 @@
 #include <sstream>
 #include <string>
 
+#include "analysis/convergence.hpp"
 #include "core/invariants.hpp"
 #include "core/network.hpp"
-#include "topology/initial_states.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
-#include "util/rng.hpp"
 
 using namespace sssw;
 
@@ -43,17 +42,6 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-core::SmallWorldNetwork chain_network(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  auto ids = core::random_ids(n, rng);
-  core::NetworkOptions options;
-  options.seed = seed;
-  core::SmallWorldNetwork network(options);
-  network.add_nodes(topology::make_initial_state(
-      topology::InitialShape::kRandomChain, std::move(ids), rng));
-  return network;
 }
 
 /// Reads the top-level `"perf_smoke_min_ratio": X` field out of a
@@ -111,11 +99,10 @@ int main(int argc, char** argv) {
 
   // Stabilized ring with a short burn-in so lrls are spread: the regime
   // where the recompute predicates cannot early-exit.
-  util::Rng rng(static_cast<std::uint64_t>(seed));
   core::NetworkOptions options;
   options.seed = static_cast<std::uint64_t>(seed);
-  core::SmallWorldNetwork network = core::make_stable_ring(
-      core::random_ids(static_cast<std::size_t>(n), rng), options);
+  core::SmallWorldNetwork network =
+      core::make_stable_ring(static_cast<std::size_t>(n), options);
   network.run_rounds(8);
 
   // Gate 1: the fast path answers exactly what the oracle answers.
@@ -166,10 +153,12 @@ int main(int argc, char** argv) {
   {
     const std::size_t small_n = 256;
     const std::size_t budget = 400 * small_n + 4000;
-    core::SmallWorldNetwork tracked =
-        chain_network(small_n, static_cast<std::uint64_t>(seed));
-    core::SmallWorldNetwork oracle =
-        chain_network(small_n, static_cast<std::uint64_t>(seed));
+    const auto chain = [&] {
+      return analysis::initial_network(topology::InitialShape::kRandomChain,
+                                       small_n, static_cast<std::uint64_t>(seed));
+    };
+    core::SmallWorldNetwork tracked = chain();
+    core::SmallWorldNetwork oracle = chain();
     const auto tracked_rounds = tracked.run_until_sorted_list(budget);
     const std::uint64_t start = oracle.engine().round();
     const bool oracle_ok = oracle.engine().run_until(

@@ -26,7 +26,8 @@
 // at exit (doc/OBSERVABILITY.md documents the schema); with
 // --failure-detector on, the detector.* counters flow into the same stream.
 // --crash-frac F --crash-round R crash-stops a random F of the nodes once
-// `step`/`until-ring` reach round R (same id-pick recipe as sssw_fuzz).
+// `step`/`until-ring` reach round R (core::crash_victims, the pick sssw_fuzz
+// makes).
 // Crash-stop failures, scheduled or by `crash ID`, heal only with
 // --failure-detector; without it the gap stays open (Config defaults).
 // --lookup-rate R attaches the in-band lookup service (doc/SERVICE.md):
@@ -43,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/convergence.hpp"
 #include "core/invariants.hpp"
 #include "core/messages.hpp"
 #include "core/network.hpp"
@@ -56,7 +58,6 @@
 #include "service/lookup_manager.hpp"
 #include "topology/initial_states.hpp"
 #include "util/cli.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 using namespace sssw;
@@ -260,9 +261,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  util::Rng rng(static_cast<std::uint64_t>(seed));
   core::NetworkOptions options;
-  options.seed = static_cast<std::uint64_t>(seed);
   options.scheduler = *scheduler;
   options.delivery_probability = delivery_prob;
   options.faults = faults;
@@ -273,32 +272,23 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(probe_period);
   options.protocol.detector.suspect_threshold =
       static_cast<std::uint32_t>(suspect_threshold);
-  core::SmallWorldNetwork net(options);
-  net.add_nodes(topology::make_initial_state(
-      *shape, core::random_ids(static_cast<std::size_t>(n), rng), rng));
+  core::SmallWorldNetwork net = analysis::initial_network(
+      *shape, static_cast<std::size_t>(n), static_cast<std::uint64_t>(seed),
+      options);
 
   // Scheduled crash: once the engine reaches --crash-round, crash-stop a
-  // random --crash-frac of the nodes (same id-pick recipe the fuzzer uses,
-  // so a fuzz case reproduces here with the same seed).
+  // random --crash-frac of the nodes (the fuzzer's pick, so a fuzz case
+  // reproduces here with the same seed).
   bool crash_pending = crash_frac > 0 && crash_round > 0;
   const auto maybe_crash = [&]() {
     if (!crash_pending ||
         net.engine().round() < static_cast<std::uint64_t>(crash_round))
       return;
     crash_pending = false;
-    util::Rng crash_rng(static_cast<std::uint64_t>(seed) ^
-                        0x9e3779b97f4a7c15ull);
-    std::vector<sim::Id> pool(net.engine().id_span().begin(),
-                              net.engine().id_span().end());
-    if (pool.size() < 3) return;
-    std::size_t count = static_cast<std::size_t>(
-        crash_frac * static_cast<double>(pool.size()));
-    count = std::max<std::size_t>(1, std::min(count, pool.size() - 2));
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t j = i + crash_rng.below(pool.size() - i);
-      std::swap(pool[i], pool[j]);
-      net.crash(pool[i]);
-      std::printf("crashed %.6f at round %llu\n", pool[i],
+    for (const sim::Id victim : core::crash_victims(
+             net.engine().id_span(), crash_frac, static_cast<std::uint64_t>(seed))) {
+      net.crash(victim);
+      std::printf("crashed %.6f at round %llu\n", victim,
                   static_cast<unsigned long long>(net.engine().round()));
     }
   };
