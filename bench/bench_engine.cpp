@@ -5,6 +5,7 @@
 // sizes, per-scheduler action throughput (which covers the channel path),
 // and graph-view extraction cost.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -110,7 +111,8 @@ BENCHMARK(BM_Engine_DetectorRound)->Arg(512)->Arg(10000)
 // neighbour exchange, so convergence takes tens of rounds of full-network
 // linearization traffic.  Single iteration — the point is that the run
 // completes at all on one machine and what the whole-run actions/s figure
-// is, not statistical timing.
+// is, not statistical timing.  peak_rss_mb is the process's high-water
+// resident set (getrusage), so run this row alone to read the run's own.
 void BM_Engine_MillionNodeRecovery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::uint64_t rounds = 0;
@@ -142,6 +144,10 @@ void BM_Engine_MillionNodeRecovery(benchmark::State& state) {
   }
   state.counters["rounds"] = static_cast<double>(rounds);
   state.counters["n"] = static_cast<double>(n);
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  state.counters["peak_rss_mb"] =
+      static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 BENCHMARK(BM_Engine_MillionNodeRecovery)
     ->Arg(1000000)

@@ -534,7 +534,7 @@ CellResult run_overhead(const SweepCell& cell, obs::Registry*) {
   options.protocol = protocol;
   core::SmallWorldNetwork chain = initial_network(
       topology::InitialShape::kRandomChain, n, cell.seed, options);
-  const auto rounds = chain.run_until_sorted_ring(4000 * n);
+  const auto rounds = chain.run_until_sorted_ring(round_budget(n, {}));
   out.add("stabilizing_rate",
           rounds.has_value() && *rounds > 0
               ? static_cast<double>(chain.engine().counters().total_sent()) /
@@ -834,7 +834,7 @@ CellResult run_overlay(const SweepCell& cell, obs::Registry*) {
                                    baselines::fingers_correct(engine)
                              : baselines::is_sorted_list(engine);
             },
-            4000 * n);
+            round_budget(n, {}));
         Trial trial;
         if (!done) return trial;
         trial.rounds = static_cast<double>(engine.round());

@@ -1,6 +1,8 @@
 #include "core/node.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "core/invariant_tracker.hpp"
 #include "routing/next_hop.hpp"
@@ -129,19 +131,38 @@ SmallWorldNode::LongRangeLink* SmallWorldNode::link_for_response(Id responder) n
   return nullptr;  // stale response for a link that moved on: drop
 }
 
+namespace {
+
+/// `take ? candidate : current` through a bit mask.  Every probe hop scans
+/// the links with this; GCC 12 compiles the plain ternary and the std::max
+/// forms of the scan to two unpredictable branches per link.
+Id masked_select(bool take, Id candidate, Id current) noexcept {
+  const std::uint64_t mask = -static_cast<std::uint64_t>(take);
+  return std::bit_cast<Id>((std::bit_cast<std::uint64_t>(candidate) & mask) |
+                           (std::bit_cast<std::uint64_t>(current) & ~mask));
+}
+
+}  // namespace
+
 Id SmallWorldNode::best_right_shortcut(Id bound) const noexcept {
+  const Id right = rv();
   Id best = kNegInf;
-  for (const LongRangeLink& link : links())
-    if (link.target <= bound && link.target > rv() && link.target > best)
-      best = link.target;
+  for (const LongRangeLink& link : links()) {
+    const Id target = link.target;
+    best = masked_select((target <= bound) & (target > right) & (target > best),
+                         target, best);
+  }
   return best;
 }
 
 Id SmallWorldNode::best_left_shortcut(Id bound) const noexcept {
+  const Id left = lv();
   Id best = kPosInf;
-  for (const LongRangeLink& link : links())
-    if (link.target >= bound && link.target < lv() && link.target < best)
-      best = link.target;
+  for (const LongRangeLink& link : links()) {
+    const Id target = link.target;
+    best = masked_select((target >= bound) & (target < left) & (target < best),
+                         target, best);
+  }
   return best == kPosInf ? kNegInf : best;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -9,8 +10,8 @@ namespace sssw::sim {
 
 namespace {
 
-/// How many entries ahead the outbox flush and the inbox scatter prefetch
-/// the memory their scattered accesses will touch.
+/// How many entries ahead the pass flush and the inbox scatter prefetch the
+/// memory their scattered accesses will touch.
 constexpr std::size_t kPrefetchAhead = 8;
 
 }  // namespace
@@ -76,6 +77,8 @@ void Engine::add_process(std::unique_ptr<Process> process) {
   SSSW_CHECK_MSG(is_node_id(id), "process identifiers must be finite");
   SSSW_CHECK_MSG(!index_.contains(id), "duplicate process identifier");
   const std::size_t slot = slots_.size();
+  SSSW_CHECK_MSG(slot < std::numeric_limits<std::uint32_t>::max(),
+                 "a log record's slot must fit 32 bits");
   slots_.push_back(Slot{std::move(process), Channel{}, /*rank=*/0,
                         util::derive_stream(config_.seed,
                                             std::bit_cast<std::uint64_t>(id))});
@@ -131,14 +134,13 @@ bool Engine::remove_process(Id id, bool purge_references) {
         purged += slots_[survivor].channel.purge_references(id);
     pending_total_ -= purged;
   } else {
-    const std::size_t before = log_.size();
-    std::erase_if(log_, [&](const Posted& posted) {
+    const auto gone = [&](const Posted& posted) {
       if (posted.slot == slot_index) return true;
-      if (!purge_references || !references(posted.message, id)) return false;
+      if (!purge_references || !references(posted.message(), id)) return false;
       ++purged;
       return true;
-    });
-    pending_total_ -= before - log_.size();
+    };
+    pending_total_ -= std::erase_if(log_, gone) + std::erase_if(deferred_, gone);
   }
   if (purge_references) {
     // Messages parked in the hold queue are in flight too, and the replay
@@ -185,7 +187,7 @@ void Engine::fire_due_timers() {
       ++counters_->actions;
       ++counters_->timers;
       Slot& slot = slots_[slot_index];
-      Context ctx(*this, timer.id, &slot.rng, slot_index, nullptr);
+      Context ctx(*this, timer.id, &slot.rng, slot_index, /*in_pass=*/false);
       slot.process->on_timer(ctx, timer.tag);
     }
     due_timers_.clear();
@@ -208,10 +210,10 @@ void Engine::for_each(const std::function<void(const Process&)>& fn) const {
   for (const std::size_t slot : order_) fn(*slots_[slot].process);
 }
 
-void Engine::post(std::size_t slot_index, const Message& message) {
+void Engine::post(std::size_t slot_index, Id to, const Message& message) {
   ++pending_total_;
   if (!async_) {
-    log_.push_back(Posted{slot_index, message});
+    log_.push_back(Posted::of(slot_index, to, message));
     return;
   }
   Slot& slot = slots_[slot_index];
@@ -227,10 +229,11 @@ void Engine::enqueue_or_drop(Id to, const Message& message) {
     ++counters_->dropped;
     return;
   }
-  post(slot_index, message);
+  post(slot_index, to, message);
 }
 
-void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message) {
+inline bool Engine::admit_send(std::size_t from_slot, Id to,
+                               const Message& message) {
   SSSW_DCHECK(message.type < kMaxMessageTypes);
   ++counters_->sent_by_type[message.type];
   for (const auto& [id, hook] : send_hooks_) hook(to, message);
@@ -238,12 +241,16 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
   // draw sequence (its channel drain, protocol flips during its action, then
   // the fates of its own sends in issue order) is a pure function of
   // (state, seed).
-  Slot& sender = slots_[from_slot];
   if (config_.message_loss > 0.0 &&
-      sender.rng.bernoulli(config_.message_loss)) {
+      slots_[from_slot].rng.bernoulli(config_.message_loss)) {
     ++counters_->lost;
-    return;
+    return false;
   }
+  return true;
+}
+
+void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message) {
+  if (!admit_send(from_slot, to, message)) return;
   if (!faults_) {
     enqueue_or_drop(to, message);
     return;
@@ -253,6 +260,7 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
   // artefacts, not protocol sends: they skip the sent counter and the send
   // hooks, so a trace shows what the protocol did, not what the adversary
   // fabricated.
+  Slot& sender = slots_[from_slot];
   const FaultInjector::SendDecision decision = faults_->on_send(
       sender.process->id(), to, message, counters_->rounds + 1, sender.rng);
   FaultCounters& faults = counters_->faults;
@@ -270,26 +278,46 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
 bool Engine::inject(Id to, const Message& message) {
   const std::size_t slot_index = index_.find(to);
   if (slot_index == IdSlotTable::kNone) return false;
-  post(slot_index, message);
+  post(slot_index, to, message);
   return true;
 }
 
-void Engine::flush_outbox() {
-  // Every dispatch starts with an id-table probe at an unpredictable cell;
-  // touching the cell a few sends ahead overlaps those cache misses.
-  const std::size_t count = outbox_.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i + kPrefetchAhead < count) index_.prefetch(outbox_[i + kPrefetchAhead].to);
-    const PendingSend& send = outbox_[i];
-    dispatch_send(send.from_slot, send.to, send.message);
+void Engine::flush_pass(std::size_t start) {
+  if (faults_ || async_) {
+    // The injector may hold, duplicate or replay a send, and random-async
+    // posts into per-receiver channels: the pass's sends leave the log and
+    // take the whole send path one at a time.
+    aside_.assign(log_.begin() + static_cast<std::ptrdiff_t>(start), log_.end());
+    log_.resize(start);
+    for (const Posted& send : aside_) dispatch_send(send.slot, send.to, send.message());
+    aside_.clear();
+    return;
   }
-  outbox_.clear();
+  // Every send resolves through an id-table probe at an unpredictable cell;
+  // touching the cell a few sends ahead overlaps those cache misses.  Lost
+  // and dropped sends are compacted out as the walk goes.
+  const std::size_t end = log_.size();
+  std::size_t kept = start;
+  for (std::size_t i = start; i < end; ++i) {
+    if (i + kPrefetchAhead < end) index_.prefetch(log_[i + kPrefetchAhead].to);
+    Posted send = log_[i];
+    if (!admit_send(send.slot, send.to, send.message())) continue;
+    const std::size_t receiver = index_.find(send.to);
+    if (receiver == IdSlotTable::kNone) {
+      ++counters_->dropped;
+      continue;
+    }
+    send.slot = static_cast<std::uint32_t>(receiver);
+    log_[kept++] = send;
+  }
+  pending_total_ += kept - start;
+  log_.resize(kept);
 }
 
 void Engine::deliver(Slot& slot, std::size_t slot_index, const Message& message) {
   ++counters_->deliveries;
   ++counters_->actions;
-  Context ctx(*this, slot.process->id(), &slot.rng, slot_index, nullptr);
+  Context ctx(*this, slot.process->id(), &slot.rng, slot_index, /*in_pass=*/false);
   slot.process->on_message(ctx, message);
 }
 
@@ -305,35 +333,44 @@ void Engine::finish_round() {
 }
 
 /// One stable counting sort on receiver slot: count, prefix-sum, scatter.
-/// The scatter walks the log backwards and fills each bucket from its end,
-/// so every bucket keeps push order and bucket_start_ ends up holding the
-/// bucket starts.
+/// The scatter walks the entries backwards, the log before the deferred
+/// messages, and fills each bucket from its end, so every bucket holds its
+/// deferred messages, then its log entries, each in push order, and
+/// bucket_start_ ends up holding the bucket starts.
 void Engine::sort_log_into_inbox() {
   const std::size_t slot_count = slots_.size();
   bucket_start_.assign(slot_count + 1, 0);
+  for (const Posted& posted : deferred_) ++bucket_start_[posted.slot];
   for (const Posted& posted : log_) ++bucket_start_[posted.slot];
   std::size_t end = 0;
   for (std::size_t s = 0; s <= slot_count; ++s) {
     end += bucket_start_[s];
     bucket_start_[s] = end;
   }
-  if (inbox_.size() < log_.size()) inbox_.resize(log_.size());
+  if (inbox_.size() < end) inbox_.resize(end);
   // The writes land all over the inbox; start loading the write position
   // of the entry a few steps ahead.
-  for (std::size_t i = log_.size(); i-- > 0;) {
-    if (i >= kPrefetchAhead)
-      __builtin_prefetch(&inbox_[bucket_start_[log_[i - kPrefetchAhead].slot] - 1], 1);
-    const Posted& posted = log_[i];
-    inbox_[--bucket_start_[posted.slot]] = posted.message;
-  }
+  const auto scatter = [this](const std::vector<Posted>& entries) {
+    for (std::size_t i = entries.size(); i-- > 0;) {
+      if (i >= kPrefetchAhead)
+        __builtin_prefetch(
+            &inbox_[bucket_start_[entries[i - kPrefetchAhead].slot] - 1], 1);
+      const Posted& posted = entries[i];
+      inbox_[--bucket_start_[posted.slot]] = posted.message();
+    }
+  };
+  scatter(log_);
+  scatter(deferred_);
   log_.clear();
+  deferred_.clear();
 }
 
-/// Because every send waits in outbox_ until the pass ends, nothing is
-/// posted to a receiver during the pass: its inbox bucket is exactly its
-/// channel as it stood at the round start, and messages sent while
-/// receiving are delivered next round (true synchronous semantics).  Each
-/// receiver orders (or samples) its bucket with its own stream, in place.
+/// Because every send waits unresolved in the log until the pass ends,
+/// nothing is posted to a receiver during the pass: its inbox bucket is
+/// exactly its channel as it stood at the round start, and messages sent
+/// while receiving are delivered next round (true synchronous semantics).
+/// Each receiver orders (or samples) its bucket with its own stream, in
+/// place.
 void Engine::receive_pass(ReceiptOrder order, bool sample) {
   sort_log_into_inbox();
   for (const std::size_t slot_index : order_) {
@@ -341,16 +378,17 @@ void Engine::receive_pass(ReceiptOrder order, bool sample) {
     std::size_t count = bucket_start_[slot_index + 1] - bucket_start_[slot_index];
     if (count == 0) continue;
     Slot& slot = slots_[slot_index];
+    const Id self = slot.process->id();
     if (sample) {
       // Each message is delivered this round with the delivery probability;
-      // the rest go back to the log now, ahead of this pass's sends, so
-      // next round's bucket holds them first, in their old order.
+      // the rest are deferred, ahead of every later arrival, so next
+      // round's bucket holds them first, in their old order.
       std::size_t taken = 0;
       for (std::size_t i = 0; i < count; ++i) {
         if (slot.rng.bernoulli(config_.delivery_probability)) {
           batch[taken++] = batch[i];
         } else {
-          log_.push_back(Posted{slot_index, batch[i]});
+          deferred_.push_back(Posted::of(slot_index, self, batch[i]));
         }
       }
       count = taken;
@@ -363,23 +401,24 @@ void Engine::receive_pass(ReceiptOrder order, bool sample) {
     pending_total_ -= count;
     counters_->deliveries += count;
     counters_->actions += count;
-    Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &outbox_);
+    Context ctx(*this, self, &slot.rng, slot_index, /*in_pass=*/true);
     for (std::size_t i = 0; i < count; ++i)
       slot.process->on_message(ctx, batch[i]);
   }
-  flush_outbox();
+  flush_pass(0);  // the sort emptied the log: all of it is this pass's
 }
 
 void Engine::run_synchronous_round(ReceiptOrder order) {
   receive_pass(order, config_.scheduler == SchedulerKind::kDelayedRandom);
   // Every node executes its (always enabled) regular action.
+  const std::size_t start = log_.size();
   for (const std::size_t slot_index : order_) {
     Slot& slot = slots_[slot_index];
     ++counters_->actions;
-    Context ctx(*this, slot.process->id(), &slot.rng, slot_index, &outbox_);
+    Context ctx(*this, slot.process->id(), &slot.rng, slot_index, /*in_pass=*/true);
     slot.process->on_regular(ctx);
   }
-  flush_outbox();
+  flush_pass(start);
   finish_round();
 }
 
@@ -401,7 +440,8 @@ void Engine::run_async_round() {
       const std::size_t slot_index = order_[pick];
       Slot& slot = slots_[slot_index];
       ++counters_->actions;
-      Context ctx(*this, slot.process->id(), &slot.rng, slot_index, nullptr);
+      Context ctx(*this, slot.process->id(), &slot.rng, slot_index,
+                  /*in_pass=*/false);
       slot.process->on_regular(ctx);
     } else {
       pick -= process_count();
@@ -459,10 +499,10 @@ void Engine::deliver_pending_once() {
   if (async_) {
     // Random-async keeps its messages in channels: move them into the log,
     // in rank order, so the pass below takes each channel as it stands.
-    for (const std::size_t slot_index : order_) {
-      Channel& channel = slots_[slot_index].channel;
+    for (std::size_t rank = 0; rank < order_.size(); ++rank) {
+      Channel& channel = slots_[order_[rank]].channel;
       for (const Message& message : channel.pending())
-        log_.push_back(Posted{slot_index, message});
+        log_.push_back(Posted::of(order_[rank], ids_sorted_[rank], message));
       channel.clear();
     }
     fenwick_dirty_ = true;
@@ -490,17 +530,19 @@ void Engine::for_each_pending(
       for (const Message& message : slots_[order_[rank]].channel.pending())
         fn(ids_sorted_[rank], message);
   } else {
-    // The log is in push order; a stable counting sort of its entries by
-    // receiver rank gives rank order, push order within one receiver.
+    // The deferred messages, then the log, are in push order; a stable
+    // counting sort of their entries by receiver rank gives rank order,
+    // then that order within one receiver.
     std::vector<std::size_t> next(order_.size() + 1, 0);
-    for (const Posted& posted : log_) ++next[slots_[posted.slot].rank + 1];
+    for (const auto* entries : {&deferred_, &log_})
+      for (const Posted& posted : *entries) ++next[slots_[posted.slot].rank + 1];
     for (std::size_t rank = 1; rank < next.size(); ++rank)
       next[rank] += next[rank - 1];
-    std::vector<const Posted*> by_rank(log_.size());
-    for (const Posted& posted : log_)
-      by_rank[next[slots_[posted.slot].rank]++] = &posted;
-    for (const Posted* posted : by_rank)
-      fn(ids_sorted_[slots_[posted->slot].rank], posted->message);
+    std::vector<const Posted*> by_rank(deferred_.size() + log_.size());
+    for (const auto* entries : {&deferred_, &log_})
+      for (const Posted& posted : *entries)
+        by_rank[next[slots_[posted.slot].rank]++] = &posted;
+    for (const Posted* posted : by_rank) fn(posted->to, posted->message());
   }
   // Held messages are channel contents that have not reached their channel
   // yet; hiding them would make connectivity views (Def. 4.2) lie about

@@ -13,19 +13,21 @@
 //     random-async action picks);
 //   * a synchronous-family round is two passes over the processes in rank
 //     order: receive (each process takes its own channel's messages and
-//     handles them), then regular.  Sends made during a pass wait in one
-//     outbox and are dispatched in (sender rank, send order) when the pass
-//     ends, so no channel changes mid-pass and every receiver sees its
-//     channel as it stood when the round began.
+//     handles them), then regular.  A send made during a pass is appended
+//     to the pending log under its sender's slot and resolved in place when
+//     the pass ends, in (sender rank, send order), so no channel changes
+//     mid-pass and every receiver sees its channel as it stood when the
+//     round began.
 //
 // Channel storage (DESIGN.md §8 "Channel storage"): the synchronous
-// family keeps every pending message as one (receiver slot, message) entry
-// of a flat log, in push order.  Each receive pass starts with one stable
-// counting sort of the log by receiver slot into the inbox, so a receiver's
-// bucket is its channel in push order; the receiver shuffles or reverses
-// the bucket with its own stream and is handed its messages in place.  The
-// random-async scheduler takes one message at a time and must see each send
-// at once, so it keeps one Channel per receiver instead.
+// family keeps every pending message as one 40-byte record of a flat log,
+// in push order; a resolved record names its receiver's slot.  Each receive
+// pass starts with one stable counting sort of the log by receiver slot
+// into the inbox, so a receiver's bucket is its channel in push order; the
+// receiver shuffles or reverses the bucket with its own stream and is
+// handed its messages in place.  The random-async scheduler takes one
+// message at a time and must see each send at once, so it keeps one Channel
+// per receiver instead.
 #pragma once
 
 #include <array>
@@ -49,24 +51,16 @@ namespace sssw::sim {
 
 class Engine;
 
-/// Engine-internal: one send made during a round pass, dispatched when the
-/// pass ends.  Context::send records (who, where, what); the engine's
-/// dispatch does the rest.
-struct PendingSend {
-  std::size_t from_slot;
-  Id to;
-  Message message;
-};
-
 /// The face of the engine a process sees while executing one atomic action.
 class Context {
  public:
   /// Sends `message` to the node with identifier `to`.  Sends to identifiers
   /// that no longer exist (departed nodes) are counted and dropped, matching
   /// the leave semantics of §IV.G.  Self-sends are legal.  Inside a round
-  /// pass the send is buffered and takes effect when the pass ends, in
-  /// canonical (sender rank, send order) — invisible to the protocol, which
-  /// never observes a channel it sent to within the same pass anyway.
+  /// pass the send is appended to the engine's pending log and takes effect
+  /// when the pass ends, in canonical (sender rank, send order) — invisible
+  /// to the protocol, which never observes a channel it sent to within the
+  /// same pass anyway.
   void send(Id to, const Message& message);
 
   /// The acting process's private deterministic stream (derived from the
@@ -83,19 +77,19 @@ class Context {
  private:
   friend class Engine;
   Context(Engine& engine, Id self, util::Rng* rng, std::size_t from_slot,
-          std::vector<PendingSend>* outbox) noexcept
+          bool in_pass) noexcept
       : engine_(engine),
         self_(self),
         rng_(rng),
         from_slot_(from_slot),
-        outbox_(outbox) {}
+        in_pass_(in_pass) {}
   Engine& engine_;
   Id self_;  ///< the acting process (the fault layer's partition filter
              ///< needs the sender, which a Message does not carry)
   util::Rng* rng_;         ///< the acting process's slot stream
   std::size_t from_slot_;  ///< the acting process's slot index
-  /// Non-null inside a round pass: sends wait here until the pass ends.
-  std::vector<PendingSend>* outbox_;
+  /// True inside a round pass: sends wait in the log until the pass ends.
+  bool in_pass_;
 };
 
 /// Cheap protocol tag: hot inspection paths (invariant predicates, views,
@@ -232,7 +226,9 @@ class Engine {
   /// Places a message directly into the channel of `to` without a sender —
   /// models arbitrary initial channel contents (self-stabilization starts
   /// from any state, including garbage in flight).  Returns false if no such
-  /// process exists.
+  /// process exists.  Call it between rounds (round hooks included), never
+  /// from an action or a send hook: during a pass the log ends with that
+  /// pass's unresolved sends.
   bool inject(Id to, const Message& message);
 
   /// Arms a timer: process `id` receives `on_timer(tag)` at the start of the
@@ -268,11 +264,12 @@ class Engine {
   /// Applies `fn` to every pending message with its destination identifier
   /// (the channel's owner), in ascending owner order and push order within
   /// one owner (random-async: the channel's storage order, which its random
-  /// takes permute); messages held by the fault layer are visited after the
+  /// takes permute; delayed-random: what a receiver left untaken comes
+  /// first); messages held by the fault layer are visited after the
   /// channel contents, in hold order.  O(n + pending).  Not for use from
   /// inside an action: during a synchronous receive pass the receivers
   /// still to act hold their messages in the inbox, which this does not
-  /// visit.
+  /// visit, and the pass's own sends are not yet resolved.
   void for_each_pending(const std::function<void(Id to, const Message&)>& fn) const;
 
   const EngineCounters& counters() const noexcept { return *counters_; }
@@ -300,7 +297,8 @@ class Engine {
   //
   // Order: a send hook fires when the send is dispatched, which for sends
   // made during a round pass is when that pass ends; round hooks fire
-  // after the round.
+  // after the round.  A send hook only observes: it must not send, inject
+  // or remove, since it may run while the engine resolves a pass's sends.
   using SendHook = std::function<void(Id to, const Message&)>;
   using RoundHook = std::function<void(std::uint64_t round)>;
   using HookId = std::uint64_t;
@@ -336,29 +334,47 @@ class Engine {
     util::Rng rng{0};
   };
 
-  /// One pending message of a synchronous-family engine: its receiver's slot
-  /// and the message, in the log between receive passes.
+  /// One message of a synchronous-family engine, written once: a round
+  /// pass's send is appended under its sender's slot, and the pass's flush
+  /// resolves it in place to its receiver's slot (or compacts it out).
+  /// Between passes every record in the log is resolved.  Slots are never
+  /// recycled, so add_process checks that they fit 32 bits.
   struct Posted {
-    std::size_t slot;
-    Message message;
-  };
+    std::uint32_t slot;  ///< the sender's until resolved, then the receiver's
+    MessageType type;
+    Id to;
+    Id id1, id2, id3;
 
-  /// The send path: counts the send, fires send hooks, draws the loss/fault
-  /// fate from the *sender's* stream, and routes the survivors.  Called
-  /// inline by timer and async actions, and by flush_outbox for the sends
-  /// of a round pass.
+    static Posted of(std::size_t slot, Id to, const Message& message) noexcept {
+      return {static_cast<std::uint32_t>(slot), message.type, to,
+              message.id1, message.id2, message.id3};
+    }
+    Message message() const noexcept { return {type, id1, id2, id3}; }
+  };
+  static_assert(sizeof(Posted) == 40);
+
+  /// The per-send fate rule, shared by dispatch_send and the flush walk:
+  /// counts the send, fires the send hooks and draws the loss fate from
+  /// the *sender's* stream.  False when the send is lost.
+  bool admit_send(std::size_t from_slot, Id to, const Message& message);
+  /// The send path: admit_send, then the fault fate (also from the
+  /// sender's stream), and routes the survivors.  Called inline by timer
+  /// and async actions, and by flush_pass when a pass's sends cannot be
+  /// resolved in place.
   void dispatch_send(std::size_t from_slot, Id to, const Message& message);
-  /// Dispatches the current pass's sends in (sender rank, send order).
-  void flush_outbox();
+  /// Resolves the sends the current pass appended to the log from `start`
+  /// on, in (sender rank, send order).
+  void flush_pass(std::size_t start);
   void enqueue_or_drop(Id to, const Message& message);
-  /// Queues `message` for the live process in `slot_index`: the log for
-  /// the synchronous family, the slot's channel for random-async.
-  void post(std::size_t slot_index, const Message& message);
+  /// Queues `message` for the live process `to` in `slot_index`: the log
+  /// for the synchronous family, the slot's channel for random-async.
+  void post(std::size_t slot_index, Id to, const Message& message);
   void release_due_messages();
   void fire_due_timers();
   /// One random-async receive action.
   void deliver(Slot& slot, std::size_t slot_index, const Message& message);
-  /// Moves the log into the inbox, bucketed by receiver slot.
+  /// Moves the deferred messages, then the log, into the inbox, bucketed by
+  /// receiver slot.
   void sort_log_into_inbox();
   /// The receive pass: in rank order, each process takes its inbox bucket
   /// (with `sample`, each message only with the delivery probability),
@@ -405,17 +421,22 @@ class Engine {
   util::Fenwick pending_by_rank_;
   bool fenwick_dirty_ = true;
   std::vector<std::int64_t> rank_counts_;  // rebuild scratch, reused
-  // Synchronous family: every pending message, in push order.  A receive
-  // pass moves it into inbox_ (re-posting only what delayed-random leaves
-  // undelivered), so between passes it holds all the channel contents.
+  // Synchronous family: every pending message, in push order, and during a
+  // pass that pass's unresolved sends after them.  A receive pass moves it
+  // into inbox_, so between passes it holds the channel contents, less
+  // what delayed-random leaves undelivered: that waits in deferred_, which
+  // stands ahead of the log in every receiver's channel.
   std::vector<Posted> log_;
+  std::vector<Posted> deferred_;
   // The receive pass's messages, grouped by receiver slot: slot s's bucket
   // is inbox_[bucket_start_[s], bucket_start_[s + 1]).  Only grows, so its
   // storage is reused round after round.
   std::vector<Message> inbox_;
   std::vector<std::size_t> bucket_start_;
   std::size_t pending_total_ = 0;  // every queued message, kept in step
-  std::vector<PendingSend> outbox_;  // the current pass's sends, reused
+  // A pass's sends, moved out of the log when they take dispatch_send one
+  // at a time (fault injector or random-async); reused.
+  std::vector<Posted> aside_;
   // Shared with the registry counters that view it, so it outlives
   // whichever of the engine and the registry goes first.
   std::shared_ptr<EngineCounters> counters_ = std::make_shared<EngineCounters>();
@@ -438,13 +459,13 @@ class Engine {
 
 // --- Context inline fast paths ---------------------------------------------
 // send() is the hottest engine call (every protocol action fires several);
-// inside a round pass it is one push_back, with the real dispatch deferred
-// to the end of the pass.  Defined here, after Engine, so the calls inline
-// into protocol code.
+// inside a round pass it is one push_back onto the log, with the real
+// dispatch deferred to the end of the pass.  Defined here, after Engine, so
+// the calls inline into protocol code.
 
 inline void Context::send(Id to, const Message& message) {
-  if (outbox_ != nullptr) {
-    outbox_->push_back(PendingSend{from_slot_, to, message});
+  if (in_pass_) {
+    engine_.log_.push_back(Engine::Posted::of(from_slot_, to, message));
     return;
   }
   engine_.dispatch_send(from_slot_, to, message);
