@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "analysis/convergence.hpp"
+#include "analysis/phases.hpp"
 #include "core/invariants.hpp"
 #include "core/node.hpp"
 #include "core/views.hpp"
@@ -277,25 +278,9 @@ void BM_Convergence_ObservedRun(benchmark::State& state) {
       }
     } else {
       // The backoff classifier measure_phase_timeline uses.
-      std::size_t stride = 1;
-      std::uint64_t next_low_check = 0;
-      auto last_low = core::Phase::kDisconnected;
+      analysis::PhaseClassifier classifier;
       for (std::size_t slice = 0; slice <= budget; ++slice, ++slices) {
-        core::Phase phase;
-        if (network.sorted_list()) {
-          stride = 1;
-          next_low_check = slice;
-          phase = network.sorted_ring() ? core::Phase::kSortedRing
-                                        : core::Phase::kSortedList;
-        } else if (slice >= next_low_check) {
-          phase = network.phase();  // BFS ladder
-          stride = phase == last_low ? std::min<std::size_t>(stride * 2, 64) : 1;
-          last_low = phase;
-          next_low_check = slice + stride;
-        } else {
-          phase = last_low;
-        }
-        if (phase >= core::Phase::kSortedRing) {
+        if (classifier.classify(network, slice) >= core::Phase::kSortedRing) {
           converged = true;
           break;
         }

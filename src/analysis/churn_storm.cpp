@@ -50,7 +50,8 @@ ChurnStormResult run_churn_storm(const ChurnStormOptions& options) {
   // one part holds or receives a reference to the other), so it has not
   // survived; the quiesce budget is spent only on networks that can heal.
   if (core::cc_weakly_connected(network.engine())) {
-    const auto quiesce = network.run_until_sorted_ring(options.max_quiesce_rounds);
+    const auto quiesce =
+        network.run_until_sorted_ring(round_budget(network.size(), {}));
     result.survived = quiesce.has_value();
     result.quiesce_rounds = quiesce.value_or(0);
   }

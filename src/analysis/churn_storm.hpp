@@ -22,12 +22,13 @@ struct ChurnStormOptions {
   double join_bias = 0.5;          ///< P(event is a join)
   std::uint64_t seed = 1;
   std::size_t burn_in_rounds = 0;  ///< 0 → 4·n
-  std::size_t max_quiesce_rounds = 200000;
   core::Config protocol{};
 };
 
 struct ChurnStormResult {
-  bool survived = false;            ///< sorted ring re-formed after the storm
+  /// Sorted ring re-formed after the storm, within round_budget
+  /// (convergence.hpp) of the network the storm left.
+  bool survived = false;
   std::uint64_t quiesce_rounds = 0; ///< rounds from last event to sorted ring
   std::size_t final_size = 0;
   std::size_t joins = 0;

@@ -23,7 +23,6 @@
 #include "obs/registry.hpp"
 #include "routing/greedy.hpp"
 #include "routing/probe_path.hpp"
-#include "routing/torus.hpp"
 #include "service/slo.hpp"
 #include "topology/cfl.hpp"
 #include "topology/cfl2d.hpp"
@@ -633,8 +632,11 @@ CellResult run_navigability(const SweepCell& cell, obs::Registry*) {
   const auto route = [&](const graph::Digraph& graph) {
     util::Rng eval(cell.seed + 1);
     return ring ? routing::evaluate_routing(graph, eval, kPairs, cell.n)
-                : routing::evaluate_routing_torus(graph, torus, eval, kPairs,
-                                                  side * side);
+                : routing::evaluate_routing_metric(
+                      graph, eval, kPairs, side * side,
+                      [&torus](graph::Vertex a, graph::Vertex b) {
+                        return torus.distance(a, b);
+                      });
   };
   CellResult out;
   if (ring || model == "torus") {

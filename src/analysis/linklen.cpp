@@ -1,4 +1,6 @@
 #include "analysis/linklen.hpp"
+
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/convergence.hpp"
@@ -6,6 +8,15 @@
 #include "util/rng.hpp"
 
 namespace sssw::analysis {
+namespace {
+
+/// Log bins of the length histogram both drivers fit.
+constexpr std::size_t kHistogramBins = 24;
+
+/// Steps/rounds between two snapshots.
+std::size_t snapshot_stride(std::size_t n) { return std::max<std::size_t>(1, n / 8); }
+
+}  // namespace
 
 LinkLenResult fit_lengths(const std::vector<std::size_t>& lengths,
                           std::size_t max_length, std::size_t bins) {
@@ -45,8 +56,7 @@ LinkLenResult fit_lengths(const std::vector<std::size_t>& lengths,
 
 LinkLenResult measure_cfl_linklen(const LinkLenOptions& options) {
   const std::size_t burn_in = options.burn_in == 0 ? 8 * options.n : options.burn_in;
-  const std::size_t stride =
-      options.stride == 0 ? std::max<std::size_t>(1, options.n / 8) : options.stride;
+  const std::size_t stride = snapshot_stride(options.n);
 
   topology::CflProcess process(options.n, options.epsilon, util::Rng(options.seed));
   process.run(burn_in);
@@ -58,14 +68,13 @@ LinkLenResult measure_cfl_linklen(const LinkLenOptions& options) {
     for (const std::size_t length : process.link_lengths())
       if (length >= 1) lengths.push_back(length);
   }
-  return fit_lengths(lengths, options.n / 2, options.histogram_bins);
+  return fit_lengths(lengths, options.n / 2, kHistogramBins);
 }
 
 LinkLenResult measure_protocol_linklen(const LinkLenOptions& options,
                                        const core::Config& protocol) {
   const std::size_t burn_in = options.burn_in == 0 ? 8 * options.n : options.burn_in;
-  const std::size_t stride =
-      options.stride == 0 ? std::max<std::size_t>(1, options.n / 8) : options.stride;
+  const std::size_t stride = snapshot_stride(options.n);
 
   core::Config config = protocol;
   config.epsilon = options.epsilon;
@@ -78,7 +87,7 @@ LinkLenResult measure_protocol_linklen(const LinkLenOptions& options,
     for (const std::size_t length : network.lrl_lengths())
       if (length >= 1) lengths.push_back(length);
   }
-  return fit_lengths(lengths, options.n / 2, options.histogram_bins);
+  return fit_lengths(lengths, options.n / 2, kHistogramBins);
 }
 
 }  // namespace sssw::analysis

@@ -19,13 +19,10 @@ struct LinkLenOptions {
   std::size_t n = 256;
   /// Steps/rounds to discard before sampling (mixing time).
   std::size_t burn_in = 0;  // 0 → 8·n
-  /// Number of snapshots to take.
+  /// Number of snapshots to take, n/8 steps/rounds apart (decorrelation).
   std::size_t snapshots = 64;
-  /// Steps/rounds between snapshots (decorrelation).
-  std::size_t stride = 0;  // 0 → n/8
   std::uint64_t seed = 1;
   double epsilon = 0.1;
-  std::size_t histogram_bins = 24;
 };
 
 struct LinkLenResult {

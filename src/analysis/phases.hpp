@@ -13,10 +13,32 @@
 
 #include "core/config.hpp"
 #include "core/invariants.hpp"
+#include "core/network.hpp"
 #include "sim/scheduler.hpp"
 #include "topology/initial_states.hpp"
 
 namespace sssw::analysis {
+
+/// A network's phase, observed once per round.  The rungs from the sorted
+/// list upward are O(1) via the network's invariant tracker and are exact
+/// at every call.  Below them the phase needs BFS connectivity (O(n+m)), so
+/// the BFS ladder backs off exponentially: while its answer is unchanged it
+/// reruns only every `stride` rounds, the stride doubling up to kStrideCap,
+/// and the rounds in between report the last BFS answer.  A low-phase
+/// answer is therefore at most kStrideCap − 1 rounds late.
+class PhaseClassifier {
+ public:
+  static constexpr std::size_t kStrideCap = 64;
+
+  /// The phase of `network` at `round`; rounds must not decrease between
+  /// calls.
+  core::Phase classify(const core::SmallWorldNetwork& network, std::uint64_t round);
+
+ private:
+  std::size_t stride_ = 1;
+  std::uint64_t next_low_check_ = 0;
+  core::Phase last_low_ = core::Phase::kDisconnected;
+};
 
 struct PhaseTimelineOptions {
   std::size_t n = 128;
@@ -24,19 +46,12 @@ struct PhaseTimelineOptions {
   std::size_t max_rounds = 200000;
   core::Config protocol{};
   sim::SchedulerKind scheduler = sim::SchedulerKind::kSynchronous;
-  /// Below the sorted-list phase the classifier needs BFS connectivity
-  /// (O(n+m) per check); it backs off exponentially while the low phase is
-  /// unchanged, doubling the check stride up to this cap.  1 = check every
-  /// round (exact low-phase rounds).  With a cap > 1 the low-phase
-  /// `first_reached` entries are upper bounds, at most `cap − 1` rounds
-  /// late; rounds for kSortedList and above are always exact (tracked in
-  /// O(1), checked every round).
-  std::size_t connectivity_stride_cap = 64;
 };
 
 struct PhaseTimeline {
   /// first_reached[p] = first round at which phase >= p held (nullopt if
-  /// never within max_rounds).  Indexed by core::Phase values.
+  /// never within max_rounds).  Indexed by core::Phase values.  Entries
+  /// below kSortedList are upper bounds (PhaseClassifier's backoff).
   std::array<std::optional<std::uint64_t>, 6> first_reached;
 
   std::optional<std::uint64_t> at(core::Phase phase) const {
@@ -46,7 +61,7 @@ struct PhaseTimeline {
 };
 
 /// Runs one computation from the given initial shape and records the
-/// timeline.  Phase detection runs after every round.
+/// timeline.  A PhaseClassifier observes every round.
 PhaseTimeline measure_phase_timeline(topology::InitialShape shape,
                                      const PhaseTimelineOptions& options);
 

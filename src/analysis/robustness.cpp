@@ -38,9 +38,8 @@ RobustnessPoint measure_robustness(const graph::Digraph& graph, double fail_frac
                   static_cast<double>(alive));
 
     if (alive >= 2) {
-      const std::size_t max_hops = options.max_hops == 0 ? alive : options.max_hops;
       const auto routing = routing::evaluate_routing(
-          survivors, rng, options.routing_pairs, max_hops, options.metric);
+          survivors, rng, options.routing_pairs, alive, options.metric);
       success.add(routing.success_rate);
       if (routing.hops.count > 0) hops.add(routing.hops.mean);
     }

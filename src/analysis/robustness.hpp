@@ -28,8 +28,9 @@ struct RobustnessPoint {
 
 struct RobustnessOptions {
   std::size_t trials = 4;
+  /// Random survivor pairs routed per trial, each given as many hops as
+  /// there are survivors.
   std::size_t routing_pairs = 128;
-  std::size_t max_hops = 0;  // 0 → n
   std::uint64_t seed = 1;
   /// Chord routes clockwise; small-world rings route symmetrically.
   routing::Metric metric = routing::Metric::kRingSymmetric;

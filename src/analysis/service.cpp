@@ -48,17 +48,14 @@ Walk walk_pair(const core::SmallWorldNetwork& network, sim::Id source,
 
 std::vector<ServicePoint> measure_service_during_stabilization(
     topology::InitialShape shape, const ServiceOptions& options) {
-  core::NetworkOptions net_options;
-  net_options.protocol = options.protocol;
-  core::SmallWorldNetwork network =
-      initial_network(shape, options.n, options.seed, net_options);
+  core::SmallWorldNetwork network = initial_network(shape, options.n, options.seed);
 
   util::Rng eval_rng(options.seed ^ 0x73657276ull);  // "serv"
   std::vector<ServicePoint> curve;
   std::size_t tail_left = options.tail_samples;
 
-  for (std::uint64_t round = 0; round <= options.max_rounds;
-       round += options.sample_every) {
+  const std::uint64_t budget = round_budget(options.n, {});
+  for (std::uint64_t round = 0; round <= budget; round += options.sample_every) {
     ServicePoint point;
     point.round = network.engine().round();
     point.sorted_ring = network.sorted_ring();

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/config.hpp"
 #include "topology/initial_states.hpp"
 
 namespace sssw::analysis {
@@ -29,14 +28,13 @@ struct ServiceOptions {
   std::size_t n = 128;
   std::uint64_t seed = 1;
   std::size_t sample_every = 8;
-  std::size_t max_rounds = 100000;
   std::size_t routing_pairs = 100;
   /// Stop this many samples after the ring has formed.
   std::size_t tail_samples = 3;
-  core::Config protocol{};
 };
 
-/// Convergence-time service curve from the given initial shape.
+/// Convergence-time service curve from the given initial shape, under the
+/// default protocol config, for at most round_budget (convergence.hpp).
 std::vector<ServicePoint> measure_service_during_stabilization(
     topology::InitialShape shape, const ServiceOptions& options);
 

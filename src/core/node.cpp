@@ -46,15 +46,6 @@ const char* msg_type_name(sim::MessageType type) noexcept {
   }
 }
 
-SmallWorldNode::SmallWorldNode(const NodeInit& init, const Config& config)
-    : sim::Process(sim::kSmallWorldProcess),
-      id_(init.id),
-      owned_store_(std::make_unique<NodeStore>(config)),
-      store_(owned_store_.get()),
-      slot_(store_->acquire()) {
-  init_state(init);
-}
-
 SmallWorldNode::SmallWorldNode(const NodeInit& init, NodeStore& store)
     : sim::Process(sim::kSmallWorldProcess),
       id_(init.id),

@@ -52,12 +52,9 @@ struct NodeInit {
 
 class SmallWorldNode final : public sim::Process {
  public:
-  /// Standalone construction (tests, single nodes): the node owns a private
-  /// one-slot NodeStore carrying `config`.
-  SmallWorldNode(const NodeInit& init, const Config& config);
-  /// Network construction: hot state lives in the shared struct-of-arrays
-  /// `store` (which must outlive the node); the node is a thin view over
-  /// its dense slot.  See core/node_store.hpp.
+  /// Hot state lives in the shared struct-of-arrays `store` (which must
+  /// outlive the node); the node is a thin view over its dense slot.  See
+  /// core/node_store.hpp.
   SmallWorldNode(const NodeInit& init, NodeStore& store);
   ~SmallWorldNode() override;
 
@@ -293,10 +290,6 @@ class SmallWorldNode final : public sim::Process {
   sim::Id max_lrl() const noexcept;
 
   const sim::Id id_;
-  /// Private store for standalone construction; null when the network's
-  /// shared store backs this node.  Declared before store_/slot_ so the
-  /// shared-store members can initialize from it.
-  std::unique_ptr<NodeStore> owned_store_;
   NodeStore* store_;       ///< hot state lives here; never null, never owned
   std::size_t slot_;       ///< this node's dense index into *store_
   InvariantTracker* tracker_ = nullptr;      ///< optional, never owned

@@ -23,32 +23,6 @@ bool Digraph::has_edge(Vertex from, Vertex to) const noexcept {
   return std::find(list.begin(), list.end(), to) != list.end();
 }
 
-std::vector<Edge> Digraph::edges() const {
-  std::vector<Edge> all;
-  all.reserve(edge_count_);
-  for (Vertex from = 0; from < adjacency_.size(); ++from)
-    for (const Vertex to : adjacency_[from]) all.push_back({from, to});
-  return all;
-}
-
-Digraph Digraph::reversed() const {
-  Digraph rev(vertex_count());
-  for (Vertex from = 0; from < adjacency_.size(); ++from)
-    for (const Vertex to : adjacency_[from]) rev.add_edge(to, from);
-  return rev;
-}
-
-Digraph Digraph::undirected() const {
-  Digraph sym(vertex_count());
-  for (Vertex from = 0; from < adjacency_.size(); ++from) {
-    for (const Vertex to : adjacency_[from]) {
-      sym.add_edge_unique(from, to);
-      sym.add_edge_unique(to, from);
-    }
-  }
-  return sym;
-}
-
 Digraph Digraph::without_vertices(const std::vector<bool>& removed,
                                   std::vector<Vertex>* old_of_new) const {
   SSSW_CHECK(removed.size() == vertex_count());

@@ -1,7 +1,7 @@
 // digraph.hpp — a simple directed graph over dense vertex indices.
 //
 // All analysis (phase detection over the paper's CC/CP/LCC/LCP/RCC/RCP views,
-// small-world metrics, robustness experiments) runs on this representation.
+// greedy routing, robustness experiments) runs on this representation.
 // Vertices are 0..n-1; the mapping from protocol identifiers to indices lives
 // in core/views.
 #pragma once
@@ -14,11 +14,6 @@
 namespace sssw::graph {
 
 using Vertex = std::uint32_t;
-
-struct Edge {
-  Vertex from;
-  Vertex to;
-};
 
 class Digraph {
  public:
@@ -43,16 +38,6 @@ class Digraph {
     return adjacency_[v];
   }
   std::size_t out_degree(Vertex v) const noexcept { return adjacency_[v].size(); }
-
-  /// All edges in (from, to) order.
-  std::vector<Edge> edges() const;
-
-  /// The graph with every edge reversed.
-  Digraph reversed() const;
-
-  /// The underlying undirected view: for each edge (u,v) both u→v and v→u,
-  /// deduplicated.
-  Digraph undirected() const;
 
   /// Copy with the given vertices (and incident edges) removed; `removed`
   /// flags must have vertex_count() entries.  Remaining vertices are

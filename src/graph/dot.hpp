@@ -1,4 +1,4 @@
-// dot.hpp — Graphviz DOT export for debugging and the explorer example.
+// dot.hpp — Graphviz DOT export, behind sssw_sim's `dot FILE` command.
 #pragma once
 
 #include <string>

@@ -2,114 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/traversal.hpp"
-#include "util/check.hpp"
-
 namespace sssw::graph {
-
-std::uint32_t exact_diameter(const Digraph& graph) {
-  std::uint32_t diameter = 0;
-  for (Vertex v = 0; v < graph.vertex_count(); ++v) {
-    const auto dist = bfs_distances(graph, v);
-    for (const std::uint32_t d : dist) {
-      if (d == kUnreachable) return kUnreachable;
-      diameter = std::max(diameter, d);
-    }
-  }
-  return diameter;
-}
-
-std::uint32_t estimate_diameter(const Digraph& graph, util::Rng& rng, int sweeps) {
-  if (graph.vertex_count() == 0) return 0;
-  std::uint32_t best = 0;
-  Vertex start = static_cast<Vertex>(rng.below(graph.vertex_count()));
-  for (int s = 0; s < sweeps; ++s) {
-    const auto dist = bfs_distances(graph, start);
-    Vertex farthest = start;
-    std::uint32_t far_dist = 0;
-    for (Vertex v = 0; v < graph.vertex_count(); ++v) {
-      if (dist[v] != kUnreachable && dist[v] > far_dist) {
-        far_dist = dist[v];
-        farthest = v;
-      }
-    }
-    best = std::max(best, far_dist);
-    start = farthest;  // double-sweep: restart from the eccentric vertex
-  }
-  return best;
-}
-
-PathLengthStats average_path_length(const Digraph& graph, util::Rng& rng,
-                                    std::size_t samples) {
-  PathLengthStats stats;
-  const std::size_t n = graph.vertex_count();
-  if (n < 2) return stats;
-
-  double sum = 0.0;
-  if (samples == 0) {
-    for (Vertex s = 0; s < n; ++s) {
-      const auto dist = bfs_distances(graph, s);
-      for (Vertex t = 0; t < n; ++t) {
-        if (t == s) continue;
-        if (dist[t] == kUnreachable) {
-          ++stats.unreachable;
-        } else {
-          sum += dist[t];
-          stats.max = std::max(stats.max, static_cast<double>(dist[t]));
-          ++stats.pairs;
-        }
-      }
-    }
-  } else {
-    // Sample sources; reuse each BFS for a random target to amortise.
-    for (std::size_t i = 0; i < samples; ++i) {
-      const auto s = static_cast<Vertex>(rng.below(n));
-      auto t = static_cast<Vertex>(rng.below(n - 1));
-      if (t >= s) ++t;
-      const auto dist = bfs_distances(graph, s);
-      if (dist[t] == kUnreachable) {
-        ++stats.unreachable;
-      } else {
-        sum += dist[t];
-        stats.max = std::max(stats.max, static_cast<double>(dist[t]));
-        ++stats.pairs;
-      }
-    }
-  }
-  if (stats.pairs > 0) stats.average = sum / static_cast<double>(stats.pairs);
-  return stats;
-}
-
-double clustering_coefficient(const Digraph& graph) {
-  const Digraph sym = graph.undirected();
-  const std::size_t n = sym.vertex_count();
-  if (n == 0) return 0.0;
-
-  double total = 0.0;
-  std::vector<bool> is_neighbor(n, false);
-  for (Vertex v = 0; v < n; ++v) {
-    auto neighbors = sym.out_neighbors(v);
-    std::vector<Vertex> unique;
-    unique.reserve(neighbors.size());
-    for (const Vertex u : neighbors)
-      if (u != v) unique.push_back(u);
-    std::sort(unique.begin(), unique.end());
-    unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-    const std::size_t deg = unique.size();
-    if (deg < 2) continue;
-    for (const Vertex u : unique) is_neighbor[u] = true;
-    std::size_t links = 0;
-    for (const Vertex u : unique)
-      for (const Vertex w : sym.out_neighbors(u))
-        if (w != u && is_neighbor[w]) ++links;
-    for (const Vertex u : unique) is_neighbor[u] = false;
-    // Each neighbour-pair edge was counted twice (u→w and w→u both present
-    // in the undirected view).
-    total += static_cast<double>(links) / 2.0 /
-             (static_cast<double>(deg) * static_cast<double>(deg - 1) / 2.0);
-  }
-  return total / static_cast<double>(n);
-}
 
 DegreeStats degree_stats(const Digraph& graph) {
   DegreeStats stats;

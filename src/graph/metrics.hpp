@@ -1,43 +1,14 @@
-// metrics.hpp — small-world graph metrics.
+// metrics.hpp — degree statistics of a digraph.
 //
-// Watts–Strogatz characterise small worlds by (high clustering, low average
-// path length); Kleinberg by greedy navigability.  These metrics back the
-// E3/E5/E9 experiments and the explorer example.
+// E9 and A5 report the mean out-degree of the overlays they compare.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "graph/digraph.hpp"
-#include "util/rng.hpp"
 
 namespace sssw::graph {
-
-/// Exact directed diameter via all-pairs BFS; O(V·(V+E)).  Returns
-/// kUnreachable if some pair is unreachable.
-std::uint32_t exact_diameter(const Digraph& graph);
-
-/// Lower-bound diameter estimate by repeated double-sweep BFS from `sweeps`
-/// random starts.  Much cheaper than exact for big graphs.
-std::uint32_t estimate_diameter(const Digraph& graph, util::Rng& rng, int sweeps = 4);
-
-/// Average shortest-path length over `samples` random reachable ordered
-/// pairs (exact over all pairs if samples == 0).  Unreachable pairs are
-/// skipped and counted in `unreachable`.
-struct PathLengthStats {
-  double average = 0.0;
-  double max = 0.0;
-  std::size_t pairs = 0;
-  std::size_t unreachable = 0;
-};
-
-PathLengthStats average_path_length(const Digraph& graph, util::Rng& rng,
-                                    std::size_t samples = 0);
-
-/// Global clustering coefficient of the undirected view: mean over vertices
-/// of (#edges among neighbours) / (deg·(deg−1)/2); vertices with deg < 2
-/// contribute 0 (Watts–Strogatz convention).
-double clustering_coefficient(const Digraph& graph);
 
 /// Out-degree distribution statistics.
 struct DegreeStats {

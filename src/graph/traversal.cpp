@@ -1,29 +1,8 @@
 #include "graph/traversal.hpp"
 
-#include <deque>
-
-#include "util/check.hpp"
+#include <algorithm>
 
 namespace sssw::graph {
-
-std::vector<std::uint32_t> bfs_distances(const Digraph& graph, Vertex source) {
-  SSSW_CHECK(source < graph.vertex_count());
-  std::vector<std::uint32_t> dist(graph.vertex_count(), kUnreachable);
-  std::deque<Vertex> queue;
-  dist[source] = 0;
-  queue.push_back(source);
-  while (!queue.empty()) {
-    const Vertex v = queue.front();
-    queue.pop_front();
-    for (const Vertex next : graph.out_neighbors(v)) {
-      if (dist[next] == kUnreachable) {
-        dist[next] = dist[v] + 1;
-        queue.push_back(next);
-      }
-    }
-  }
-  return dist;
-}
 
 UnionFind::UnionFind(std::size_t n)
     : parent_(n), rank_(n, 0), sets_(n) {
@@ -69,17 +48,6 @@ Components weak_components(const Digraph& graph) {
 bool is_weakly_connected(const Digraph& graph) {
   if (graph.vertex_count() <= 1) return true;
   return weak_components(graph).count == 1;
-}
-
-bool is_strongly_connected(const Digraph& graph) {
-  if (graph.vertex_count() <= 1) return true;
-  const auto forward = bfs_distances(graph, 0);
-  for (const std::uint32_t d : forward)
-    if (d == kUnreachable) return false;
-  const auto backward = bfs_distances(graph.reversed(), 0);
-  for (const std::uint32_t d : backward)
-    if (d == kUnreachable) return false;
-  return true;
 }
 
 std::size_t largest_weak_component(const Digraph& graph) {

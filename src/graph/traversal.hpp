@@ -1,4 +1,4 @@
-// traversal.hpp — BFS and connectivity primitives.
+// traversal.hpp — weak connectivity primitives.
 #pragma once
 
 #include <cstdint>
@@ -12,15 +12,9 @@ namespace sssw::graph {
 /// Distance marker for unreachable vertices.
 inline constexpr std::uint32_t kUnreachable = std::numeric_limits<std::uint32_t>::max();
 
-/// Directed BFS distances from `source` (kUnreachable where no path exists).
-std::vector<std::uint32_t> bfs_distances(const Digraph& graph, Vertex source);
-
 /// True iff every vertex is reachable from every other ignoring edge
 /// direction — the paper's "weakly connected" precondition.
 bool is_weakly_connected(const Digraph& graph);
-
-/// True iff every vertex reaches every other along directed edges.
-bool is_strongly_connected(const Digraph& graph);
 
 /// Weakly connected component label per vertex (labels are 0-based,
 /// contiguous) plus the number of components.

@@ -1,5 +1,6 @@
 #include "routing/greedy.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "util/check.hpp"
@@ -15,33 +16,23 @@ std::size_t clockwise_distance(std::size_t a, std::size_t b, std::size_t n) noex
   return b >= a ? b - a : n - (a - b);
 }
 
+namespace {
+
+/// `metric` on an n-ring as a distance functor for greedy_route_metric.
+auto ring_metric(Metric metric, std::size_t n) {
+  return [metric, n](graph::Vertex from, graph::Vertex to) {
+    return metric == Metric::kClockwise ? clockwise_distance(from, to, n)
+                                        : ring_rank_distance(from, to, n);
+  };
+}
+
+}  // namespace
+
 RouteResult greedy_route(const graph::Digraph& graph, graph::Vertex source,
                          graph::Vertex target, std::size_t max_hops, Metric metric) {
   const std::size_t n = graph.vertex_count();
   SSSW_CHECK(source < n && target < n);
-  const auto distance = [&](std::size_t from) {
-    return metric == Metric::kClockwise ? clockwise_distance(from, target, n)
-                                        : ring_rank_distance(from, target, n);
-  };
-  RouteResult result;
-  graph::Vertex current = source;
-  while (current != target) {
-    if (result.hops >= max_hops) return result;  // gave up
-    std::size_t best_distance = distance(current);
-    graph::Vertex best = current;
-    for (const graph::Vertex next : graph.out_neighbors(current)) {
-      const std::size_t d = distance(next);
-      if (d < best_distance) {
-        best_distance = d;
-        best = next;
-      }
-    }
-    if (best == current) return result;  // local minimum: greedy failure
-    current = best;
-    ++result.hops;
-  }
-  result.success = true;
-  return result;
+  return greedy_route_metric(graph, source, target, max_hops, ring_metric(metric, n));
 }
 
 RouteResult greedy_route_lookahead(const graph::Digraph& graph, graph::Vertex source,
@@ -49,10 +40,8 @@ RouteResult greedy_route_lookahead(const graph::Digraph& graph, graph::Vertex so
                                    Metric metric) {
   const std::size_t n = graph.vertex_count();
   SSSW_CHECK(source < n && target < n);
-  const auto distance = [&](graph::Vertex from) {
-    return metric == Metric::kClockwise ? clockwise_distance(from, target, n)
-                                        : ring_rank_distance(from, target, n);
-  };
+  const auto ring = ring_metric(metric, n);
+  const auto distance = [&](graph::Vertex from) { return ring(from, target); };
   RouteResult result;
   std::vector<bool> visited(n, false);
   graph::Vertex current = source;
@@ -89,52 +78,22 @@ RouteResult greedy_route_lookahead(const graph::Digraph& graph, graph::Vertex so
   return result;
 }
 
-namespace {
-
-template <typename RouteFn>
-RoutingStats evaluate_with(const graph::Digraph& graph, util::Rng& rng,
-                           std::size_t pairs, RouteFn&& route_fn) {
-  RoutingStats stats;
-  const std::size_t n = graph.vertex_count();
-  if (n < 2) return stats;
-  std::vector<double> hop_samples;
-  hop_samples.reserve(pairs);
-  std::size_t successes = 0;
-  for (std::size_t i = 0; i < pairs; ++i) {
-    const auto source = static_cast<graph::Vertex>(rng.below(n));
-    auto target = static_cast<graph::Vertex>(rng.below(n - 1));
-    if (target >= source) ++target;
-    const RouteResult route = route_fn(source, target);
-    if (route.success) {
-      ++successes;
-      hop_samples.push_back(static_cast<double>(route.hops));
-    }
-  }
-  stats.pairs = pairs;
-  stats.success_rate =
-      pairs ? static_cast<double>(successes) / static_cast<double>(pairs) : 0.0;
-  stats.hops = util::summarize(hop_samples);
-  return stats;
-}
-
-}  // namespace
-
 RoutingStats evaluate_routing(const graph::Digraph& graph, util::Rng& rng,
                               std::size_t pairs, std::size_t max_hops, Metric metric) {
-  return evaluate_with(graph, rng, pairs,
-                       [&](graph::Vertex source, graph::Vertex target) {
-                         return greedy_route(graph, source, target, max_hops, metric);
-                       });
+  return evaluate_pairs(graph, rng, pairs,
+                        [&](graph::Vertex source, graph::Vertex target) {
+                          return greedy_route(graph, source, target, max_hops, metric);
+                        });
 }
 
 RoutingStats evaluate_routing_lookahead(const graph::Digraph& graph, util::Rng& rng,
                                         std::size_t pairs, std::size_t max_hops,
                                         Metric metric) {
-  return evaluate_with(graph, rng, pairs,
-                       [&](graph::Vertex source, graph::Vertex target) {
-                         return greedy_route_lookahead(graph, source, target,
-                                                       max_hops, metric);
-                       });
+  return evaluate_pairs(graph, rng, pairs,
+                        [&](graph::Vertex source, graph::Vertex target) {
+                          return greedy_route_lookahead(graph, source, target,
+                                                        max_hops, metric);
+                        });
 }
 
 }  // namespace sssw::routing

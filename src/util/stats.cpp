@@ -74,32 +74,6 @@ Summary summarize(std::span<const double> data) {
   return s;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0.0) {
-  SSSW_CHECK_MSG(bins > 0 && hi > lo, "Histogram requires bins > 0 and hi > lo");
-}
-
-void Histogram::add(double x, double weight) noexcept {
-  if (!std::isfinite(x)) {
-    // double→integer conversion of NaN (and of ±inf) is undefined behaviour;
-    // before this guard a NaN sample could land in an arbitrary bin.
-    ++rejected_;
-    return;
-  }
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-double Histogram::bin_hi(std::size_t i) const noexcept { return bin_lo(i) + width_; }
-double Histogram::bin_center(std::size_t i) const noexcept {
-  return bin_lo(i) + width_ / 2.0;
-}
-
 LogHistogram::LogHistogram(double lo, double hi, std::size_t bins)
     : log_lo_(std::log(lo)),
       log_hi_(std::log(hi)),

@@ -1,7 +1,7 @@
 // stats.hpp — descriptive statistics and model fits for experiment analysis.
 //
 // Everything here is deterministic and allocation-light: the experiment
-// drivers accumulate into Welford/Histogram objects inside hot loops and
+// drivers accumulate into Welford/LogHistogram objects inside hot loops and
 // call the summarising helpers once at the end.
 #pragma once
 
@@ -56,30 +56,6 @@ Summary summarize(std::span<const double> data);
 
 /// Percentile in [0,100] with linear interpolation over *sorted* data.
 double percentile_sorted(std::span<const double> sorted, double pct);
-
-/// Fixed-width histogram over [lo, hi); finite out-of-range samples clamp to
-/// the first/last bin so nothing is silently dropped.  Non-finite samples
-/// (NaN, ±inf) are skipped and tallied in rejected().
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0) noexcept;
-  std::size_t bins() const noexcept { return counts_.size(); }
-  double bin_lo(std::size_t i) const noexcept;
-  double bin_hi(std::size_t i) const noexcept;
-  double bin_center(std::size_t i) const noexcept;
-  double count(std::size_t i) const noexcept { return counts_[i]; }
-  double total() const noexcept { return total_; }
-  /// Number of samples refused because they were NaN or ±inf.
-  std::uint64_t rejected() const noexcept { return rejected_; }
-
- private:
-  double lo_, hi_, width_;
-  double total_ = 0.0;
-  std::uint64_t rejected_ = 0;
-  std::vector<double> counts_;
-};
 
 /// Logarithmically-binned histogram over [lo, hi) with lo > 0 — the natural
 /// representation for power-law link-length distributions.

@@ -63,30 +63,6 @@ std::string Table::to_string() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  auto quote = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string quoted = "\"";
-    for (const char ch : cell) {
-      if (ch == '"') quoted += '"';
-      quoted += ch;
-    }
-    quoted += '"';
-    return quoted;
-  };
-  std::ostringstream out;
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ',';
-      out << quote(row[c]);
-    }
-    out << '\n';
-  };
-  emit_row(headers_);
-  for (const auto& row : cells_) emit_row(row);
-  return out.str();
-}
-
 void Table::print(std::ostream& os) const { os << to_string(); }
 
 }  // namespace sssw::util

@@ -1,7 +1,7 @@
-// table.hpp — aligned console tables and CSV output for experiment results.
+// table.hpp — aligned console tables and the one number formatter.
 //
-// The examples print their results as paper-style tables, and the sweep
-// report renders its values with format_double, so the number formatting
+// sssw_sim prints its node listing as a table, and the sweep report and the
+// CLI help render their values with format_double, so the number formatting
 // lives in one place.
 #pragma once
 
@@ -33,9 +33,6 @@ class Table {
 
   /// Renders with padded columns, a header rule, and `| |` separators.
   std::string to_string() const;
-
-  /// Renders as RFC-4180-ish CSV (cells containing commas/quotes get quoted).
-  std::string to_csv() const;
 
   void print(std::ostream& os) const;
 

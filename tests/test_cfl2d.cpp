@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "analysis/linklen.hpp"
-#include "graph/traversal.hpp"
-#include "routing/torus.hpp"
+#include "routing/greedy.hpp"
+#include "support/graph_checks.hpp"
 
 namespace sssw::topology {
 namespace {
@@ -76,8 +76,9 @@ TEST(Cfl2d, StationaryGraphIsNavigable) {
   process.run(side * side);
   const auto g = process.graph();
   util::Rng eval(8);
-  const auto stats =
-      routing::evaluate_routing_torus(g, process.torus(), eval, 200, side * side);
+  const auto stats = routing::evaluate_routing_metric(
+      g, eval, 200, side * side,
+      [&](graph::Vertex a, graph::Vertex b) { return process.torus().distance(a, b); });
   EXPECT_EQ(stats.success_rate, 1.0);
   // Beats the pure-lattice average of ~side/2.
   EXPECT_LT(stats.hops.mean, static_cast<double>(side) / 2.0);

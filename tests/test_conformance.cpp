@@ -73,13 +73,14 @@ struct Harness {
   /// nullopt) and returns (state, sends).
   sssw::testing::RefResult run_production(const sssw::testing::RefState& start,
                                           const Message* message) {
+    NodeStore store{Config{}};  // declared before the engine: outlives the node
     sim::Engine engine(sim::EngineConfig{.seed = 42});
     NodeInit init(start.id);
     init.l = start.l;
     init.r = start.r;
     init.lrl = start.lrl;
     init.ring = start.ring;
-    engine.add_process(std::make_unique<SmallWorldNode>(init, Config{}));
+    engine.add_process(std::make_unique<SmallWorldNode>(init, store));
 
     sssw::testing::RefResult result{};
     engine.add_send_hook([&](Id to, const Message& m) {

@@ -48,41 +48,6 @@ TEST(Digraph, OutNeighbors) {
   EXPECT_TRUE(g.out_neighbors(2).empty());
 }
 
-TEST(Digraph, EdgesLists) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(2, 0);
-  const auto edges = g.edges();
-  ASSERT_EQ(edges.size(), 2u);
-  EXPECT_EQ(edges[0].from, 0u);
-  EXPECT_EQ(edges[0].to, 1u);
-  EXPECT_EQ(edges[1].from, 2u);
-  EXPECT_EQ(edges[1].to, 0u);
-}
-
-TEST(Digraph, Reversed) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  const Digraph rev = g.reversed();
-  EXPECT_TRUE(rev.has_edge(1, 0));
-  EXPECT_TRUE(rev.has_edge(2, 1));
-  EXPECT_FALSE(rev.has_edge(0, 1));
-  EXPECT_EQ(rev.edge_count(), 2u);
-}
-
-TEST(Digraph, UndirectedSymmetrizes) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 0);  // both directions present: must not duplicate
-  g.add_edge(1, 2);
-  const Digraph sym = g.undirected();
-  EXPECT_TRUE(sym.has_edge(0, 1));
-  EXPECT_TRUE(sym.has_edge(1, 0));
-  EXPECT_TRUE(sym.has_edge(2, 1));
-  EXPECT_EQ(sym.edge_count(), 4u);
-}
-
 TEST(Digraph, WithoutVerticesReindexes) {
   Digraph g(4);
   g.add_edge(0, 1);

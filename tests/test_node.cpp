@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "core/messages.hpp"
 #include "sim/engine.hpp"
@@ -24,8 +25,11 @@ class NodeFixture : public ::testing::Test {
  protected:
   NodeFixture() : engine_(sim::EngineConfig{.seed = 99}) {}
 
+  /// Adds a node backed by the fixture's store, which the first add builds
+  /// from config_ (so a test edits config_ before adding any node).
   SmallWorldNode* add(NodeInit init) {
-    engine_.add_process(std::make_unique<SmallWorldNode>(init, config_));
+    if (!store_) store_.emplace(config_);
+    engine_.add_process(std::make_unique<SmallWorldNode>(init, *store_));
     return node(init.id);
   }
 
@@ -56,6 +60,7 @@ class NodeFixture : public ::testing::Test {
   }
 
   Config config_{};
+  std::optional<NodeStore> store_;  ///< declared before engine_: outlives the nodes
   sim::Engine engine_;
 };
 

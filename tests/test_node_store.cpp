@@ -91,16 +91,6 @@ TEST(NodeStore, NodeDestructionReleasesItsSlot) {
   EXPECT_EQ(store.ring(0), 0.75);  // slot 0 reused; ring initialized to self
 }
 
-TEST(NodeStore, StandaloneNodeOwnsAPrivateStore) {
-  // The two-argument network path shares a store; the one-argument ctor
-  // (unit tests, examples) must stay self-contained.
-  SmallWorldNode a{NodeInit(0.3), Config{}};
-  SmallWorldNode b{NodeInit(0.6), Config{}};
-  a.set_r(0.9);
-  EXPECT_EQ(a.r(), 0.9);
-  EXPECT_EQ(b.r(), sim::kPosInf);
-}
-
 TEST(NodeStore, RejectsMoreLinksThanALookupHopRoutesOn) {
   // l, r, ring and 13 links fill routing::kMaxNextHopCandidates; a 14th
   // link would be watched and probed but never routed on.

@@ -8,6 +8,7 @@
 #include "analysis/linklen.hpp"
 #include "graph/metrics.hpp"
 #include "graph/traversal.hpp"
+#include "support/graph_checks.hpp"
 #include "routing/greedy.hpp"
 
 namespace sssw::topology {

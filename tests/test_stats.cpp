@@ -98,30 +98,6 @@ TEST(Summary, EmptyInput) {
   EXPECT_EQ(s.mean, 0.0);
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 4
-  h.add(-3.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.bins(), 5u);
-  EXPECT_EQ(h.count(0), 2.0);
-  EXPECT_EQ(h.count(2), 1.0);
-  EXPECT_EQ(h.count(4), 2.0);
-  EXPECT_EQ(h.total(), 5.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(1), 3.0);
-}
-
-TEST(Histogram, Weights) {
-  Histogram h(0.0, 1.0, 2);
-  h.add(0.25, 2.5);
-  EXPECT_EQ(h.count(0), 2.5);
-  EXPECT_EQ(h.total(), 2.5);
-}
-
 TEST(LogHistogram, GeometricBins) {
   LogHistogram h(1.0, 1024.0, 10);
   EXPECT_NEAR(h.bin_lo(0), 1.0, 1e-9);
@@ -245,19 +221,6 @@ TEST(BootstrapCi, DegenerateInputs) {
   const Interval single = bootstrap_mean_ci(one, 0.95, 100, rng);
   EXPECT_EQ(single.lo, 42.0);
   EXPECT_EQ(single.hi, 42.0);
-}
-
-TEST(Histogram, RejectsNonFiniteSamples) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(2.0);
-  h.add(std::numeric_limits<double>::quiet_NaN());
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity(), 3.0);
-  EXPECT_EQ(h.rejected(), 3u);
-  EXPECT_DOUBLE_EQ(h.total(), 1.0);  // rejected samples never reach a bin
-  double binned = 0.0;
-  for (std::size_t i = 0; i < h.bins(); ++i) binned += h.count(i);
-  EXPECT_DOUBLE_EQ(binned, 1.0);
 }
 
 TEST(LogHistogram, RejectsNonFiniteAndNonPositiveSamples) {

@@ -1,4 +1,4 @@
-// Tests for util/table: alignment, CSV escaping, cell types.
+// Tests for util/table: alignment, cell types.
 #include "util/table.hpp"
 
 #include <gtest/gtest.h>
@@ -35,18 +35,6 @@ TEST(Table, MissingCellsRenderEmpty) {
   t.row().add("only");
   const std::string out = t.to_string();
   EXPECT_NE(out.find("| only |"), std::string::npos);
-}
-
-TEST(Table, CsvBasic) {
-  Table t({"a", "b"});
-  t.row().add("x").add(std::int64_t{5});
-  EXPECT_EQ(t.to_csv(), "a,b\nx,5\n");
-}
-
-TEST(Table, CsvQuotesSpecials) {
-  Table t({"a"});
-  t.row().add("hello, \"world\"");
-  EXPECT_EQ(t.to_csv(), "a\n\"hello, \"\"world\"\"\"\n");
 }
 
 TEST(Table, CountsRowsColumns) {

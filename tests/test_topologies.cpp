@@ -6,6 +6,7 @@
 
 #include "graph/metrics.hpp"
 #include "graph/traversal.hpp"
+#include "support/graph_checks.hpp"
 #include "topology/cfl.hpp"
 #include "topology/chord.hpp"
 #include "topology/kleinberg.hpp"

@@ -1,17 +1,21 @@
-// Tests for topology/torus2d and routing/torus: the 2-D substrate of the
-// paper's §V future-work direction.
+// Tests for topology/torus2d and greedy routing under its metric: the 2-D
+// substrate of the paper's §V future-work direction.
 #include "topology/torus2d.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "graph/metrics.hpp"
-#include "graph/traversal.hpp"
-#include "routing/torus.hpp"
+#include "routing/greedy.hpp"
+#include "support/graph_checks.hpp"
 
 namespace sssw::topology {
 namespace {
+
+/// The torus metric as a greedy_route_metric distance functor.
+auto metric_of(const Torus2d& torus) {
+  return [&torus](graph::Vertex a, graph::Vertex b) { return torus.distance(a, b); };
+}
 
 TEST(Torus2d, VertexPointRoundTrip) {
   const Torus2d torus(8);
@@ -85,8 +89,8 @@ TEST(Kleinberg2d, NavigableExponentRoutesWell) {
   const auto navigable = make_kleinberg_torus(side, rng, {.long_links_per_node = 1,
                                                           .exponent = 2.0});
   util::Rng eval(4);
-  const auto stats =
-      routing::evaluate_routing_torus(navigable, torus, eval, 200, side * side);
+  const auto stats = routing::evaluate_routing_metric(navigable, eval, 200,
+                                                      side * side, metric_of(torus));
   EXPECT_EQ(stats.success_rate, 1.0);
   // Lattice-only greedy averages ~side/2 = 12; harmonic links must beat it.
   EXPECT_LT(stats.hops.mean, 10.0);
@@ -106,12 +110,12 @@ TEST(Kleinberg2d, KleinbergExponentTheoremShape) {
                                                         .exponent = 2.0});
   const auto localized = make_kleinberg_torus(side, g2, {.long_links_per_node = 1,
                                                          .exponent = 4.0});
-  const auto good = routing::evaluate_routing_torus(harmonic, torus, eval, 300,
-                                                    side * side);
-  const auto bad = routing::evaluate_routing_torus(localized, torus, eval, 300,
-                                                   side * side);
-  const auto lattice = routing::evaluate_routing_torus(make_torus_lattice(side),
-                                                       torus, eval, 300, side * side);
+  const auto good = routing::evaluate_routing_metric(harmonic, eval, 300,
+                                                     side * side, metric_of(torus));
+  const auto bad = routing::evaluate_routing_metric(localized, eval, 300,
+                                                    side * side, metric_of(torus));
+  const auto lattice = routing::evaluate_routing_metric(
+      make_torus_lattice(side), eval, 300, side * side, metric_of(torus));
   EXPECT_LT(good.hops.mean, bad.hops.mean);
   EXPECT_LT(good.hops.mean, 0.8 * lattice.hops.mean);
 }
@@ -122,7 +126,7 @@ TEST(TorusRouting, LatticeOnlyIsManhattan) {
   const auto g = make_torus_lattice(side);
   const auto a = torus.vertex_of({1, 1});
   const auto b = torus.vertex_of({4, 7});
-  const auto route = routing::greedy_route_torus(g, torus, a, b, 100);
+  const auto route = routing::greedy_route_metric(g, a, b, 100, metric_of(torus));
   EXPECT_TRUE(route.success);
   EXPECT_EQ(route.hops, torus.distance(a, b));
 }
@@ -130,7 +134,7 @@ TEST(TorusRouting, LatticeOnlyIsManhattan) {
 TEST(TorusRouting, SelfRouteIsZeroHops) {
   const Torus2d torus(5);
   const auto g = make_torus_lattice(5);
-  const auto route = routing::greedy_route_torus(g, torus, 7, 7, 10);
+  const auto route = routing::greedy_route_metric(g, 7, 7, 10, metric_of(torus));
   EXPECT_TRUE(route.success);
   EXPECT_EQ(route.hops, 0u);
 }

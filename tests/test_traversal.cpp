@@ -1,4 +1,4 @@
-// Tests for graph/traversal: BFS, components, union-find.
+// Tests for graph/traversal: weak components, union-find.
 #include "graph/traversal.hpp"
 
 #include <gtest/gtest.h>
@@ -10,36 +10,6 @@ Digraph chain(std::size_t n) {
   Digraph g(n);
   for (Vertex i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
   return g;
-}
-
-TEST(Bfs, DistancesOnChain) {
-  const Digraph g = chain(5);
-  const auto dist = bfs_distances(g, 0);
-  for (std::uint32_t i = 0; i < 5; ++i) EXPECT_EQ(dist[i], i);
-}
-
-TEST(Bfs, UnreachableMarked) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  const auto dist = bfs_distances(g, 0);
-  EXPECT_EQ(dist[2], kUnreachable);
-}
-
-TEST(Bfs, DirectionMatters) {
-  const Digraph g = chain(3);
-  const auto dist = bfs_distances(g, 2);
-  EXPECT_EQ(dist[2], 0u);
-  EXPECT_EQ(dist[0], kUnreachable);
-  EXPECT_EQ(dist[1], kUnreachable);
-}
-
-TEST(Bfs, ShortestNotFirstFound) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(0, 3);  // shortcut
-  EXPECT_EQ(bfs_distances(g, 0)[3], 1u);
 }
 
 TEST(WeakConnectivity, DirectedChainIsWeaklyConnected) {
@@ -57,20 +27,6 @@ TEST(WeakConnectivity, TrivialGraphs) {
   EXPECT_TRUE(is_weakly_connected(Digraph(0)));
   EXPECT_TRUE(is_weakly_connected(Digraph(1)));
   EXPECT_FALSE(is_weakly_connected(Digraph(2)));
-}
-
-TEST(StrongConnectivity, ChainIsNotStrong) {
-  EXPECT_FALSE(is_strongly_connected(chain(3)));
-}
-
-TEST(StrongConnectivity, CycleIsStrong) {
-  Digraph g(4);
-  for (Vertex i = 0; i < 4; ++i) g.add_edge(i, (i + 1) % 4);
-  EXPECT_TRUE(is_strongly_connected(g));
-}
-
-TEST(StrongConnectivity, SingletonIsStrong) {
-  EXPECT_TRUE(is_strongly_connected(Digraph(1)));
 }
 
 TEST(WeakComponents, LabelsAndCount) {

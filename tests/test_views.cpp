@@ -6,6 +6,7 @@
 #include "core/messages.hpp"
 #include "core/network.hpp"
 #include "graph/traversal.hpp"
+#include "support/graph_checks.hpp"
 
 namespace sssw::core {
 namespace {
