@@ -770,12 +770,14 @@ TEST(EngineTimers, ZeroDelayAndUnknownProcessRejected) {
 
 /// Random traffic over a fixed peer list, every choice drawn from the
 /// process's own stream: each regular action sends two messages (the peer
-/// list holds one id that never joins, so some sends drop) and now and then
+/// list holds one id that is absent, so some sends drop) and now and then
 /// arms a timer that sends one more; each received message is forwarded
 /// with probability 1/2 under the next type, carrying ids for the purge.
+/// Every process of one engine shares the one list.
 class Gossip final : public Process {
  public:
-  Gossip(Id id, const std::vector<Id>& peers) : id_(id), peers_(peers) {}
+  Gossip(Id id, std::shared_ptr<const std::vector<Id>> peers)
+      : id_(id), peers_(std::move(peers)) {}
 
   Id id() const noexcept override { return id_; }
 
@@ -798,22 +800,29 @@ class Gossip final : public Process {
   }
 
  private:
-  Id peer(Context& ctx) { return peers_[ctx.rng().below(peers_.size())]; }
+  Id peer(Context& ctx) { return (*peers_)[ctx.rng().below(peers_->size())]; }
 
   Id id_;
-  std::vector<Id> peers_;
+  std::shared_ptr<const std::vector<Id>> peers_;
 };
 
-/// n Gossip processes with ids (i + 1) / (n + 1), plus one peer id that
-/// never joins.
-Engine gossip_engine(const EngineConfig& config, std::size_t n = 64) {
-  std::vector<Id> peers;
+/// The ids of gossip_engine's processes, (i + 1) / (n + 1), then `absent`.
+std::shared_ptr<const std::vector<Id>> gossip_peers(std::size_t n, Id absent) {
+  auto peers = std::make_shared<std::vector<Id>>();
   for (std::size_t i = 0; i < n; ++i)
-    peers.push_back(static_cast<Id>(i + 1) / static_cast<Id>(n + 1));
-  peers.push_back(0.999);
+    peers->push_back(static_cast<Id>(i + 1) / static_cast<Id>(n + 1));
+  peers->push_back(absent);
+  return peers;
+}
+
+/// n Gossip processes with ids (i + 1) / (n + 1), plus one peer id,
+/// `absent`, that is not a process.
+Engine gossip_engine(const EngineConfig& config, std::size_t n = 64,
+                     Id absent = 0.999) {
+  const auto peers = gossip_peers(n, absent);
   Engine engine(config);
   for (std::size_t i = 0; i < n; ++i)
-    engine.add_process(std::make_unique<Gossip>(peers[i], peers));
+    engine.add_process(std::make_unique<Gossip>((*peers)[i], peers));
   return engine;
 }
 
@@ -870,6 +879,56 @@ TEST(EngineSendPath, PendingOrderIsPinned) {
       if (round == 12) {
         ASSERT_TRUE(engine.remove_process(20.0 / 65.0));
       }
+      engine.for_each_pending([&digest](Id to, const Message& message) {
+        digest.add_word(std::bit_cast<std::uint64_t>(to))
+            .add_word(message.type)
+            .add_word(std::bit_cast<std::uint64_t>(message.id1))
+            .add_word(std::bit_cast<std::uint64_t>(message.id2))
+            .add_word(std::bit_cast<std::uint64_t>(message.id3));
+      });
+      digest.add_word(engine.pending_messages());
+    }
+    EXPECT_EQ(digest.value(), expected.at(name)) << std::hex << digest.value();
+  }
+}
+
+TEST(EngineSendPath, PendingOrderIsPinnedAcrossBlocks) {
+  // The same fold at n = 4096, so the pending messages span several
+  // receiver blocks, and with every kind of membership change between
+  // rounds: a fail-stop leave and a crash-stop, each far from the ends of
+  // the rank order, and the join of the peer list's absent id, which lands
+  // inside a block and shifts every later rank by one.
+  constexpr std::size_t kN = 4096;
+  const auto id_at = [](std::size_t rank) {
+    return static_cast<Id>(rank + 1) / static_cast<Id>(kN + 1);
+  };
+  const Id joiner = (static_cast<Id>(1500) + 0.5) / static_cast<Id>(kN + 1);
+  const std::map<std::string, std::uint64_t> expected{
+      {"synchronous", 0x3ffbc86c83d19150ull},
+      {"random-async", 0x611c6e4f4575e0e3ull},
+      {"adversarial-lifo", 0x7cbf890928133223ull},
+      {"delayed-random", 0xbe7191a872e45183ull},
+      {"adversarial-oldest-last", 0xe422d0a1925c82e7ull},
+      {"synchronous+loss", 0x09382f1e41cf9598ull},
+      {"synchronous+faults", 0xd614df967fd5fde9ull},
+  };
+  for (const auto& [name, config] : send_path_configs()) {
+    SCOPED_TRACE(name);
+    const auto peers = gossip_peers(kN, joiner);
+    Engine engine(config);
+    engine.reserve(kN + 1);
+    for (std::size_t i = 0; i < kN; ++i)
+      engine.add_process(std::make_unique<Gossip>((*peers)[i], peers));
+    util::Fnv1a digest;
+    for (int round = 1; round <= 16; ++round) {
+      engine.run_round();
+      if (round == 4) {
+        ASSERT_TRUE(engine.remove_process(id_at(2000)));
+      }
+      if (round == 8) {
+        ASSERT_TRUE(engine.remove_process(id_at(3000), /*purge_references=*/false));
+      }
+      if (round == 11) engine.add_process(std::make_unique<Gossip>(joiner, peers));
       engine.for_each_pending([&digest](Id to, const Message& message) {
         digest.add_word(std::bit_cast<std::uint64_t>(to))
             .add_word(message.type)

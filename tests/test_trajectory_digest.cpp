@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -92,10 +93,19 @@ struct TrialDigest {
   std::uint64_t lookups = 0;
 };
 
-/// One adversarial trial: 32 nodes from a random tree, loss + duplication +
+/// The size and length of one trial: n nodes, `warm_rounds` before the
+/// crashes and `crash_rounds` after them.
+struct TrialShape {
+  std::size_t n = 32;
+  std::size_t warm_rounds = 30;
+  std::size_t crash_rounds = 120;
+};
+
+/// One adversarial trial: n nodes from a random tree, loss + duplication +
 /// delay + replay faults, the active detector, open-loop lookup load with
 /// retries and hedging, two mid-run crash-stops.
-TrialDigest run_trial(sim::SchedulerKind scheduler, std::uint64_t seed) {
+TrialDigest run_trial(sim::SchedulerKind scheduler, std::uint64_t seed,
+                      const TrialShape& shape = {}) {
   NetworkOptions options;
   options.scheduler = scheduler;
   options.seed = seed;
@@ -112,7 +122,7 @@ TrialDigest run_trial(sim::SchedulerKind scheduler, std::uint64_t seed) {
   util::Rng rng(seed);
   SmallWorldNetwork net(options);
   net.add_nodes(topology::make_initial_state(topology::InitialShape::kRandomTree,
-                                             random_ids(32, rng), rng));
+                                             random_ids(shape.n, rng), rng));
 
   service::LookupConfig lookup_config;
   lookup_config.rate = 1.0;
@@ -123,7 +133,7 @@ TrialDigest run_trial(sim::SchedulerKind scheduler, std::uint64_t seed) {
   lookup_config.seed = seed;
   service::LookupManager lookups(net, lookup_config);
 
-  net.run_rounds(30);
+  net.run_rounds(shape.warm_rounds);
 
   // Crash two deterministic picks (the id list is fixed at build time) so
   // detector timers and quarantine are in play.
@@ -131,7 +141,7 @@ TrialDigest run_trial(sim::SchedulerKind scheduler, std::uint64_t seed) {
   const std::vector<sim::Id> victims{span[span.size() / 3],
                                      span[(2 * span.size()) / 3]};
   for (const sim::Id id : victims) net.crash(id);
-  net.run_rounds(120);
+  net.run_rounds(shape.crash_rounds);
 
   TrialDigest digest;
   digest.rounds = net.engine().round();
@@ -142,10 +152,10 @@ TrialDigest run_trial(sim::SchedulerKind scheduler, std::uint64_t seed) {
 }
 
 void expect_digest(sim::SchedulerKind scheduler, std::uint64_t seed,
-                   const TrialDigest& golden) {
-  const TrialDigest actual = run_trial(scheduler, seed);
-  const auto where = ::testing::Message()
-                     << sim::to_string(scheduler) << " seed " << seed;
+                   const TrialDigest& golden, const TrialShape& shape = {}) {
+  const TrialDigest actual = run_trial(scheduler, seed, shape);
+  const auto where = ::testing::Message() << sim::to_string(scheduler) << " seed "
+                                          << seed << " n " << shape.n;
   EXPECT_EQ(actual.rounds, golden.rounds) << where;
   EXPECT_EQ(actual.counters, golden.counters) << where;
   EXPECT_EQ(actual.state, golden.state) << where;
@@ -177,6 +187,17 @@ TEST(TrajectoryDigest, SynchronousSeed7IsPinned) {
   expect_digest(
       sim::SchedulerKind::kSynchronous, 7,
       {150, 0x037c1d08e602b59d, 0x3ec13a0c93ec17ab, 0x598340e45f7da85f});
+}
+
+TEST(TrajectoryDigest, PinnedAcrossReceiverBlocks) {
+  // The same trial at n = 4096, where the in-flight messages span several
+  // receiver blocks and the two crash-stops shift the ranks of every later
+  // node; kept short so the run stays cheap under the sanitizers.
+  const TrialShape shape{.n = 4096, .warm_rounds = 16, .crash_rounds = 16};
+  expect_digest(sim::SchedulerKind::kSynchronous, 20120521,
+                {32, 0x8a58ae96c2c19b66, 0x72ce8757aae2c0a3, 0x8156cab36e24884e}, shape);
+  expect_digest(sim::SchedulerKind::kDelayedRandom, 20120521,
+                {32, 0xd12fd9518d3deb41, 0x6b7e9771a0e4700c, 0x45aeda92df148305}, shape);
 }
 
 TEST(TrajectoryDigest, SeedStillSelectsTheTrajectory) {
