@@ -35,13 +35,6 @@ std::size_t IdIndex::ring_distance(Id a, Id b) const {
   return std::min(direct, ids_.size() - direct);
 }
 
-std::size_t IdIndex::link_length(Id a, Id b) const {
-  const std::size_t ra = vertex_of(a);
-  const std::size_t rb = vertex_of(b);
-  const std::size_t direct = ra > rb ? ra - rb : rb - ra;
-  return direct > 0 ? direct - 1 : 0;
-}
-
 namespace {
 
 /// Adds (owner → other) if both ends are live, distinct identifiers.  The

@@ -26,7 +26,6 @@ class IdIndex {
   explicit IdIndex(const sim::Engine& engine);
 
   std::size_t size() const noexcept { return ids_.size(); }
-  sim::Id id_of(graph::Vertex v) const noexcept { return ids_[v]; }
   /// Rank of `id`; id must be a registered process identifier.
   graph::Vertex vertex_of(sim::Id id) const;
   bool contains(sim::Id id) const noexcept;
@@ -34,9 +33,6 @@ class IdIndex {
 
   /// Ring distance in ranks: min(|ra−rb|, n−|ra−rb|).
   std::size_t ring_distance(sim::Id a, sim::Id b) const;
-
-  /// The paper's link length: number of nodes strictly between a and b.
-  std::size_t link_length(sim::Id a, sim::Id b) const;
 
  private:
   std::vector<sim::Id> ids_;  // ascending

@@ -23,25 +23,18 @@ bool Digraph::has_edge(Vertex from, Vertex to) const noexcept {
   return std::find(list.begin(), list.end(), to) != list.end();
 }
 
-Digraph Digraph::without_vertices(const std::vector<bool>& removed,
-                                  std::vector<Vertex>* old_of_new) const {
+Digraph Digraph::without_vertices(const std::vector<bool>& removed) const {
   SSSW_CHECK(removed.size() == vertex_count());
   std::vector<Vertex> new_of_old(vertex_count(), 0);
-  std::vector<Vertex> mapping;
   std::size_t kept = 0;
-  for (Vertex v = 0; v < vertex_count(); ++v) {
-    if (!removed[v]) {
-      new_of_old[v] = static_cast<Vertex>(kept++);
-      mapping.push_back(v);
-    }
-  }
+  for (Vertex v = 0; v < vertex_count(); ++v)
+    if (!removed[v]) new_of_old[v] = static_cast<Vertex>(kept++);
   Digraph sub(kept);
   for (Vertex from = 0; from < vertex_count(); ++from) {
     if (removed[from]) continue;
     for (const Vertex to : adjacency_[from])
       if (!removed[to]) sub.add_edge(new_of_old[from], new_of_old[to]);
   }
-  if (old_of_new != nullptr) *old_of_new = std::move(mapping);
   return sub;
 }
 

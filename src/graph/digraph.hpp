@@ -41,9 +41,8 @@ class Digraph {
 
   /// Copy with the given vertices (and incident edges) removed; `removed`
   /// flags must have vertex_count() entries.  Remaining vertices are
-  /// re-indexed densely; `old_of_new` (optional) receives the mapping.
-  Digraph without_vertices(const std::vector<bool>& removed,
-                           std::vector<Vertex>* old_of_new = nullptr) const;
+  /// re-indexed densely, in their old order.
+  Digraph without_vertices(const std::vector<bool>& removed) const;
 
  private:
   std::vector<std::vector<Vertex>> adjacency_;

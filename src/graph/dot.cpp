@@ -6,13 +6,9 @@ namespace sssw::graph {
 
 std::string to_dot(const Digraph& graph, const DotOptions& options) {
   std::ostringstream out;
-  out << "digraph " << options.graph_name << " {\n";
+  out << "digraph sssw {\n";
   if (options.circo) out << "  layout=circo;\n";
-  for (Vertex v = 0; v < graph.vertex_count(); ++v) {
-    out << "  n" << v;
-    if (v < options.labels.size()) out << " [label=\"" << options.labels[v] << "\"]";
-    out << ";\n";
-  }
+  for (Vertex v = 0; v < graph.vertex_count(); ++v) out << "  n" << v << ";\n";
   for (Vertex v = 0; v < graph.vertex_count(); ++v)
     for (const Vertex to : graph.out_neighbors(v))
       out << "  n" << v << " -> n" << to << ";\n";

@@ -2,16 +2,12 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "graph/digraph.hpp"
 
 namespace sssw::graph {
 
 struct DotOptions {
-  std::string graph_name = "sssw";
-  /// Optional per-vertex labels (defaults to the index).
-  std::vector<std::string> labels;
   /// Render as circular layout hint.
   bool circo = false;
 };

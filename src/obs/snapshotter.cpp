@@ -8,7 +8,6 @@ namespace sssw::obs {
 namespace {
 
 using util::append_json_number;
-using util::JsonValue;
 
 void append_histogram(std::string& out, const Histogram& histogram) {
   out += "{\"count\":";
@@ -32,40 +31,6 @@ void append_histogram(std::string& out, const Histogram& histogram) {
     out += ']';
   }
   out += "]}";
-}
-
-/// Calls `entry(name, value)` for each member of a `{"name": value, ...}`
-/// section; false if `section` is not an object or any entry fails.
-template <typename Fn>
-bool for_each_member(const JsonValue& section, Fn&& entry) {
-  if (section.kind() != JsonValue::Kind::kObject) return false;
-  for (std::size_t i = 0; i < section.keys().size(); ++i)
-    if (!entry(section.keys()[i], section.items()[i])) return false;
-  return true;
-}
-
-bool parse_histogram(const JsonValue& value,
-                     ParsedSnapshot::HistogramData* out) {
-  const auto count = value["count"].number<std::uint64_t>();
-  const auto sum = value["sum"].number<double>();
-  const auto min = value["min"].number<double>();
-  const auto max = value["max"].number<double>();
-  const JsonValue& buckets = value["buckets"];
-  if (!count || !sum || !min || !max ||
-      buckets.kind() != JsonValue::Kind::kArray)
-    return false;
-  out->count = *count;
-  out->sum = *sum;
-  out->min = *min;
-  out->max = *max;
-  for (const JsonValue& bucket : buckets.items()) {
-    if (bucket.items().size() != 2) return false;
-    const auto edge = bucket.items()[0].number<double>();
-    const auto hits = bucket.items()[1].number<std::uint64_t>();
-    if (!edge || !hits) return false;
-    out->buckets.emplace_back(*edge, *hits);
-  }
-  return true;
 }
 
 }  // namespace
@@ -97,32 +62,6 @@ std::string to_jsonl(const Registry& registry, std::uint64_t round) {
           [&out](const Histogram& h) { append_histogram(out, h); });
   out += '}';
   return out;
-}
-
-bool parse_snapshot(const std::string& line, ParsedSnapshot* out) {
-  *out = ParsedSnapshot{};
-  const auto doc = util::parse_json(line);
-  if (!doc) return false;
-  const auto round = (*doc)["round"].number<std::uint64_t>();
-  if (!round) return false;
-  out->round = *round;
-  return for_each_member((*doc)["counters"],
-                         [&](const std::string& name, const JsonValue& value) {
-                           const auto count = value.number<std::uint64_t>();
-                           if (count) out->counters[name] = *count;
-                           return count.has_value();
-                         }) &&
-         for_each_member((*doc)["gauges"],
-                         [&](const std::string& name, const JsonValue& value) {
-                           const auto gauge = value.number<double>();
-                           if (gauge) out->gauges[name] = *gauge;
-                           return gauge.has_value();
-                         }) &&
-         for_each_member((*doc)["histograms"],
-                         [&](const std::string& name, const JsonValue& value) {
-                           return parse_histogram(value,
-                                                  &out->histograms[name]);
-                         });
 }
 
 // --- Snapshotter ------------------------------------------------------------

@@ -4,17 +4,13 @@
 // number and every registered metric.  The format is append-only and
 // self-describing, so a run's file can be tailed live, diffed between runs,
 // or loaded into any JSON-aware tool; doc/OBSERVABILITY.md documents the
-// schema with a worked example.  parse_snapshot() reads one line back —
-// used by the round-trip tests and by downstream analysis code that wants
-// to stay dependency-free.
+// schema with a worked example.
 #pragma once
 
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "obs/registry.hpp"
 
@@ -25,28 +21,6 @@ namespace sssw::obs {
 /// histograms as {count, sum, min, max, buckets:[[upper_edge, count], ...]}
 /// with zero buckets omitted.
 std::string to_jsonl(const Registry& registry, std::uint64_t round);
-
-/// One parsed snapshot line.  Histogram buckets come back as
-/// (upper_edge, count) pairs in ascending edge order.
-struct ParsedSnapshot {
-  struct HistogramData {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    std::vector<std::pair<double, std::uint64_t>> buckets;
-  };
-
-  std::uint64_t round = 0;
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramData> histograms;
-};
-
-/// Parses one line produced by to_jsonl() with util::parse_json.  Returns
-/// false (and leaves *out unspecified) on malformed JSON or a missing or
-/// mistyped section; counters read back exactly as 64-bit integers.
-bool parse_snapshot(const std::string& line, ParsedSnapshot* out);
 
 /// Writes registry snapshots every `every` rounds to a stream or file.
 /// Drive it from an engine round hook:

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <limits>
+#include <memory>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -10,9 +13,13 @@ namespace sssw::sim {
 
 namespace {
 
-/// How many entries ahead the pass flush and the inbox scatter prefetch the
-/// memory their scattered accesses will touch.
+/// How many sends ahead the flush prefetches the id-table cell it will
+/// probe.
 constexpr std::size_t kPrefetchAhead = 8;
+
+/// A round pass flushes its staged sends at the first action boundary after
+/// this many have gathered, while their records are still in cache.
+constexpr std::size_t kFlushBatch = 4096;
 
 }  // namespace
 
@@ -78,7 +85,7 @@ void Engine::add_process(std::unique_ptr<Process> process) {
   SSSW_CHECK_MSG(!index_.contains(id), "duplicate process identifier");
   const std::size_t slot = slots_.size();
   SSSW_CHECK_MSG(slot < std::numeric_limits<std::uint32_t>::max(),
-                 "a log record's slot must fit 32 bits");
+                 "a pending record's slot must fit 32 bits");
   slots_.push_back(Slot{std::move(process), Channel{}, /*rank=*/0,
                         util::derive_stream(config_.seed,
                                             std::bit_cast<std::uint64_t>(id))});
@@ -95,6 +102,10 @@ void Engine::add_process(std::unique_ptr<Process> process) {
   slots_[slot].rank = rank;
   for (std::size_t r = rank + 1; r < order_.size(); ++r)
     slots_[order_[r]].rank = r;
+  // The ranks after the insert moved, and with them the blocks and offsets
+  // of their pending records: the next post site re-files them.
+  if (rank + 1 < order_.size()) blocks_stale_ = true;
+  blocks_.resize(block_count());
   fenwick_dirty_ = true;
 }
 
@@ -133,14 +144,16 @@ bool Engine::remove_process(Id id, bool purge_references) {
       for (const std::size_t survivor : order_)
         purged += slots_[survivor].channel.purge_references(id);
     pending_total_ -= purged;
+    blocks_.resize(block_count());
   } else {
-    const auto gone = [&](const Posted& posted) {
-      if (posted.slot == slot_index) return true;
-      if (!purge_references || !references(posted.message(), id)) return false;
+    // The walk that drops the leaver's records re-files the rest under
+    // their shifted ranks.
+    pending_total_ -= refile([&](const Record& record) {
+      if (record.slot == slot_index) return true;
+      if (!purge_references || !references(record.message(), id)) return false;
       ++purged;
       return true;
-    };
-    pending_total_ -= std::erase_if(log_, gone) + std::erase_if(deferred_, gone);
+    });
   }
   if (purge_references) {
     // Messages parked in the hold queue are in flight too, and the replay
@@ -210,10 +223,94 @@ void Engine::for_each(const std::function<void(const Process&)>& fn) const {
   for (const std::size_t slot : order_) fn(*slots_[slot].process);
 }
 
-void Engine::post(std::size_t slot_index, Id to, const Message& message) {
+Engine::Chunk* Engine::take_chunk() {
+  if (free_chunks_ != nullptr) {
+    Chunk* const chunk = free_chunks_;
+    free_chunks_ = chunk->next;
+    return chunk;
+  }
+  if (carved_ == kSlabChunks) {
+    slabs_.push_back(std::make_unique_for_overwrite<Chunk[]>(kSlabChunks));
+    carved_ = 0;
+  }
+  return &slabs_.back()[carved_++];
+}
+
+void Engine::append(RecordList& list, const Record& record) {
+  if (list.end == list.limit) {  // empty, or the tail chunk is full
+    Chunk* const chunk = take_chunk();
+    chunk->next = nullptr;
+    (list.tail != nullptr ? list.tail->next : list.head) = chunk;
+    list.tail = chunk;
+    list.end = chunk->records;
+    list.limit = chunk->records + kChunkRecords;
+  }
+  *list.end++ = record;
+}
+
+namespace {
+
+/// Visits a pending list's records in order.
+template <typename List, typename Fn>
+void visit(const List& list, Fn&& fn) {
+  for (auto* chunk = list.head; chunk != nullptr; chunk = chunk->next) {
+    const auto* const last = chunk == list.tail ? list.end : std::end(chunk->records);
+    for (const auto* record = chunk->records; record != last; ++record) fn(*record);
+  }
+}
+
+}  // namespace
+
+template <typename Fn>
+void Engine::drain(RecordList& list, Fn&& fn) {
+  for (Chunk* chunk = list.head; chunk != nullptr;) {
+    const Record* const last = chunk == list.tail ? list.end : std::end(chunk->records);
+    for (const Record* record = chunk->records; record != last; ++record) fn(*record);
+    // Done with this chunk: the very next append may reuse it.
+    Chunk* const next = chunk->next;
+    chunk->next = free_chunks_;
+    free_chunks_ = chunk;
+    chunk = next;
+  }
+  list = {};
+}
+
+template <typename Gone>
+std::size_t Engine::refile(Gone&& gone) {
+  std::vector<Block> old(block_count());
+  old.swap(blocks_);
+  std::size_t dropped = 0;
+  const auto refile_list = [&](RecordList& list, RecordList Block::*into) {
+    drain(list, [&](Record record) {
+      if (gone(record)) {
+        ++dropped;
+        return;
+      }
+      const std::size_t rank = slots_[record.slot].rank;
+      record.offset = static_cast<std::uint16_t>(rank & (kBlockRanks - 1));
+      append(blocks_[rank >> kBlockShift].*into, record);
+    });
+  };
+  for (Block& block : old) refile_list(block.deferred, &Block::deferred);
+  for (Block& block : old) refile_list(block.posted, &Block::posted);
+  blocks_stale_ = false;
+  return dropped;
+}
+
+void Engine::settle_blocks() {
+  if (blocks_stale_) refile([](const Record&) { return false; });
+}
+
+inline void Engine::file(std::size_t slot_index, const Message& message) {
+  const std::size_t rank = slots_[slot_index].rank;
+  append(blocks_[rank >> kBlockShift].posted,
+         Record::of(slot_index, rank & (kBlockRanks - 1), message));
+}
+
+void Engine::post(std::size_t slot_index, const Message& message) {
   ++pending_total_;
   if (!async_) {
-    log_.push_back(Posted::of(slot_index, to, message));
+    file(slot_index, message);
     return;
   }
   Slot& slot = slots_[slot_index];
@@ -229,7 +326,7 @@ void Engine::enqueue_or_drop(Id to, const Message& message) {
     ++counters_->dropped;
     return;
   }
-  post(slot_index, to, message);
+  post(slot_index, message);
 }
 
 inline bool Engine::admit_send(std::size_t from_slot, Id to,
@@ -278,40 +375,39 @@ void Engine::dispatch_send(std::size_t from_slot, Id to, const Message& message)
 bool Engine::inject(Id to, const Message& message) {
   const std::size_t slot_index = index_.find(to);
   if (slot_index == IdSlotTable::kNone) return false;
-  post(slot_index, to, message);
+  settle_blocks();
+  post(slot_index, message);
   return true;
 }
 
-void Engine::flush_pass(std::size_t start) {
+void Engine::flush_staged() {
   if (faults_ || async_) {
     // The injector may hold, duplicate or replay a send, and random-async
-    // posts into per-receiver channels: the pass's sends leave the log and
-    // take the whole send path one at a time.
-    aside_.assign(log_.begin() + static_cast<std::ptrdiff_t>(start), log_.end());
-    log_.resize(start);
-    for (const Posted& send : aside_) dispatch_send(send.slot, send.to, send.message());
-    aside_.clear();
+    // posts into per-receiver channels: staged sends take the whole send
+    // path one at a time.
+    for (const Staged& send : staged_) dispatch_send(send.from, send.to, send.message());
+    staged_.clear();
     return;
   }
   // Every send resolves through an id-table probe at an unpredictable cell;
-  // touching the cell a few sends ahead overlaps those cache misses.  Lost
-  // and dropped sends are compacted out as the walk goes.
-  const std::size_t end = log_.size();
-  std::size_t kept = start;
-  for (std::size_t i = start; i < end; ++i) {
-    if (i + kPrefetchAhead < end) index_.prefetch(log_[i + kPrefetchAhead].to);
-    Posted send = log_[i];
-    if (!admit_send(send.slot, send.to, send.message())) continue;
+  // touching the cell a few sends ahead overlaps those cache misses.
+  const std::size_t end = staged_.size();
+  std::size_t filed = 0;
+  for (std::size_t i = 0; i < end; ++i) {
+    if (i + kPrefetchAhead < end) index_.prefetch(staged_[i + kPrefetchAhead].to);
+    const Staged& send = staged_[i];
+    const Message message = send.message();
+    if (!admit_send(send.from, send.to, message)) continue;
     const std::size_t receiver = index_.find(send.to);
     if (receiver == IdSlotTable::kNone) {
       ++counters_->dropped;
       continue;
     }
-    send.slot = static_cast<std::uint32_t>(receiver);
-    log_[kept++] = send;
+    file(receiver, message);
+    ++filed;
   }
-  pending_total_ += kept - start;
-  log_.resize(kept);
+  pending_total_ += filed;
+  staged_.clear();
 }
 
 void Engine::deliver(Slot& slot, std::size_t slot_index, const Message& message) {
@@ -332,93 +428,93 @@ void Engine::finish_round() {
   for (const auto& [id, hook] : round_hooks_) hook(counters_->rounds);
 }
 
-/// One stable counting sort on receiver slot: count, prefix-sum, scatter.
-/// The scatter walks the entries backwards, the log before the deferred
-/// messages, and fills each bucket from its end, so every bucket holds its
-/// deferred messages, then its log entries, each in push order, and
-/// bucket_start_ ends up holding the bucket starts.
-void Engine::sort_log_into_inbox() {
-  const std::size_t slot_count = slots_.size();
-  bucket_start_.assign(slot_count + 1, 0);
-  for (const Posted& posted : deferred_) ++bucket_start_[posted.slot];
-  for (const Posted& posted : log_) ++bucket_start_[posted.slot];
-  std::size_t end = 0;
-  for (std::size_t s = 0; s <= slot_count; ++s) {
-    end += bucket_start_[s];
-    bucket_start_[s] = end;
-  }
-  if (inbox_.size() < end) inbox_.resize(end);
-  // The writes land all over the inbox; start loading the write position
-  // of the entry a few steps ahead.
-  const auto scatter = [this](const std::vector<Posted>& entries) {
-    for (std::size_t i = entries.size(); i-- > 0;) {
-      if (i >= kPrefetchAhead)
-        __builtin_prefetch(
-            &inbox_[bucket_start_[entries[i - kPrefetchAhead].slot] - 1], 1);
-      const Posted& posted = entries[i];
-      inbox_[--bucket_start_[posted.slot]] = posted.message();
-    }
+/// One stable counting sort on receiver offset: count, prefix sum, scatter.
+/// The deferred records come first, so every bucket holds its deferred
+/// messages, then its posted ones, each in push order.
+void Engine::sort_block(Block& block, std::size_t ranks) {
+  std::uint32_t* const next = bucket_end_.data();
+  std::fill_n(next, ranks, 0);
+  const auto count = [next](const Record& record) { ++next[record.offset]; };
+  visit(block.deferred, count);
+  visit(block.posted, count);
+  std::uint32_t total = 0;
+  for (std::size_t i = 0; i < ranks; ++i) total += std::exchange(next[i], total);
+  if (sort_buffer_.size() < total) sort_buffer_.resize(total);
+  Message* const out = sort_buffer_.data();
+  const auto scatter = [next, out](const Record& record) {
+    out[next[record.offset]++] = record.message();
   };
-  scatter(log_);
-  scatter(deferred_);
-  log_.clear();
-  deferred_.clear();
+  drain(block.deferred, scatter);
+  drain(block.posted, scatter);
 }
 
-/// Because every send waits unresolved in the log until the pass ends,
-/// nothing is posted to a receiver during the pass: its inbox bucket is
-/// exactly its channel as it stood at the round start, and messages sent
-/// while receiving are delivered next round (true synchronous semantics).
-/// Each receiver orders (or samples) its bucket with its own stream, in
-/// place.
+/// Because every send waits in the staging buffer and is filed into lists
+/// the pass does not read, nothing is posted to a receiver during the
+/// pass: its bucket is exactly its channel as it stood at the round start,
+/// and messages sent while receiving are delivered next round (true
+/// synchronous semantics).  Each receiver orders (or samples) its bucket
+/// with its own stream, in place.
 void Engine::receive_pass(ReceiptOrder order, bool sample) {
-  sort_log_into_inbox();
-  for (const std::size_t slot_index : order_) {
-    Message* const batch = inbox_.data() + bucket_start_[slot_index];
-    std::size_t count = bucket_start_[slot_index + 1] - bucket_start_[slot_index];
-    if (count == 0) continue;
-    Slot& slot = slots_[slot_index];
-    const Id self = slot.process->id();
-    if (sample) {
-      // Each message is delivered this round with the delivery probability;
-      // the rest are deferred, ahead of every later arrival, so next
-      // round's bucket holds them first, in their old order.
-      std::size_t taken = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        if (slot.rng.bernoulli(config_.delivery_probability)) {
-          batch[taken++] = batch[i];
-        } else {
-          deferred_.push_back(Posted::of(slot_index, self, batch[i]));
+  SSSW_DCHECK(!blocks_stale_ && blocks_.size() == block_count());
+  // The pass reads the lists as they stand now; what its sends post lands
+  // in fresh ones.
+  std::vector<Block> taking(blocks_.size());
+  taking.swap(blocks_);
+  for (std::size_t b = 0; b < taking.size(); ++b) {
+    const std::size_t first = b << kBlockShift;
+    const std::size_t ranks = std::min(kBlockRanks, order_.size() - first);
+    sort_block(taking[b], ranks);
+    std::size_t begin = 0;
+    for (std::size_t i = 0; i < ranks; ++i) {
+      Message* const batch = sort_buffer_.data() + begin;
+      std::size_t count = bucket_end_[i] - begin;
+      begin = bucket_end_[i];
+      if (count == 0) continue;
+      const std::size_t slot_index = order_[first + i];
+      Slot& slot = slots_[slot_index];
+      const Id self = slot.process->id();
+      if (sample) {
+        // Each message is delivered this round with the delivery
+        // probability; the rest are deferred, ahead of every later arrival,
+        // so next round's bucket holds them first, in their old order.
+        std::size_t taken = 0;
+        for (std::size_t j = 0; j < count; ++j) {
+          if (slot.rng.bernoulli(config_.delivery_probability)) {
+            batch[taken++] = batch[j];
+          } else {
+            append(blocks_[b].deferred, Record::of(slot_index, i, batch[j]));
+          }
         }
+        count = taken;
+        util::shuffle(batch, count, slot.rng);
+      } else if (order == ReceiptOrder::kShuffled) {
+        util::shuffle(batch, count, slot.rng);
+      } else {
+        std::reverse(batch, batch + count);
       }
-      count = taken;
-      util::shuffle(batch, count, slot.rng);
-    } else if (order == ReceiptOrder::kShuffled) {
-      util::shuffle(batch, count, slot.rng);
-    } else {
-      std::reverse(batch, batch + count);
+      pending_total_ -= count;
+      counters_->deliveries += count;
+      counters_->actions += count;
+      Context ctx(*this, self, &slot.rng, slot_index, /*in_pass=*/true);
+      for (std::size_t j = 0; j < count; ++j)
+        slot.process->on_message(ctx, batch[j]);
+      if (staged_.size() >= kFlushBatch) flush_staged();
     }
-    pending_total_ -= count;
-    counters_->deliveries += count;
-    counters_->actions += count;
-    Context ctx(*this, self, &slot.rng, slot_index, /*in_pass=*/true);
-    for (std::size_t i = 0; i < count; ++i)
-      slot.process->on_message(ctx, batch[i]);
   }
-  flush_pass(0);  // the sort emptied the log: all of it is this pass's
+  flush_staged();
 }
 
 void Engine::run_synchronous_round(ReceiptOrder order) {
   receive_pass(order, config_.scheduler == SchedulerKind::kDelayedRandom);
   // Every node executes its (always enabled) regular action.
-  const std::size_t start = log_.size();
   for (const std::size_t slot_index : order_) {
     Slot& slot = slots_[slot_index];
     ++counters_->actions;
     Context ctx(*this, slot.process->id(), &slot.rng, slot_index, /*in_pass=*/true);
     slot.process->on_regular(ctx);
+    if (staged_.size() >= kFlushBatch) flush_staged();
   }
-  flush_pass(start);
+  flush_staged();
   finish_round();
 }
 
@@ -474,6 +570,7 @@ void Engine::release_due_messages() {
 }
 
 void Engine::run_round() {
+  settle_blocks();
   release_due_messages();
   fire_due_timers();
   switch (config_.scheduler) {
@@ -496,13 +593,14 @@ void Engine::run_round() {
 }
 
 void Engine::deliver_pending_once() {
+  settle_blocks();
   if (async_) {
-    // Random-async keeps its messages in channels: move them into the log,
-    // in rank order, so the pass below takes each channel as it stands.
-    for (std::size_t rank = 0; rank < order_.size(); ++rank) {
-      Channel& channel = slots_[order_[rank]].channel;
-      for (const Message& message : channel.pending())
-        log_.push_back(Posted::of(order_[rank], ids_sorted_[rank], message));
+    // Random-async keeps its messages in channels: file them into the
+    // blocks, in rank order, so the pass below takes each channel as it
+    // stands.
+    for (const std::size_t slot_index : order_) {
+      Channel& channel = slots_[slot_index].channel;
+      for (const Message& message : channel.pending()) file(slot_index, message);
       channel.clear();
     }
     fenwick_dirty_ = true;
@@ -530,19 +628,24 @@ void Engine::for_each_pending(
       for (const Message& message : slots_[order_[rank]].channel.pending())
         fn(ids_sorted_[rank], message);
   } else {
-    // The deferred messages, then the log, are in push order; a stable
-    // counting sort of their entries by receiver rank gives rank order,
-    // then that order within one receiver.
+    // Each receiver's records sit in one block, in push order, its deferred
+    // ones in the deferred list; visiting every deferred list, then every
+    // posted list, and counting-sorting by current rank gives rank order,
+    // then that order within one receiver, even before settle_blocks.
+    const auto each_record = [this](const auto& on_record) {
+      for (const Block& block : blocks_) visit(block.deferred, on_record);
+      for (const Block& block : blocks_) visit(block.posted, on_record);
+    };
     std::vector<std::size_t> next(order_.size() + 1, 0);
-    for (const auto* entries : {&deferred_, &log_})
-      for (const Posted& posted : *entries) ++next[slots_[posted.slot].rank + 1];
+    each_record([&](const Record& record) { ++next[slots_[record.slot].rank + 1]; });
     for (std::size_t rank = 1; rank < next.size(); ++rank)
       next[rank] += next[rank - 1];
-    std::vector<const Posted*> by_rank(deferred_.size() + log_.size());
-    for (const auto* entries : {&deferred_, &log_})
-      for (const Posted& posted : *entries)
-        by_rank[next[slots_[posted.slot].rank]++] = &posted;
-    for (const Posted* posted : by_rank) fn(posted->to, posted->message());
+    std::vector<const Record*> by_rank(next.back());
+    each_record([&](const Record& record) {
+      by_rank[next[slots_[record.slot].rank]++] = &record;
+    });
+    for (const Record* record : by_rank)
+      fn(ids_sorted_[slots_[record->slot].rank], record->message());
   }
   // Held messages are channel contents that have not reached their channel
   // yet; hiding them would make connectivity views (Def. 4.2) lie about

@@ -13,21 +13,22 @@
 //     random-async action picks);
 //   * a synchronous-family round is two passes over the processes in rank
 //     order: receive (each process takes its own channel's messages and
-//     handles them), then regular.  A send made during a pass is appended
-//     to the pending log under its sender's slot and resolved in place when
-//     the pass ends, in (sender rank, send order), so no channel changes
-//     mid-pass and every receiver sees its channel as it stood when the
-//     round began.
+//     handles them), then regular.  A send made during a pass waits in a
+//     staging buffer and is resolved in a batch at a later action boundary,
+//     in (sender rank, send order), into storage the pass does not read, so
+//     every receiver sees its channel as it stood when the round began.
 //
 // Channel storage (DESIGN.md §8 "Channel storage"): the synchronous
-// family keeps every pending message as one 40-byte record of a flat log,
-// in push order; a resolved record names its receiver's slot.  Each receive
-// pass starts with one stable counting sort of the log by receiver slot
-// into the inbox, so a receiver's bucket is its channel in push order; the
-// receiver shuffles or reverses the bucket with its own stream and is
-// handed its messages in place.  The random-async scheduler takes one
-// message at a time and must see each send at once, so it keeps one Channel
-// per receiver instead.
+// family holds every pending message once, as a 32-byte record in the
+// pending list of its receiver's block (a run of kBlockRanks consecutive
+// ranks), in push order; the lists draw fixed-size chunks from one pool.
+// The receive pass takes the blocks in rank order: it counting-sorts a
+// block's records by receiver into a buffer sized for one block, returns
+// the block's chunks to the pool for the pass's own sends, and runs the
+// block's receivers, each of which shuffles or reverses its bucket with its
+// own stream and is handed its messages in place.  The random-async
+// scheduler takes one message at a time and must see each send at once, so
+// it keeps one Channel per receiver instead.
 #pragma once
 
 #include <array>
@@ -57,10 +58,11 @@ class Context {
   /// Sends `message` to the node with identifier `to`.  Sends to identifiers
   /// that no longer exist (departed nodes) are counted and dropped, matching
   /// the leave semantics of §IV.G.  Self-sends are legal.  Inside a round
-  /// pass the send is appended to the engine's pending log and takes effect
-  /// when the pass ends, in canonical (sender rank, send order) — invisible
-  /// to the protocol, which never observes a channel it sent to within the
-  /// same pass anyway.
+  /// pass the send is staged and takes effect when the engine flushes the
+  /// staged sends, after the acting process's action and no later than the
+  /// end of the pass, in canonical (sender rank, send order), and it is
+  /// received next round — invisible to the protocol, which never observes
+  /// a channel it sent to within the same pass anyway.
   void send(Id to, const Message& message);
 
   /// The acting process's private deterministic stream (derived from the
@@ -88,7 +90,7 @@ class Context {
              ///< needs the sender, which a Message does not carry)
   util::Rng* rng_;         ///< the acting process's slot stream
   std::size_t from_slot_;  ///< the acting process's slot index
-  /// True inside a round pass: sends wait in the log until the pass ends.
+  /// True inside a round pass: sends wait in the staging buffer.
   bool in_pass_;
 };
 
@@ -227,8 +229,8 @@ class Engine {
   /// models arbitrary initial channel contents (self-stabilization starts
   /// from any state, including garbage in flight).  Returns false if no such
   /// process exists.  Call it between rounds (round hooks included), never
-  /// from an action or a send hook: during a pass the log ends with that
-  /// pass's unresolved sends.
+  /// from an action or a send hook: during a pass a receiver still to act
+  /// would take the message in that same pass.
   bool inject(Id to, const Message& message);
 
   /// Arms a timer: process `id` receives `on_timer(tag)` at the start of the
@@ -267,9 +269,9 @@ class Engine {
   /// takes permute; delayed-random: what a receiver left untaken comes
   /// first); messages held by the fault layer are visited after the
   /// channel contents, in hold order.  O(n + pending).  Not for use from
-  /// inside an action: during a synchronous receive pass the receivers
-  /// still to act hold their messages in the inbox, which this does not
-  /// visit, and the pass's own sends are not yet resolved.
+  /// inside an action: during a synchronous receive pass the block being
+  /// received holds its messages in the sort buffer, which this does not
+  /// visit, and the pass's staged sends are not yet resolved.
   void for_each_pending(const std::function<void(Id to, const Message&)>& fn) const;
 
   const EngineCounters& counters() const noexcept { return *counters_; }
@@ -295,10 +297,13 @@ class Engine {
   // add returns a token for targeted removal, so detaching one observer
   // never silently disables another.
   //
-  // Order: a send hook fires when the send is dispatched, which for sends
-  // made during a round pass is when that pass ends; round hooks fire
-  // after the round.  A send hook only observes: it must not send, inject
-  // or remove, since it may run while the engine resolves a pass's sends.
+  // Order: a send hook fires when the send is dispatched.  A send made
+  // during a round pass is dispatched when the engine flushes the pass's
+  // staged sends in a batch: at an action boundary after the sender's
+  // action, and no later than the end of the pass, in (sender rank, send
+  // order).  Round hooks fire after the round.  A send hook only observes:
+  // it must not send, inject or remove, since it runs while the engine
+  // resolves a pass's sends.
   using SendHook = std::function<void(Id to, const Message&)>;
   using RoundHook = std::function<void(std::uint64_t round)>;
   using HookId = std::uint64_t;
@@ -334,24 +339,71 @@ class Engine {
     util::Rng rng{0};
   };
 
-  /// One message of a synchronous-family engine, written once: a round
-  /// pass's send is appended under its sender's slot, and the pass's flush
-  /// resolves it in place to its receiver's slot (or compacts it out).
-  /// Between passes every record in the log is resolved.  Slots are never
-  /// recycled, so add_process checks that they fit 32 bits.
-  struct Posted {
-    std::uint32_t slot;  ///< the sender's until resolved, then the receiver's
+  /// A send made during a round pass, staged until a flush resolves it.
+  struct Staged {
+    std::uint32_t from;  ///< the sender's slot
     MessageType type;
     Id to;
     Id id1, id2, id3;
 
-    static Posted of(std::size_t slot, Id to, const Message& message) noexcept {
-      return {static_cast<std::uint32_t>(slot), message.type, to,
+    static Staged of(std::size_t from, Id to, const Message& message) noexcept {
+      return {static_cast<std::uint32_t>(from), message.type, to,
               message.id1, message.id2, message.id3};
     }
     Message message() const noexcept { return {type, id1, id2, id3}; }
   };
-  static_assert(sizeof(Posted) == 40);
+  static_assert(sizeof(Staged) == 40);
+
+  /// One pending message of a synchronous-family engine, held once, in its
+  /// receiver's block: the receiver's slot (stable across membership
+  /// changes; slots are never recycled, so add_process checks that they fit
+  /// 32 bits) and its rank within the block (the sort key).
+  struct Record {
+    std::uint32_t slot;
+    MessageType type;
+    std::uint16_t offset;
+    Id id1, id2, id3;
+
+    static Record of(std::size_t slot, std::size_t offset,
+                     const Message& message) noexcept {
+      return {static_cast<std::uint32_t>(slot), message.type,
+              static_cast<std::uint16_t>(offset), message.id1, message.id2,
+              message.id3};
+    }
+    Message message() const noexcept { return {type, id1, id2, id3}; }
+  };
+  static_assert(sizeof(Record) == 32);
+
+  /// A block is kBlockRanks consecutive ranks: small enough that one
+  /// block's pending messages sort inside L2 at 10-14 messages per node.
+  static constexpr std::size_t kBlockShift = 9;
+  static constexpr std::size_t kBlockRanks = std::size_t{1} << kBlockShift;
+  static_assert(kBlockRanks <= 65536, "a Record's offset is 16 bits");
+  /// Records per pool chunk: one 1 KiB chunk, so the one partial chunk per
+  /// list costs little at any n.
+  static constexpr std::size_t kChunkRecords = 31;
+  struct alignas(64) Chunk {
+    Record records[kChunkRecords];
+    Chunk* next;
+  };
+  static_assert(sizeof(Chunk) == 1024);
+  /// Chunks the pool allocates at once: 256 KiB, carved as they are taken.
+  static constexpr std::size_t kSlabChunks = 256;
+  /// Pending records in push order, in pool chunks; every chunk but the
+  /// last is full, and the last holds [tail->records, end).
+  struct RecordList {
+    Chunk* head = nullptr;
+    Chunk* tail = nullptr;
+    Record* end = nullptr;
+    Record* limit = nullptr;  ///< the tail chunk's end; end == limit when full
+  };
+  /// One block's pending messages.  What delayed-random left untaken at the
+  /// block's last receive pass stands ahead of every later arrival, so it
+  /// has a list of its own that the sort reads first.
+  struct Block {
+    RecordList deferred;
+    RecordList posted;
+  };
 
   /// The per-send fate rule, shared by dispatch_send and the flush walk:
   /// counts the send, fires the send hooks and draws the loss fate from
@@ -359,26 +411,48 @@ class Engine {
   bool admit_send(std::size_t from_slot, Id to, const Message& message);
   /// The send path: admit_send, then the fault fate (also from the
   /// sender's stream), and routes the survivors.  Called inline by timer
-  /// and async actions, and by flush_pass when a pass's sends cannot be
-  /// resolved in place.
+  /// and async actions, and by flush_staged when staged sends cannot be
+  /// resolved directly.
   void dispatch_send(std::size_t from_slot, Id to, const Message& message);
-  /// Resolves the sends the current pass appended to the log from `start`
-  /// on, in (sender rank, send order).
-  void flush_pass(std::size_t start);
+  /// Resolves every staged send, in (sender rank, send order).  Called at
+  /// action boundaries only, so a sender's loss and fault draws come after
+  /// its whole action, as if the pass had ended.
+  void flush_staged();
   void enqueue_or_drop(Id to, const Message& message);
-  /// Queues `message` for the live process `to` in `slot_index`: the log
-  /// for the synchronous family, the slot's channel for random-async.
-  void post(std::size_t slot_index, Id to, const Message& message);
+  /// Queues `message` for the live process in `slot_index`: its block's
+  /// pending list for the synchronous family, the slot's channel for
+  /// random-async.
+  void post(std::size_t slot_index, const Message& message);
+  /// Appends `message` to the posted list of its receiver's block.
+  void file(std::size_t slot_index, const Message& message);
   void release_due_messages();
   void fire_due_timers();
   /// One random-async receive action.
   void deliver(Slot& slot, std::size_t slot_index, const Message& message);
-  /// Moves the deferred messages, then the log, into the inbox, bucketed by
-  /// receiver slot.
-  void sort_log_into_inbox();
-  /// The receive pass: in rank order, each process takes its inbox bucket
-  /// (with `sample`, each message only with the delivery probability),
-  /// orders it per `order`, and receives it.
+
+  // The chunk pool behind the pending lists.
+  Chunk* take_chunk();
+  void append(RecordList& list, const Record& record);
+  /// Visits `list`'s records in order, then hands its chunks back.
+  template <typename Fn>
+  void drain(RecordList& list, Fn&& fn);
+  std::size_t block_count() const noexcept {
+    return (order_.size() + kBlockRanks - 1) >> kBlockShift;
+  }
+  /// Re-files every pending record under its receiver's current rank (the
+  /// deferred lists first, so untaken messages stay ahead of later
+  /// arrivals) and drops the records `gone` names; returns how many.
+  template <typename Gone>
+  std::size_t refile(Gone&& gone);
+  /// Re-files the pending records if a membership change shifted ranks
+  /// since they were filed.  Every post site calls it first.
+  void settle_blocks();
+  /// Counting-sorts `block`'s records by receiver into sort_buffer_ and
+  /// returns its chunks to the pool; bucket_end_[i] ends receiver i's bucket.
+  void sort_block(Block& block, std::size_t ranks);
+  /// The receive pass: block by block in rank order, each process takes its
+  /// bucket (with `sample`, each message only with the delivery
+  /// probability), orders it per `order`, and receives it.
   void receive_pass(ReceiptOrder order, bool sample);
   void run_synchronous_round(ReceiptOrder order);
   void run_async_round();
@@ -416,27 +490,30 @@ class Engine {
   // pending message by binary descent in O(log n).  Membership changes mark
   // the index dirty and ensure_fenwick rebuilds it lazily, so bulk loads
   // skip an O(n)-per-add rebuild entirely.  The other schedulers use the
-  // log and the inbox below and never touch either.
+  // block storage below and never touch either.
   bool async_ = false;
   util::Fenwick pending_by_rank_;
   bool fenwick_dirty_ = true;
   std::vector<std::int64_t> rank_counts_;  // rebuild scratch, reused
-  // Synchronous family: every pending message, in push order, and during a
-  // pass that pass's unresolved sends after them.  A receive pass moves it
-  // into inbox_, so between passes it holds the channel contents, less
-  // what delayed-random leaves undelivered: that waits in deferred_, which
-  // stands ahead of the log in every receiver's channel.
-  std::vector<Posted> log_;
-  std::vector<Posted> deferred_;
-  // The receive pass's messages, grouped by receiver slot: slot s's bucket
-  // is inbox_[bucket_start_[s], bucket_start_[s + 1]).  Only grows, so its
-  // storage is reused round after round.
-  std::vector<Message> inbox_;
-  std::vector<std::size_t> bucket_start_;
+  // Synchronous family: every pending message, in its receiver's block,
+  // blocks_[rank >> kBlockShift].  Ranks shifted by a join mark the filing
+  // stale until settle_blocks.
+  std::vector<Block> blocks_;
+  bool blocks_stale_ = false;
+  // The pool: chunks come in slabs that never move, carved in order as
+  // they are first taken, and a drained list's chunks go back on the free
+  // list for the next append.
+  std::vector<std::unique_ptr<Chunk[]>> slabs_;
+  std::size_t carved_ = kSlabChunks;  // chunks of slabs_.back() handed out
+  Chunk* free_chunks_ = nullptr;
+  // The block being received, bucketed by receiver; the buffer only grows,
+  // so its storage is reused block after block.
+  std::vector<Message> sort_buffer_;
+  std::array<std::uint32_t, kBlockRanks> bucket_end_{};
   std::size_t pending_total_ = 0;  // every queued message, kept in step
-  // A pass's sends, moved out of the log when they take dispatch_send one
-  // at a time (fault injector or random-async); reused.
-  std::vector<Posted> aside_;
+  // A round pass's sends, in (sender rank, send order), until the next
+  // flush.
+  std::vector<Staged> staged_;
   // Shared with the registry counters that view it, so it outlives
   // whichever of the engine and the registry goes first.
   std::shared_ptr<EngineCounters> counters_ = std::make_shared<EngineCounters>();
@@ -459,13 +536,13 @@ class Engine {
 
 // --- Context inline fast paths ---------------------------------------------
 // send() is the hottest engine call (every protocol action fires several);
-// inside a round pass it is one push_back onto the log, with the real
-// dispatch deferred to the end of the pass.  Defined here, after Engine, so
+// inside a round pass it is one push_back onto the staging buffer, with the
+// real dispatch deferred to the next flush.  Defined here, after Engine, so
 // the calls inline into protocol code.
 
 inline void Context::send(Id to, const Message& message) {
   if (in_pass_) {
-    engine_.log_.push_back(Engine::Posted::of(from_slot_, to, message));
+    engine_.staged_.push_back(Engine::Staged::of(from_slot_, to, message));
     return;
   }
   engine_.dispatch_send(from_slot_, to, message);

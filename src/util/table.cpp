@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -63,6 +62,5 @@ std::string Table::to_string() const {
   return out.str();
 }
 
-void Table::print(std::ostream& os) const { os << to_string(); }
 
 }  // namespace sssw::util

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -28,13 +27,8 @@ class Table {
   Table& add(int value) { return add(static_cast<std::int64_t>(value)); }
   Table& add(unsigned value) { return add(static_cast<std::uint64_t>(value)); }
 
-  std::size_t rows() const noexcept { return cells_.size(); }
-  std::size_t columns() const noexcept { return headers_.size(); }
-
   /// Renders with padded columns, a header rule, and `| |` separators.
   std::string to_string() const;
-
-  void print(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

@@ -17,16 +17,6 @@ TEST(Dot, EmitsVerticesAndEdges) {
   EXPECT_EQ(dot.back(), '\n');
 }
 
-TEST(Dot, CustomNameAndLabels) {
-  Digraph g(2);
-  DotOptions options;
-  options.graph_name = "ring";
-  options.labels = {"0.125", "0.750"};
-  const std::string dot = to_dot(g, options);
-  EXPECT_NE(dot.find("digraph ring {"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"0.125\""), std::string::npos);
-}
-
 TEST(Dot, CircoLayoutHint) {
   DotOptions options;
   options.circo = true;

@@ -20,6 +20,7 @@
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
 #include "service/slo.hpp"
+#include "support/snapshot_reader.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 namespace sssw::util {
 namespace {
@@ -35,22 +34,6 @@ TEST(Table, MissingCellsRenderEmpty) {
   t.row().add("only");
   const std::string out = t.to_string();
   EXPECT_NE(out.find("| only |"), std::string::npos);
-}
-
-TEST(Table, CountsRowsColumns) {
-  Table t({"a", "b", "c"});
-  EXPECT_EQ(t.columns(), 3u);
-  EXPECT_EQ(t.rows(), 0u);
-  t.row().add("1").add("2").add("3");
-  EXPECT_EQ(t.rows(), 1u);
-}
-
-TEST(Table, PrintToStream) {
-  Table t({"h"});
-  t.row().add("v");
-  std::ostringstream os;
-  t.print(os);
-  EXPECT_EQ(os.str(), t.to_string());
 }
 
 TEST(FormatDouble, Precision) {

@@ -29,7 +29,7 @@ TEST_F(ViewsFixture, IndexMapsIdsToRanks) {
   EXPECT_EQ(index.vertex_of(0.1), 0u);
   EXPECT_EQ(index.vertex_of(0.4), 1u);
   EXPECT_EQ(index.vertex_of(0.7), 2u);
-  EXPECT_DOUBLE_EQ(index.id_of(2), 0.7);
+  EXPECT_DOUBLE_EQ(index.ids()[2], 0.7);
   EXPECT_TRUE(index.contains(0.4));
   EXPECT_FALSE(index.contains(0.5));
 }
@@ -41,14 +41,6 @@ TEST_F(ViewsFixture, RingDistanceWraps) {
   EXPECT_EQ(index.ring_distance(0.1, 0.6), 1u);  // wraps around
   EXPECT_EQ(index.ring_distance(0.1, 0.4), 3u);
   EXPECT_EQ(index.ring_distance(0.3, 0.3), 0u);
-}
-
-TEST_F(ViewsFixture, LinkLengthCountsStrictlyBetween) {
-  for (const double id : {0.1, 0.2, 0.3, 0.4, 0.5}) net_.add_node(NodeInit(id));
-  const IdIndex index(net_.engine());
-  EXPECT_EQ(index.link_length(0.1, 0.2), 0u);  // adjacent
-  EXPECT_EQ(index.link_length(0.1, 0.4), 2u);  // 0.2, 0.3 in between
-  EXPECT_EQ(index.link_length(0.4, 0.1), 2u);  // symmetric
 }
 
 TEST_F(ViewsFixture, LcpContainsExactlyStoredListLinks) {
