@@ -6,6 +6,7 @@
 // without docs fails here rather than rotting silently.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include "analysis/sweep.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
+#include "util/fnv.hpp"
 
 namespace sssw::analysis {
 namespace {
@@ -433,6 +435,83 @@ TEST(ExperimentCatalog, ParallelTrialCellsRepeatExactly) {
     }
     EXPECT_EQ(metrics[0], metrics[1]) << name;
     EXPECT_EQ(lines[0], lines[1]) << name;
+  }
+}
+
+TEST(ExperimentCatalog, SmallCellMetricsArePinned) {
+  // One small cell per driver branch (n = 32, 2 trials), its metrics folded
+  // name by name, with the bits of each value, and then its registry line,
+  // into one FNV-1a digest recorded literally: a driver that moves any
+  // number, or any count it exports, shows up here.
+  struct Pinned {
+    const char* experiment;
+    const char* params;
+    const char* ablation;
+    sim::SchedulerKind scheduler;
+    const char* fault;
+    std::uint64_t digest;
+  };
+  using enum sim::SchedulerKind;
+  const Pinned pins[] = {
+      {"e1-convergence", "", "full", kSynchronous, "none",
+       0x559b8e1c54b022f7ull},
+      {"a1-ablations", "", "no-move-forget", kSynchronous, "none",
+       0x4ab463ec255d8e12ull},
+      {"a1-ablations", "", "full", kRandomAsync, "none",
+       0x04ea3eef81c7b0c2ull},
+      {"e1b-phases", "", "full", kSynchronous, "none",
+       0x48fa2a9f3ca2fa11ull},
+      {"e1c-service", "", "full", kSynchronous, "none",
+       0x2507b9939ec11f6full},
+      {"e3-linklen", "process=cfl", "eps:0.5", kSynchronous, "none",
+       0xbd1423f4ede663c7ull},
+      {"e3-linklen", "process=protocol", "eps:0.5", kSynchronous, "none",
+       0xf41f4c4038074536ull},
+      {"e6-churn", "", "full", kSynchronous, "none",
+       0xb4a3dc75a2906706ull},
+      {"e7-storm", "interval=4", "full", kSynchronous, "none",
+       0x56f861cb666a3e48ull},
+      {"e9-robustness", "model=chord", "full", kSynchronous, "none",
+       0xd80fc24861919226ull},
+      {"e9-robustness", "model=kleinberg", "full", kSynchronous, "none",
+       0x9fcaed95db4fb630ull},
+      {"e13-faults", "", "full", kSynchronous, "none",
+       0xf02d37fe0909b796ull},
+      {"e13-faults", "", "full", kSynchronous, "partition:0.5:2:4",
+       0x44d01ca7e133842full},
+      {"e13-faults", "", "full", kSynchronous, "delay:0.2:3",
+       0x46d92d9caa291d4bull},
+      {"e13-faults", "", "full", kAdversarialOldestLast, "oldest-last:4",
+       0x5910a9b02a7b59f6ull},
+      {"e14-recovery", "mode=crash", "full", kSynchronous, "none",
+       0xe60db8fd5204516dull},
+      {"e14-recovery", "mode=leave", "full", kSynchronous, "none",
+       0x3423cb37fa366357ull},
+      {"e14-recovery", "loss=0.05", "full", kSynchronous, "none",
+       0xbc78211c15d5727eull},
+      {"e14-recovery", "crash=0", "full", kSynchronous, "none",
+       0x02e4f604d421e962ull},
+  };
+  for (const Pinned& pin : pins) {
+    SweepCell cell;
+    cell.experiment = pin.experiment;
+    cell.params = pin.params;
+    cell.ablation = pin.ablation;
+    cell.scheduler = pin.scheduler;
+    cell.fault = pin.fault;
+    cell.n = 32;
+    cell.trials = 2;
+    cell.seed = 20120521;
+    obs::Registry registry;
+    const CellResult result = find_experiment(pin.experiment)->run(cell, &registry);
+    ASSERT_TRUE(result.error.empty()) << pin.experiment << ": " << result.error;
+    util::Fnv1a digest;
+    for (const auto& [name, value] : result.metrics)
+      digest.add_bytes(name).add_word(std::bit_cast<std::uint64_t>(value));
+    digest.add_bytes(obs::to_jsonl(registry, 0));
+    EXPECT_EQ(digest.value(), pin.digest)
+        << pin.experiment << " " << pin.params << " " << pin.ablation << " "
+        << pin.fault << ": 0x" << std::hex << digest.value();
   }
 }
 
