@@ -289,7 +289,7 @@ void BM_Convergence_ObservedRun(benchmark::State& state) {
         network.run_rounds(1);
       }
     } else {
-      // The backoff classifier measure_phase_timeline uses.
+      // The backoff classifier E1b's driver (run_phases) uses.
       analysis::PhaseClassifier classifier;
       for (std::size_t slice = 0; slice <= budget; ++slice, ++slices) {
         if (classifier.classify(network, slice) >= core::Phase::kSortedRing) {

@@ -8,12 +8,7 @@
 #include <string>
 
 #include "analysis/convergence.hpp"
-#include "analysis/churn_storm.hpp"
-#include "analysis/linklen.hpp"
-#include "analysis/phases.hpp"
-#include "analysis/robustness.hpp"
-#include "analysis/service.hpp"
-#include "analysis/stress.hpp"
+#include "analysis/drivers.hpp"
 #include "baselines/fingers.hpp"
 #include "baselines/linearization.hpp"
 #include "core/forget.hpp"
@@ -107,6 +102,10 @@ std::string raw_param(const SweepCell& cell, const ParamSpec& spec) {
   return "";
 }
 
+}  // namespace
+
+// --- cell readers (drivers.hpp) --------------------------------------------
+
 double number_param(const SweepCell& cell, std::string_view key) {
   const ParamSpec& spec = param_spec(cell, key);
   const std::string value = raw_param(cell, spec);
@@ -121,8 +120,6 @@ std::string word_param(const SweepCell& cell, std::string_view key) {
   return value.empty() ? std::string(spec.words.front()) : value;
 }
 
-// --- shared helpers ---------------------------------------------------------
-
 // Cells carry canonical specs produced by expand_cells, so re-parsing here
 // cannot fail; the CHECK guards hand-built cells in tests.
 core::Config ablation_config(const SweepCell& cell) {
@@ -131,9 +128,6 @@ core::Config ablation_config(const SweepCell& cell) {
   return spec->config;
 }
 
-/// The engine a cell runs on: its scheduler and fault plan, where an
-/// oldest-last fault is the adversarial-oldest-last scheduler with the
-/// fault's hold.
 sim::EngineConfig cell_engine(const SweepCell& cell) {
   const auto fault = parse_fault_spec(cell.fault);
   SSSW_CHECK(fault.has_value());
@@ -147,7 +141,6 @@ sim::EngineConfig cell_engine(const SweepCell& cell) {
   return engine;
 }
 
-/// Mean of `values`, or -1 when there are none (no trial got that far).
 double mean_or_none(const std::vector<double>& values) {
   return values.empty() ? -1.0 : util::mean_of(values);
 }
@@ -157,142 +150,21 @@ double fraction(std::size_t part, std::size_t whole) {
                    : 0.0;
 }
 
+namespace {
+
 /// A metric name carrying a parameter value: ("hops_a", 0.5) → "hops_a0.5".
 std::string tagged(std::string prefix, double value) {
   util::append_json_number(prefix, value);
   return prefix;
 }
 
-// --- E1/E2: convergence to the sorted ring (Thms 4.9/4.18) -----------------
-
-CellResult run_convergence(const SweepCell& cell, obs::Registry*) {
-  ConvergenceOptions options;
-  options.n = cell.n;
-  options.trials = cell.trials;
-  options.base_seed = cell.seed;
-  options.max_rounds = cell_budget(cell);
-  options.protocol = ablation_config(cell);
-  options.scheduler = cell.scheduler;
-  const ConvergenceResult r = measure_convergence(cell.shape, options);
-  CellResult out;
-  out.add("list_rounds_mean", r.list_rounds.mean);
-  out.add("list_rounds_p90", r.list_rounds.p90);
-  out.add("ring_extra_mean", r.ring_extra_rounds.mean);
-  out.add("msgs_per_node_mean", r.messages_per_node.mean);
-  out.add("converged", r.converged);
-  return out;
-}
-
-// --- E1b: phase timeline (the §IV proof structure) -------------------------
-
-CellResult run_phases(const SweepCell& cell, obs::Registry*) {
-  PhaseTimelineOptions options;
-  options.n = cell.n;
-  options.max_rounds = cell_budget(cell);
-  options.protocol = ablation_config(cell);
-  options.scheduler = cell.scheduler;
-  const core::Phase tracked[] = {core::Phase::kListConnected,
-                                 core::Phase::kSortedList,
-                                 core::Phase::kSortedRing,
-                                 core::Phase::kSmallWorld};
-  const char* names[] = {"list_connected_mean", "sorted_list_mean",
-                         "sorted_ring_mean", "small_world_mean"};
-  const auto timelines = util::run_trials<PhaseTimeline>(
-      cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
-        PhaseTimelineOptions trial_options = options;
-        trial_options.seed = seed;
-        return measure_phase_timeline(cell.shape, trial_options);
-      });
-  double sums[4] = {};
-  std::size_t counts[4] = {};
-  std::size_t completed = 0;
-  for (const PhaseTimeline& timeline : timelines) {
-    if (timeline.completed()) ++completed;
-    for (std::size_t i = 0; i < 4; ++i) {
-      if (const auto round = timeline.at(tracked[i])) {
-        sums[i] += static_cast<double>(*round);
-        ++counts[i];
-      }
-    }
-  }
-  CellResult out;
-  for (std::size_t i = 0; i < 4; ++i)
-    out.add(names[i],
-            counts[i] > 0 ? sums[i] / static_cast<double>(counts[i]) : -1.0);
-  out.add("completed",
-          static_cast<double>(completed) / static_cast<double>(cell.trials));
-  return out;
-}
-
-// --- E1c: routing service while stabilizing --------------------------------
-
-CellResult run_stabilizing_service(const SweepCell& cell, obs::Registry*) {
-  struct Trial {
-    double t0 = 0, half = 0, ring = 0, ring_round = -1;
-  };
-  const auto trials = util::run_trials<Trial>(
-      cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
-        ServiceOptions options;
-        options.n = cell.n;
-        options.seed = seed;
-        options.sample_every = 4;
-        const auto curve =
-            measure_service_during_stabilization(cell.shape, options);
-        Trial trial;
-        const auto ring = std::find_if(curve.begin(), curve.end(),
-                                       [](const ServicePoint& p) {
-                                         return p.sorted_ring;
-                                       });
-        if (ring == curve.end()) return trial;
-        const auto half = std::find_if(curve.begin(), ring,
-                                       [&](const ServicePoint& p) {
-                                         return 2 * p.round >= ring->round;
-                                       });
-        trial.t0 = curve.front().success;
-        trial.half = half->success;
-        trial.ring = ring->success;
-        trial.ring_round = static_cast<double>(ring->round);
-        return trial;
-      });
-  std::vector<double> t0, half, ring, rounds;
-  for (const Trial& trial : trials) {
-    if (trial.ring_round < 0) continue;
-    t0.push_back(trial.t0);
-    half.push_back(trial.half);
-    ring.push_back(trial.ring);
-    rounds.push_back(trial.ring_round);
-  }
-  CellResult out;
-  out.add("success_t0", mean_or_none(t0));
-  out.add("success_half", mean_or_none(half));
-  out.add("success_ring", mean_or_none(ring));
-  out.add("ring_round", mean_or_none(rounds));
-  return out;
-}
-
 // --- E3: long-range-link length law (Fact 4.21 / Thm 4.22) -----------------
+// The drivers of E1/A1, E1b, E1c, E3, E6, E7, E9, E13 and E14 live in their
+// family files (drivers.hpp); their params stay here, with the catalog.
 
 constexpr std::string_view kProcesses[] = {"cfl", "protocol"};
 constexpr ParamSpec kLinklenParams[] = {
     {"process", Kind::kWord, 0, 0, 0, kProcesses}};
-
-CellResult run_linklen(const SweepCell& cell, obs::Registry*) {
-  LinkLenOptions options;
-  options.n = cell.n;
-  options.seed = cell.seed;
-  const core::Config protocol = ablation_config(cell);
-  options.epsilon = protocol.epsilon;
-  const LinkLenResult r = word_param(cell, "process") == "protocol"
-                              ? measure_protocol_linklen(options, protocol)
-                              : measure_cfl_linklen(options);
-  CellResult out;
-  out.add("exponent", r.fit.exponent);
-  out.add("exponent_r2", r.fit.r2);
-  out.add("corrected_slope", r.corrected.slope);
-  out.add("mean_length", r.mean_length);
-  out.add("samples", static_cast<double>(r.samples));
-  return out;
-}
 
 // --- E4: probe-walk length in the stable state (Lemma 4.23) ----------------
 
@@ -405,57 +277,10 @@ CellResult run_engine_routing(const SweepCell& cell, obs::Registry*) {
   return out;
 }
 
-// --- E6/E7: join/leave recovery (§IV.G) ------------------------------------
-
-CellResult run_churn(const SweepCell& cell, obs::Registry*) {
-  ChurnOptions options;
-  options.n = cell.n;
-  options.trials = cell.trials;
-  options.base_seed = cell.seed;
-  options.max_recovery_rounds = cell_budget(cell);
-  options.protocol = ablation_config(cell);
-  const ChurnResult join = measure_join(options);
-  const ChurnResult leave = measure_leave(options);
-  CellResult out;
-  out.add("join_rounds_mean", join.recovery_rounds.mean);
-  out.add("join_msgs_mean", join.recovery_messages.mean);
-  out.add("join_recovered", join.recovered);
-  out.add("leave_rounds_mean", leave.recovery_rounds.mean);
-  out.add("leave_msgs_mean", leave.recovery_messages.mean);
-  out.add("leave_recovered", leave.recovered);
-  return out;
-}
-
 // --- E7: overlapping churn storms (the w.h.p. caveat of Thm 4.24) ----------
 
 constexpr ParamSpec kStormParams[] = {
     {"interval", Kind::kInteger, 4, 1, 4096, {}}};
-
-CellResult run_storm(const SweepCell& cell, obs::Registry*) {
-  const auto results = util::run_trials<ChurnStormResult>(
-      cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
-        ChurnStormOptions options;
-        options.n = cell.n;
-        options.events = 24;
-        options.event_interval =
-            static_cast<std::size_t>(number_param(cell, "interval"));
-        options.seed = seed;
-        return run_churn_storm(options);
-      });
-  std::size_t survived = 0;
-  std::vector<double> quiesce, rate;
-  for (const ChurnStormResult& result : results) {
-    rate.push_back(result.messages_per_node_round);
-    if (!result.survived) continue;
-    ++survived;
-    quiesce.push_back(static_cast<double>(result.quiesce_rounds));
-  }
-  CellResult out;
-  out.add("survived", fraction(survived, results.size()));
-  out.add("quiesce_rounds", mean_or_none(quiesce));
-  out.add("msgs_per_node_round", util::mean_of(rate));
-  return out;
-}
 
 // --- E7c: one victim, detected leave vs crash-stop -------------------------
 
@@ -548,35 +373,6 @@ constexpr std::string_view kRobustnessModels[] = {"stationary", "kleinberg",
                                                   "kleinberg4", "chord"};
 constexpr ParamSpec kRobustnessParams[] = {
     {"model", Kind::kWord, 0, 0, 0, kRobustnessModels}};
-
-CellResult run_robustness(const SweepCell& cell, obs::Registry*) {
-  const std::string model = word_param(cell, "model");
-  util::Rng build(cell.seed);
-  RobustnessOptions options;
-  options.trials = cell.trials;
-  options.routing_pairs = 200;
-  options.seed = cell.seed;
-  graph::Digraph graph;
-  if (model == "stationary") {
-    graph = topology::make_stationary_smallworld_ring(cell.n, build);
-  } else if (model == "chord") {
-    graph = topology::make_chord_ring(cell.n);
-    options.metric = routing::Metric::kClockwise;
-  } else {
-    // kleinberg4: four long links per node, between sssw's degree and Chord's.
-    graph = topology::make_kleinberg_ring(
-        cell.n, build, {.long_links_per_node = model == "kleinberg4" ? 4u : 1u});
-  }
-  CellResult out;
-  out.add("degree", graph::degree_stats(graph).mean);
-  for (const RobustnessPoint& point :
-       robustness_sweep(graph, {0.1, 0.2, 0.3, 0.5}, options)) {
-    const double percent = std::round(100 * point.fail_fraction);
-    out.add(tagged("lcc_", percent), point.largest_component);
-    out.add(tagged("routed_", percent), point.routing_success);
-  }
-  return out;
-}
 
 // --- E10: link ages and the forget law (§IV.E) -----------------------------
 
@@ -673,28 +469,6 @@ CellResult run_navigability(const SweepCell& cell, obs::Registry*) {
   return out;
 }
 
-// --- E13: convergence under the fault adversary ----------------------------
-
-CellResult run_faults(const SweepCell& cell, obs::Registry*) {
-  const sim::EngineConfig engine = cell_engine(cell);
-  FaultSweepOptions options;
-  options.n = cell.n;
-  options.trials = cell.trials;
-  options.base_seed = cell.seed;
-  options.faults = engine.faults;
-  options.scheduler = engine.scheduler;
-  options.adversary_delay = engine.adversary_delay;
-  options.protocol = ablation_config(cell);
-  options.max_rounds = cell_budget(cell);
-  const FaultSweepResult r = measure_fault_convergence(options);
-  CellResult out;
-  out.add("rounds", r.rounds);
-  out.add("converged", r.converged);
-  out.add("survived", r.survived);
-  out.add("injected", r.injected);
-  return out;
-}
-
 // --- E14: crash recovery under the active failure detector -----------------
 
 constexpr std::string_view kRecoveryModes[] = {"crash", "leave"};
@@ -703,29 +477,6 @@ constexpr ParamSpec kRecoveryParams[] = {
     {"loss", Kind::kNumber, 0, 0, 1, {}},
     {"mode", Kind::kWord, 0, 0, 0, kRecoveryModes},
 };
-
-CellResult run_recovery(const SweepCell& cell, obs::Registry* registry) {
-  RecoveryOptions options;
-  options.n = cell.n;
-  options.trials = cell.trials;
-  options.base_seed = cell.seed;
-  options.crash_frac = number_param(cell, "crash");
-  options.message_loss = number_param(cell, "loss");
-  options.mode = word_param(cell, "mode") == "leave"
-                     ? RecoveryOptions::Mode::kLeave
-                     : RecoveryOptions::Mode::kCrash;
-  options.protocol = ablation_config(cell);
-  options.max_rounds = cell.max_rounds;
-  const RecoveryResult r = measure_crash_recovery(options, registry);
-  CellResult out;
-  out.add("repair_rounds", r.repair_rounds);
-  out.add("healed", r.healed);
-  out.add("survived", r.survived);
-  out.add("msgs_per_nr", r.msgs_per_nr);
-  out.add("detector_share", r.detector_share);
-  out.add("evictions", r.evictions);
-  return out;
-}
 
 // --- E15: lookup SLO during crash recovery (doc/SERVICE.md) ----------------
 

@@ -622,7 +622,8 @@ std::optional<FuzzRepro> parse_repro(const std::string& json) {
     else if (k == "expect_digest") ok = num(repro.expected.digest);
     if (!ok) return std::nullopt;  // strict: no unknown keys or mistyped values
   }
-  if (!saw_ok || repro.c.n < 4) return std::nullopt;
+  // A plan the engine would abort on is no reproducer either.
+  if (!saw_ok || c.n < 4 || !c.faults.check().empty()) return std::nullopt;
   return repro;
 }
 

@@ -4,19 +4,11 @@
 #include <cmath>
 
 #include "analysis/convergence.hpp"
+#include "analysis/drivers.hpp"
 #include "topology/cfl.hpp"
 #include "util/rng.hpp"
 
 namespace sssw::analysis {
-namespace {
-
-/// Log bins of the length histogram both drivers fit.
-constexpr std::size_t kHistogramBins = 24;
-
-/// Steps/rounds between two snapshots.
-std::size_t snapshot_stride(std::size_t n) { return std::max<std::size_t>(1, n / 8); }
-
-}  // namespace
 
 LinkLenResult fit_lengths(const std::vector<std::size_t>& lengths,
                           std::size_t max_length, std::size_t bins) {
@@ -54,40 +46,45 @@ LinkLenResult fit_lengths(const std::vector<std::size_t>& lengths,
   return result;
 }
 
-LinkLenResult measure_cfl_linklen(const LinkLenOptions& options) {
-  const std::size_t burn_in = options.burn_in == 0 ? 8 * options.n : options.burn_in;
-  const std::size_t stride = snapshot_stride(options.n);
+// --- E3: long-range-link length law (Fact 4.21 / Thm 4.22) -----------------
 
-  topology::CflProcess process(options.n, options.epsilon, util::Rng(options.seed));
-  process.run(burn_in);
-
+CellResult run_linklen(const SweepCell& cell, obs::Registry*) {
+  // 8n steps (CFL) or rounds (protocol) of burn-in, then 64 snapshots n/8
+  // apart, every snapshot's links pooled into one fit over 24 log bins.
+  constexpr std::size_t kSnapshots = 64;
+  constexpr std::size_t kHistogramBins = 24;
+  const std::size_t n = cell.n;
+  const std::size_t stride = std::max<std::size_t>(1, n / 8);
+  const core::Config protocol = ablation_config(cell);
   std::vector<std::size_t> lengths;
-  lengths.reserve(options.snapshots * options.n);
-  for (std::size_t snap = 0; snap < options.snapshots; ++snap) {
-    process.run(stride);
-    for (const std::size_t length : process.link_lengths())
+  lengths.reserve(kSnapshots * n);
+  const auto keep = [&lengths](const std::vector<std::size_t>& snapshot) {
+    for (const std::size_t length : snapshot)
       if (length >= 1) lengths.push_back(length);
+  };
+  if (word_param(cell, "process") == "protocol") {
+    core::SmallWorldNetwork network =
+        stabilized_network(n, cell.seed, 8 * n, protocol);
+    for (std::size_t snap = 0; snap < kSnapshots; ++snap) {
+      network.run_rounds(stride);
+      keep(network.lrl_lengths());
+    }
+  } else {
+    topology::CflProcess process(n, protocol.epsilon, util::Rng(cell.seed));
+    process.run(8 * n);
+    for (std::size_t snap = 0; snap < kSnapshots; ++snap) {
+      process.run(stride);
+      keep(process.link_lengths());
+    }
   }
-  return fit_lengths(lengths, options.n / 2, kHistogramBins);
-}
-
-LinkLenResult measure_protocol_linklen(const LinkLenOptions& options,
-                                       const core::Config& protocol) {
-  const std::size_t burn_in = options.burn_in == 0 ? 8 * options.n : options.burn_in;
-  const std::size_t stride = snapshot_stride(options.n);
-
-  core::Config config = protocol;
-  config.epsilon = options.epsilon;
-  core::SmallWorldNetwork network =
-      stabilized_network(options.n, options.seed, burn_in, config);
-  std::vector<std::size_t> lengths;
-  lengths.reserve(options.snapshots * options.n);
-  for (std::size_t snap = 0; snap < options.snapshots; ++snap) {
-    network.run_rounds(stride);
-    for (const std::size_t length : network.lrl_lengths())
-      if (length >= 1) lengths.push_back(length);
-  }
-  return fit_lengths(lengths, options.n / 2, kHistogramBins);
+  const LinkLenResult r = fit_lengths(lengths, n / 2, kHistogramBins);
+  CellResult out;
+  out.add("exponent", r.fit.exponent);
+  out.add("exponent_r2", r.fit.r2);
+  out.add("corrected_slope", r.corrected.slope);
+  out.add("mean_length", r.mean_length);
+  out.add("samples", static_cast<double>(r.samples));
+  return out;
 }
 
 }  // namespace sssw::analysis

@@ -1,21 +1,17 @@
-// phases.hpp — phase-timeline measurement (the structure of §IV's proof).
+// phases.hpp — a network's phase, observed round by round (the structure of
+// §IV's proof).
 //
 // The correctness argument proceeds in phases: CC weakly connected → LCC
 // weakly connected (Thm 4.3) → sorted list (Thm 4.9) → sorted ring
-// (Thm 4.18) → small world (Thm 4.22).  This driver records the first round
-// at which each phase target holds, giving an empirical picture of where
-// stabilization time is spent.
+// (Thm 4.18) → small world (Thm 4.22).  E1b's driver (phases.cpp) records
+// the first round at which each phase target holds, giving an empirical
+// picture of where stabilization time is spent.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <optional>
 
-#include "core/config.hpp"
 #include "core/invariants.hpp"
 #include "core/network.hpp"
-#include "sim/scheduler.hpp"
-#include "topology/initial_states.hpp"
 
 namespace sssw::analysis {
 
@@ -39,30 +35,5 @@ class PhaseClassifier {
   std::uint64_t next_low_check_ = 0;
   core::Phase last_low_ = core::Phase::kDisconnected;
 };
-
-struct PhaseTimelineOptions {
-  std::size_t n = 128;
-  std::uint64_t seed = 1;
-  std::size_t max_rounds = 200000;
-  core::Config protocol{};
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kSynchronous;
-};
-
-struct PhaseTimeline {
-  /// first_reached[p] = first round at which phase >= p held (nullopt if
-  /// never within max_rounds).  Indexed by core::Phase values.  Entries
-  /// below kSortedList are upper bounds (PhaseClassifier's backoff).
-  std::array<std::optional<std::uint64_t>, 6> first_reached;
-
-  std::optional<std::uint64_t> at(core::Phase phase) const {
-    return first_reached[static_cast<std::size_t>(phase)];
-  }
-  bool completed() const { return at(core::Phase::kSmallWorld).has_value(); }
-};
-
-/// Runs one computation from the given initial shape and records the
-/// timeline.  A PhaseClassifier observes every round.
-PhaseTimeline measure_phase_timeline(topology::InitialShape shape,
-                                     const PhaseTimelineOptions& options);
 
 }  // namespace sssw::analysis

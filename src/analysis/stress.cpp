@@ -1,8 +1,10 @@
-#include "analysis/stress.hpp"
-
+// The adversarial experiments: E13 (convergence under an active fault plan)
+// and E14 (crash recovery under the active failure detector).
+#include <string>
 #include <vector>
 
 #include "analysis/convergence.hpp"
+#include "analysis/drivers.hpp"
 #include "core/invariants.hpp"
 #include "core/messages.hpp"
 #include "core/network.hpp"
@@ -21,21 +23,29 @@ double injected_faults(const sim::Engine& engine) {
 
 }  // namespace
 
-FaultSweepResult measure_fault_convergence(const FaultSweepOptions& options) {
+// --- E13: convergence from a random chain under the fault adversary -------
+
+// One FaultPlan dimension (or the oldest-last adversary) is live; the
+// budget per trial is cell_budget, partition window included — the budget
+// the fuzzer grants the same case.
+CellResult run_faults(const SweepCell& cell, obs::Registry*) {
   struct Trial {
     bool survived = false;
     double rounds = -1;  ///< rounds to the sorted ring; -1 if not in budget
     double injected = 0;
   };
-  core::NetworkOptions net_options;
-  net_options.scheduler = options.scheduler;
-  net_options.faults = options.faults;
-  net_options.adversary_delay = options.adversary_delay;
-  net_options.protocol = options.protocol;
+  const sim::EngineConfig engine = cell_engine(cell);
+  const sim::FaultPlan& faults = engine.faults;
+  core::NetworkOptions options;
+  options.scheduler = engine.scheduler;
+  options.faults = faults;
+  options.adversary_delay = engine.adversary_delay;
+  options.protocol = ablation_config(cell);
+  const std::size_t budget = cell_budget(cell);
   const auto trials = util::run_trials<Trial>(
-      options.trials, options.base_seed, [&](std::size_t, std::uint64_t seed) {
+      cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
         core::SmallWorldNetwork net = initial_network(
-            topology::InitialShape::kRandomChain, options.n, seed, net_options);
+            topology::InitialShape::kRandomChain, cell.n, seed, options);
         Trial trial;
         // A partition may legitimately sever the CC (a dropped crossing
         // message takes its reference with it) — run the window out first
@@ -43,9 +53,9 @@ FaultSweepResult measure_fault_convergence(const FaultSweepOptions& options) {
         // the sorted ring is unreachable from a split CC, so the budget
         // would be pure waste.
         std::size_t window = 0;
-        if (options.faults.partition_rounds > 0) {
-          window = static_cast<std::size_t>(options.faults.partition_start +
-                                            options.faults.partition_rounds);
+        if (faults.partition_rounds > 0) {
+          window = static_cast<std::size_t>(faults.partition_start +
+                                            faults.partition_rounds);
           net.run_rounds(window);
           if (!core::cc_weakly_connected(net.engine())) {
             trial.injected = injected_faults(net.engine());
@@ -53,57 +63,66 @@ FaultSweepResult measure_fault_convergence(const FaultSweepOptions& options) {
           }
         }
         trial.survived = true;
-        if (const auto rounds = net.run_until_sorted_ring(options.max_rounds - window))
+        if (const auto rounds = net.run_until_sorted_ring(budget - window))
           trial.rounds = static_cast<double>(window + *rounds);
         trial.injected = injected_faults(net.engine());
         return trial;
       });
 
-  FaultSweepResult result;
-  double sum_rounds = 0;
+  double sum_rounds = 0, injected = 0;
   std::size_t converged = 0, survived = 0;
   for (const Trial& trial : trials) {
-    result.injected += trial.injected;
+    injected += trial.injected;
     if (trial.survived) ++survived;
     if (trial.rounds < 0) continue;
     sum_rounds += trial.rounds;
     ++converged;
   }
-  const auto count = static_cast<double>(options.trials);
-  result.rounds = converged > 0 ? sum_rounds / static_cast<double>(converged) : -1.0;
-  result.converged = static_cast<double>(converged) / count;
-  result.survived = static_cast<double>(survived) / count;
-  result.injected /= count;
-  return result;
+  const auto count = static_cast<double>(cell.trials);
+  CellResult out;
+  out.add("rounds",
+          converged > 0 ? sum_rounds / static_cast<double>(converged) : -1.0);
+  out.add("converged", static_cast<double>(converged) / count);
+  out.add("survived", static_cast<double>(survived) / count);
+  out.add("injected", injected / count);
+  return out;
 }
 
-RecoveryResult measure_crash_recovery(const RecoveryOptions& options,
-                                      obs::Registry* registry) {
+// --- E14: crash recovery under the active failure detector -----------------
+
+// A `crash` fraction of a stabilized, burned-in ring fail-stops at once;
+// survivors heal via the active probe/ack detector (mode=crash) or via
+// detected leave() with no detector (mode=leave, the §IV.G baseline).  The
+// healing budget is cell.max_rounds, else round_budget of this engine —
+// which, unlike cell_budget, sees the `loss` param and doubles under it.
+// The merged per-trial registries (in trial order — deterministic) go to
+// `registry` when it is non-null.
+CellResult run_recovery(const SweepCell& cell, obs::Registry* registry) {
   struct Trial {
     bool healed = false, survived = false, measured = false;
     double rounds = 0;  ///< repair rounds (0 when nothing crashed)
     double msgs_per_nr = 0, detector_share = 0, evictions = 0;
     obs::Registry registry;
   };
-  const bool use_crash = options.mode == RecoveryOptions::Mode::kCrash;
-  core::NetworkOptions net_options;
-  net_options.message_loss = options.message_loss;
-  net_options.protocol = options.protocol;
-  net_options.protocol.detector.enabled = use_crash;  // leave needs no detector
-  const std::uint64_t budget = options.max_rounds > 0
-                                   ? options.max_rounds
-                                   : round_budget(options.n, net_options);
+  const double crash_frac = number_param(cell, "crash");
+  const bool use_crash = word_param(cell, "mode") == "crash";
+  core::NetworkOptions options;
+  options.message_loss = number_param(cell, "loss");
+  options.protocol = ablation_config(cell);
+  options.protocol.detector.enabled = use_crash;  // leave needs no detector
+  const std::uint64_t budget =
+      cell.max_rounds > 0 ? cell.max_rounds : round_budget(cell.n, options);
   auto trials = util::run_trials<Trial>(
-      options.trials, options.base_seed, [&](std::size_t, std::uint64_t seed) {
+      cell.trials, cell.seed, [&](std::size_t, std::uint64_t seed) {
         Trial trial;
-        core::NetworkOptions trial_options = net_options;
+        core::NetworkOptions trial_options = options;
         trial_options.seed = seed;
-        core::SmallWorldNetwork net = core::make_stable_ring(options.n, trial_options);
+        core::SmallWorldNetwork net = core::make_stable_ring(cell.n, trial_options);
         net.attach_metrics(trial.registry);
-        net.run_rounds(4 * options.n);  // burn-in: links spread, probe timers cycling
+        net.run_rounds(4 * cell.n);  // burn-in: links spread, probe timers cycling
 
         const std::vector<sim::Id> victims =
-            core::crash_victims(net.engine().id_span(), options.crash_frac, seed);
+            core::crash_victims(net.engine().id_span(), crash_frac, seed);
         for (const sim::Id victim : victims)
           use_crash ? net.crash(victim) : net.leave(victim);
 
@@ -141,7 +160,6 @@ RecoveryResult measure_crash_recovery(const RecoveryOptions& options,
         return trial;
       });
 
-  RecoveryResult result;
   double rounds_sum = 0, msgs_sum = 0, share_sum = 0, evict_sum = 0;
   std::size_t healed = 0, survived = 0, windows = 0;
   for (const Trial& trial : trials) {
@@ -158,16 +176,17 @@ RecoveryResult measure_crash_recovery(const RecoveryOptions& options,
     evict_sum += trial.evictions;
     if (registry != nullptr) registry->merge(trial.registry);
   }
-  const auto count = static_cast<double>(options.trials);
-  result.repair_rounds =
-      healed > 0 ? rounds_sum / static_cast<double>(healed) : -1.0;
-  result.healed = static_cast<double>(healed) / count;
-  result.survived = static_cast<double>(survived) / count;
-  result.msgs_per_nr = windows > 0 ? msgs_sum / static_cast<double>(windows) : 0.0;
-  result.detector_share =
-      windows > 0 ? share_sum / static_cast<double>(windows) : 0.0;
-  result.evictions = evict_sum / count;
-  return result;
+  const auto count = static_cast<double>(cell.trials);
+  CellResult out;
+  out.add("repair_rounds",
+          healed > 0 ? rounds_sum / static_cast<double>(healed) : -1.0);
+  out.add("healed", static_cast<double>(healed) / count);
+  out.add("survived", static_cast<double>(survived) / count);
+  out.add("msgs_per_nr", windows > 0 ? msgs_sum / static_cast<double>(windows) : 0.0);
+  out.add("detector_share",
+          windows > 0 ? share_sum / static_cast<double>(windows) : 0.0);
+  out.add("evictions", evict_sum / count);
+  return out;
 }
 
 }  // namespace sssw::analysis

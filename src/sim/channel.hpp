@@ -7,7 +7,8 @@
 // once, so it keeps one vector per receiver: push appends, take swaps a
 // random message with the last one and pops it.  The synchronous-family
 // schedulers keep no per-receiver storage at all: their channels are the
-// engine's pending log and receive-pass inbox (Engine, DESIGN.md §8).
+// pending lists of the engine's receiver blocks, which each receive pass
+// sorts by receiver (Engine, DESIGN.md §8).
 #pragma once
 
 #include <cstddef>

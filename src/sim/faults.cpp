@@ -7,20 +7,26 @@
 
 namespace sssw::sim {
 
-void FaultPlan::validate() const {
+std::string FaultPlan::check() const {
   const auto is_probability = [](double p) { return p >= 0.0 && p < 1.0; };
-  SSSW_CHECK_MSG(is_probability(duplicate_probability),
-                 "FaultPlan::duplicate_probability must lie in [0, 1)");
-  SSSW_CHECK_MSG(is_probability(delay_probability),
-                 "FaultPlan::delay_probability must lie in [0, 1)");
-  SSSW_CHECK_MSG(is_probability(replay_probability),
-                 "FaultPlan::replay_probability must lie in [0, 1)");
-  SSSW_CHECK_MSG(delay_probability == 0.0 || max_delay_rounds >= 1,
-                 "FaultPlan::max_delay_rounds must be >= 1 when delay is on");
-  SSSW_CHECK_MSG(replay_probability == 0.0 || replay_history >= 1,
-                 "FaultPlan::replay_history must be >= 1 when replay is on");
-  SSSW_CHECK_MSG(partition_rounds == 0 || std::isfinite(partition_pivot),
-                 "FaultPlan::partition_pivot must be finite");
+  if (!is_probability(duplicate_probability))
+    return "FaultPlan::duplicate_probability must lie in [0, 1)";
+  if (!is_probability(delay_probability))
+    return "FaultPlan::delay_probability must lie in [0, 1)";
+  if (!is_probability(replay_probability))
+    return "FaultPlan::replay_probability must lie in [0, 1)";
+  if (delay_probability > 0.0 && max_delay_rounds < 1)
+    return "FaultPlan::max_delay_rounds must be >= 1 when delay is on";
+  if (replay_probability > 0.0 && replay_history < 1)
+    return "FaultPlan::replay_history must be >= 1 when replay is on";
+  if (partition_rounds > 0 && !std::isfinite(partition_pivot))
+    return "FaultPlan::partition_pivot must be finite";
+  return "";
+}
+
+void FaultPlan::validate() const {
+  const std::string problem = check();
+  SSSW_CHECK_MSG(problem.empty(), problem.c_str());
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, std::uint32_t fixed_delay)

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/id.hpp"
@@ -73,7 +74,12 @@ struct FaultPlan {
            partition_rounds > 0 || replay_probability > 0.0;
   }
 
-  /// Aborts (fail-loud) on out-of-range parameters; called by the engine at
+  /// Empty when every parameter is in range; otherwise the first one that
+  /// is not, as a one-line message.  Front ends that read a plan from their
+  /// user reject it with this message.
+  std::string check() const;
+
+  /// Aborts (fail-loud) on check()'s message; called by the engine at
   /// construction so a bad plan never produces a silently-wrong trajectory.
   void validate() const;
 };

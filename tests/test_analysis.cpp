@@ -1,96 +1,77 @@
-// Tests for analysis/convergence and analysis/robustness.
+// Tests for E1's and E9's drivers, through their sweep cells
+// (e1-convergence, e9-robustness), and for the measures E9 is built from.
 #include <gtest/gtest.h>
 
-#include "analysis/convergence.hpp"
-#include "analysis/robustness.hpp"
+#include "graph/traversal.hpp"
+#include "routing/greedy.hpp"
+#include "support/cells.hpp"
 #include "topology/chord.hpp"
-#include "topology/kleinberg.hpp"
+#include "util/rng.hpp"
 
 namespace sssw::analysis {
 namespace {
 
+using topology::InitialShape;
+
+SweepCell convergence_cell(InitialShape shape, std::size_t n, std::size_t trials,
+                           std::uint64_t seed) {
+  SweepCell cell = small_cell("e1-convergence", "", n, trials);
+  cell.shape = shape;
+  cell.seed = seed;
+  return cell;
+}
+
 TEST(MeasureConvergence, RandomChainConverges) {
-  ConvergenceOptions options;
-  options.n = 32;
-  options.trials = 4;
-  options.base_seed = 50;
-  const ConvergenceResult result =
-      measure_convergence(topology::InitialShape::kRandomChain, options);
-  EXPECT_EQ(result.converged, 1.0);
-  EXPECT_GT(result.list_rounds.mean, 0.0);
-  EXPECT_GT(result.messages_per_node.mean, 0.0);
+  const Metrics m = run_cell(convergence_cell(InitialShape::kRandomChain, 32, 4, 50));
+  EXPECT_EQ(metric(m, "converged"), 1.0);
+  EXPECT_GT(metric(m, "list_rounds_mean"), 0.0);
+  EXPECT_GT(metric(m, "msgs_per_node_mean"), 0.0);
 }
 
 TEST(MeasureConvergence, SortedRingConvergesInstantly) {
-  ConvergenceOptions options;
-  options.n = 32;
-  options.trials = 3;
-  const ConvergenceResult result =
-      measure_convergence(topology::InitialShape::kSortedRing, options);
-  EXPECT_EQ(result.converged, 1.0);
-  EXPECT_EQ(result.list_rounds.mean, 0.0);
-  EXPECT_EQ(result.ring_extra_rounds.mean, 0.0);
+  const Metrics m = run_cell(convergence_cell(InitialShape::kSortedRing, 32, 3, 1));
+  EXPECT_EQ(metric(m, "converged"), 1.0);
+  EXPECT_EQ(metric(m, "list_rounds_mean"), 0.0);
+  EXPECT_EQ(metric(m, "ring_extra_mean"), 0.0);
 }
 
 TEST(MeasureConvergence, RespectsRoundBudget) {
-  ConvergenceOptions options;
-  options.n = 64;
-  options.trials = 2;
-  options.max_rounds = 1;  // impossible
-  const ConvergenceResult result =
-      measure_convergence(topology::InitialShape::kStar, options);
-  EXPECT_EQ(result.converged, 0.0);
+  SweepCell cell = convergence_cell(InitialShape::kStar, 64, 2, 1);
+  cell.max_rounds = 1;  // impossible
+  EXPECT_EQ(metric(run_cell(cell), "converged"), 0.0);
 }
 
 TEST(MeasureConvergence, DeterministicGivenSeeds) {
-  ConvergenceOptions options;
-  options.n = 24;
-  options.trials = 3;
-  options.base_seed = 77;
-  const auto a = measure_convergence(topology::InitialShape::kRandomTree, options);
-  const auto b = measure_convergence(topology::InitialShape::kRandomTree, options);
-  EXPECT_EQ(a.list_rounds.mean, b.list_rounds.mean);
-  EXPECT_EQ(a.messages_per_node.mean, b.messages_per_node.mean);
+  const SweepCell cell = convergence_cell(InitialShape::kRandomTree, 24, 3, 77);
+  EXPECT_EQ(run_cell(cell), run_cell(cell));
 }
 
 TEST(Robustness, NoFailuresIsFullyConnected) {
+  // With nothing removed, Chord is one component and routes clockwise
+  // everywhere.
   const auto g = topology::make_chord_ring(128);
-  RobustnessOptions options;
-  options.trials = 2;
-  options.routing_pairs = 64;
-  options.metric = routing::Metric::kClockwise;  // Chord lookup semantics
-  const RobustnessPoint point = measure_robustness(g, 0.0, options);
-  EXPECT_EQ(point.largest_component, 1.0);
-  EXPECT_EQ(point.routing_success, 1.0);
+  EXPECT_EQ(graph::largest_weak_component(g), 128u);
+  util::Rng rng(1);
+  EXPECT_EQ(routing::evaluate_routing(g, rng, 64, 128, routing::Metric::kClockwise)
+                .success_rate,
+            1.0);
 }
 
 TEST(Robustness, DegradesWithFailures) {
-  util::Rng rng(1);
-  const auto g = topology::make_kleinberg_ring(256, rng);
-  RobustnessOptions options;
-  options.trials = 3;
-  options.routing_pairs = 64;
-  const RobustnessPoint light = measure_robustness(g, 0.05, options);
-  const RobustnessPoint heavy = measure_robustness(g, 0.5, options);
-  EXPECT_GE(light.routing_success, heavy.routing_success);
-  EXPECT_GE(light.largest_component, heavy.largest_component - 1e-9);
+  const Metrics m = run_cell("e9-robustness", "model=kleinberg", 256, 3);
+  EXPECT_GE(metric(m, "routed_10"), metric(m, "routed_50"));
+  EXPECT_GE(metric(m, "lcc_10"), metric(m, "lcc_50") - 1e-9);
 }
 
 TEST(Robustness, SweepReturnsOnePointPerFraction) {
-  const auto g = topology::make_chord_ring(64);
-  RobustnessOptions options;
-  options.trials = 2;
-  options.routing_pairs = 32;
-  const auto points = robustness_sweep(g, {0.0, 0.1, 0.2}, options);
-  ASSERT_EQ(points.size(), 3u);
-  EXPECT_EQ(points[0].fail_fraction, 0.0);
-  EXPECT_EQ(points[2].fail_fraction, 0.2);
-}
-
-TEST(Robustness, EmptyGraphSafe) {
-  RobustnessOptions options;
-  const RobustnessPoint point = measure_robustness(graph::Digraph(0), 0.5, options);
-  EXPECT_EQ(point.largest_component, 0.0);
+  // The degree, then a component share and a routing success per failure
+  // fraction: the columns of EXPERIMENTS.md's E9 table.
+  const Metrics m = run_cell("e9-robustness", "model=chord", 64);
+  std::vector<std::string> names;
+  for (const auto& [name, value] : m) names.push_back(name);
+  EXPECT_EQ(names, (std::vector<std::string>{"degree", "lcc_10", "routed_10",
+                                             "lcc_20", "routed_20", "lcc_30",
+                                             "routed_30", "lcc_50", "routed_50"}));
 }
 
 }  // namespace

@@ -110,6 +110,13 @@ TEST(FuzzCorpus, ParserRejectsMalformedInput) {
       parse_repro(R"({"expect_ok":true,"shape":"no-such-shape"})").has_value());
   EXPECT_FALSE(
       parse_repro(R"({"expect_ok":true,"n":8} trailing)").has_value());
+  // Well-formed fields, but a fault plan the engine would abort on.
+  EXPECT_FALSE(parse_repro(R"({"expect_ok":true,"n":8,"delay_probability":0.2,)"
+                           R"("max_delay_rounds":0})")
+                   .has_value());
+  EXPECT_FALSE(parse_repro(R"({"expect_ok":true,"n":8,"replay_probability":0.2,)"
+                           R"("replay_history":0})")
+                   .has_value());
 }
 
 TEST(FuzzCorpus, ForcedViolationShrinksToMinimalCase) {

@@ -1,10 +1,16 @@
-// Tests for analysis/linklen — experiment E3's machinery and the Phase-4
-// claim that the in-protocol move-and-forget matches the CFL reference.
+// Tests for analysis/linklen — experiment E3's fit and driver, and the
+// Phase-4 claim that the in-protocol move-and-forget matches the CFL
+// reference.
 #include "analysis/linklen.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+
+#include "analysis/convergence.hpp"
+#include "support/cells.hpp"
+#include "topology/cfl.hpp"
+#include "util/rng.hpp"
 
 namespace sssw::analysis {
 namespace {
@@ -45,15 +51,46 @@ TEST(FitLengths, MeanLength) {
   EXPECT_EQ(result.samples, 3u);
 }
 
+// The link lengths (>= 1) of `snapshots` snapshots n/8 steps apart of the
+// CFL process on an n-ring, after `burn_in` steps.
+std::vector<std::size_t> cfl_lengths(std::size_t n, double epsilon,
+                                     std::uint64_t seed, std::size_t burn_in,
+                                     std::size_t snapshots) {
+  topology::CflProcess process(n, epsilon, util::Rng(seed));
+  process.run(burn_in);
+  std::vector<std::size_t> lengths;
+  for (std::size_t snap = 0; snap < snapshots; ++snap) {
+    process.run(n / 8);
+    for (const std::size_t length : process.link_lengths())
+      if (length >= 1) lengths.push_back(length);
+  }
+  return lengths;
+}
+
+// The same over the protocol's own links: a stabilized n-ring after
+// `burn_in` rounds, snapshots n/8 rounds apart.
+std::vector<std::size_t> protocol_lengths(std::size_t n, std::uint64_t seed,
+                                          std::size_t burn_in,
+                                          std::size_t snapshots) {
+  core::SmallWorldNetwork network = stabilized_network(n, seed, burn_in);
+  std::vector<std::size_t> lengths;
+  for (std::size_t snap = 0; snap < snapshots; ++snap) {
+    network.run_rounds(n / 8);
+    for (const std::size_t length : network.lrl_lengths())
+      if (length >= 1) lengths.push_back(length);
+  }
+  return lengths;
+}
+
+/// E3's fit: 24 log bins over [1, n/2].
+LinkLenResult fit(const std::vector<std::size_t>& lengths, std::size_t n) {
+  return fit_lengths(lengths, n / 2, 24);
+}
+
 TEST(CflLinkLen, ExponentInHarmonicBand) {
   // The CFL stationary law is 1/(d·ln^{1+ε}d): at n=256 the measured log-log
   // slope sits between −2.1 and −1.3 (see DESIGN.md E3 discussion).
-  LinkLenOptions options;
-  options.n = 256;
-  options.seed = 7;
-  options.snapshots = 120;
-  options.burn_in = 16384;
-  const LinkLenResult result = measure_cfl_linklen(options);
+  const LinkLenResult result = fit(cfl_lengths(256, 0.1, 7, 16384, 120), 256);
   EXPECT_GT(result.samples, 10000u);
   EXPECT_LT(result.fit.exponent, -1.2);
   EXPECT_GT(result.fit.exponent, -2.3);
@@ -61,14 +98,10 @@ TEST(CflLinkLen, ExponentInHarmonicBand) {
 }
 
 TEST(CflLinkLen, FlattensTowardHarmonicAsNGrows) {
-  LinkLenOptions small;
-  small.n = 64;
-  small.seed = 3;
-  small.snapshots = 100;
-  LinkLenOptions large = small;
-  large.n = 512;
-  const double small_gamma = measure_cfl_linklen(small).fit.exponent;
-  const double large_gamma = measure_cfl_linklen(large).fit.exponent;
+  const double small_gamma =
+      fit(cfl_lengths(64, 0.1, 3, 8 * 64, 100), 64).fit.exponent;
+  const double large_gamma =
+      fit(cfl_lengths(512, 0.1, 3, 8 * 512, 100), 512).fit.exponent;
   // Asymptotically the exponent approaches −1 from below.
   EXPECT_GT(large_gamma, small_gamma - 0.05);
 }
@@ -82,16 +115,9 @@ TEST(ProtocolLinkLen, MatchesCflReference) {
   // move is ~3× slower, so at finite n the protocol's fit reads somewhat
   // steeper than CFL's (see DESIGN.md E3 notes).  Both must land in the
   // harmonic-with-polylog-correction band.
-  LinkLenOptions options;
-  options.n = 128;
-  options.seed = 11;
-  options.snapshots = 60;
-  options.burn_in = 4096;
-  const LinkLenResult cfl = measure_cfl_linklen(options);
-  LinkLenOptions protocol_options = options;
-  protocol_options.burn_in = 3 * options.burn_in;  // compensate the dilation
-  const LinkLenResult protocol =
-      measure_protocol_linklen(protocol_options, core::Config{});
+  const LinkLenResult cfl = fit(cfl_lengths(128, 0.1, 11, 4096, 60), 128);
+  // 3× the burn-in compensates the dilation.
+  const LinkLenResult protocol = fit(protocol_lengths(128, 11, 3 * 4096, 60), 128);
   EXPECT_GT(protocol.samples, 1000u);
   for (const LinkLenResult& result : {cfl, protocol}) {
     EXPECT_LT(result.fit.exponent, -1.2);
@@ -102,17 +128,11 @@ TEST(ProtocolLinkLen, MatchesCflReference) {
 }
 
 TEST(ProtocolLinkLen, EpsilonShapesTail) {
-  // Larger ε forgets faster → shorter links → steeper exponent.
-  LinkLenOptions gentle;
-  gentle.n = 128;
-  gentle.seed = 13;
-  gentle.epsilon = 0.1;
-  gentle.snapshots = 80;
-  LinkLenOptions harsh = gentle;
-  harsh.epsilon = 1.5;
-  const double gentle_mean = measure_cfl_linklen(gentle).mean_length;
-  const double harsh_mean = measure_cfl_linklen(harsh).mean_length;
-  EXPECT_GT(gentle_mean, harsh_mean);
+  // Larger ε forgets faster → shorter links (E3's cell, ε from the ablation).
+  EXPECT_GT(metric(run_cell("e3-linklen", "process=cfl", 128, 1, "full"),
+                   "mean_length"),
+            metric(run_cell("e3-linklen", "process=cfl", 128, 1, "eps:1.5"),
+                   "mean_length"));
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/stress.hpp"
+#include "analysis/experiments.hpp"
 #include "core/network.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
@@ -606,15 +606,14 @@ constexpr const char* kSloLine =
     R"([32,150],[64,3],[128,90],[256,6]]}}})";
 
 TEST(ObsExport, CrashRecoveryLineIsPinned) {
-  analysis::RecoveryOptions options;
-  options.n = 32;
-  options.trials = 1;
-  options.base_seed = 7;
-  options.crash_frac = 0.1;
-  options.message_loss = 0.02;
-  options.mode = analysis::RecoveryOptions::Mode::kCrash;
+  analysis::SweepCell cell;
+  cell.experiment = "e14-recovery";
+  cell.params = "crash=0.1;loss=0.02;mode=crash";
+  cell.n = 32;
+  cell.trials = 1;
+  cell.seed = 7;
   Registry registry;
-  analysis::measure_crash_recovery(options, &registry);
+  analysis::find_experiment(cell.experiment)->run(cell, &registry);
   EXPECT_EQ(to_jsonl(registry, 0), kCrashRecoveryLine);
 }
 

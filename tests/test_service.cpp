@@ -1,66 +1,38 @@
-// Tests for analysis/service: routing quality during stabilization.
-#include "analysis/service.hpp"
-
+// Tests for E1c's driver, through its sweep cell (e1c-service): routing
+// quality during stabilization.
 #include <gtest/gtest.h>
+
+#include "support/cells.hpp"
 
 namespace sssw::analysis {
 namespace {
 
 using topology::InitialShape;
 
+Metrics run_service_curve(InitialShape shape, std::size_t n, std::uint64_t seed) {
+  SweepCell cell = small_cell("e1c-service", "", n, 1);
+  cell.shape = shape;
+  cell.seed = seed;
+  return run_cell(cell);
+}
+
 TEST(Service, CurveEndsAtFullServiceOnRing) {
-  ServiceOptions options;
-  options.n = 48;
-  options.seed = 3;
-  options.sample_every = 4;
-  const auto curve = measure_service_during_stabilization(InitialShape::kStar, options);
-  ASSERT_GE(curve.size(), 2u);
-  EXPECT_TRUE(curve.back().sorted_ring);
-  EXPECT_EQ(curve.back().success, 1.0);
+  const Metrics m = run_service_curve(InitialShape::kStar, 48, 3);
+  EXPECT_GT(metric(m, "ring_round"), 0.0);
+  EXPECT_EQ(metric(m, "success_ring"), 1.0);
 }
 
 TEST(Service, SuccessImprovesOverall) {
-  ServiceOptions options;
-  options.n = 64;
-  options.seed = 5;
-  options.sample_every = 4;
-  const auto curve =
-      measure_service_during_stabilization(InitialShape::kRandomChain, options);
-  ASSERT_GE(curve.size(), 3u);
-  // The tail (post-ring) beats the very first sample (scrambled chain).
-  EXPECT_GE(curve.back().success, curve.front().success);
-}
-
-TEST(Service, RoundsAreMonotone) {
-  ServiceOptions options;
-  options.n = 32;
-  options.seed = 7;
-  const auto curve =
-      measure_service_during_stabilization(InitialShape::kRandomTree, options);
-  for (std::size_t i = 1; i < curve.size(); ++i)
-    EXPECT_GT(curve[i].round, curve[i - 1].round);
-}
-
-TEST(Service, TailSamplesRespected) {
-  ServiceOptions options;
-  options.n = 24;
-  options.seed = 9;
-  options.sample_every = 2;
-  options.tail_samples = 5;
-  const auto curve =
-      measure_service_during_stabilization(InitialShape::kSortedRing, options);
-  // Already a ring at round 0: exactly 1 + tail_samples samples.
-  EXPECT_EQ(curve.size(), 6u);
-  for (const ServicePoint& point : curve) EXPECT_TRUE(point.sorted_ring);
+  const Metrics m = run_service_curve(InitialShape::kRandomChain, 64, 5);
+  // The ring's sample beats the very first one (a scrambled chain).
+  EXPECT_GE(metric(m, "success_ring"), metric(m, "success_t0"));
 }
 
 TEST(Service, StableStartRoutesPerfectlyThroughout) {
-  ServiceOptions options;
-  options.n = 32;
-  options.seed = 11;
-  const auto curve =
-      measure_service_during_stabilization(InitialShape::kScrambledLrl, options);
-  for (const ServicePoint& point : curve) EXPECT_EQ(point.success, 1.0);
+  const Metrics m = run_service_curve(InitialShape::kScrambledLrl, 32, 11);
+  EXPECT_EQ(metric(m, "success_t0"), 1.0);
+  EXPECT_EQ(metric(m, "success_half"), 1.0);
+  EXPECT_EQ(metric(m, "success_ring"), 1.0);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "analysis/sweep.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
+#include "support/cells.hpp"
 #include "util/fnv.hpp"
 
 namespace sssw::analysis {
@@ -493,15 +494,10 @@ TEST(ExperimentCatalog, SmallCellMetricsArePinned) {
        0x02e4f604d421e962ull},
   };
   for (const Pinned& pin : pins) {
-    SweepCell cell;
-    cell.experiment = pin.experiment;
-    cell.params = pin.params;
+    SweepCell cell = small_cell(pin.experiment, pin.params, 32);
     cell.ablation = pin.ablation;
     cell.scheduler = pin.scheduler;
     cell.fault = pin.fault;
-    cell.n = 32;
-    cell.trials = 2;
-    cell.seed = 20120521;
     obs::Registry registry;
     const CellResult result = find_experiment(pin.experiment)->run(cell, &registry);
     ASSERT_TRUE(result.error.empty()) << pin.experiment << ": " << result.error;
@@ -516,30 +512,6 @@ TEST(ExperimentCatalog, SmallCellMetricsArePinned) {
 }
 
 // --- Invariants the drivers' numbers must keep -----------------------------
-
-/// Runs `experiment` with `params` ("k=v;k=v") on one cell.
-std::vector<std::pair<std::string, double>> run_cell(
-    const std::string& experiment, const std::string& params, std::size_t n,
-    std::size_t trials = 2, const std::string& ablation = "full") {
-  SweepCell cell;
-  cell.experiment = experiment;
-  cell.params = params;
-  cell.n = n;
-  cell.trials = trials;
-  cell.seed = 20120521;
-  cell.ablation = ablation;
-  const CellResult result = find_experiment(experiment)->run(cell, nullptr);
-  EXPECT_TRUE(result.error.empty()) << experiment << ": " << result.error;
-  return result.metrics;
-}
-
-double metric(const std::vector<std::pair<std::string, double>>& metrics,
-              const std::string& name) {
-  for (const auto& [key, value] : metrics)
-    if (key == name) return value;
-  ADD_FAILURE() << "no metric " << name;
-  return -1;
-}
 
 TEST(ExperimentDrivers, EveryProbeReachesItsTargetOnAStabilizedRing) {
   // Lemma 4.5: in the stable state no probe stops early to repair a link.

@@ -25,9 +25,10 @@
 // FILE as JSONL, one snapshot every --metrics-every rounds plus a final one
 // at exit (doc/OBSERVABILITY.md documents the schema); with
 // --failure-detector on, the detector.* counters flow into the same stream.
-// --crash-frac F --crash-round R crash-stops a random F of the nodes once
-// `step`/`until-ring` reach round R (core::crash_victims, the pick sssw_fuzz
-// makes).
+// --crash-frac F --crash-round R crash-stops a random F of the nodes before
+// `step`/`until-ring` run round R, i.e. after R − 1 rounds
+// (core::crash_victims at sssw_fuzz's crash_round: the pick it makes, when
+// it makes it, so a fuzz case reproduces here).
 // Crash-stop failures, scheduled or by `crash ID`, heal only with
 // --failure-detector; without it the gap stays open (Config defaults).
 // --lookup-rate R attaches the in-band lookup service (doc/SERVICE.md):
@@ -184,7 +185,7 @@ int main(int argc, char** argv) {
            "(crashes heal only with --failure-detector)",
            &crash_frac);
   cli.flag("crash-round",
-           "round at which --crash-frac of the nodes crash (0 = never)",
+           "round before which --crash-frac of the nodes crash (0 = never)",
            &crash_round);
   cli.flag("lookup-rate",
            "in-band lookup service (doc/SERVICE.md): mean lookups issued per "
@@ -224,6 +225,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // The counts are signed flags: check their sign before the casts below;
+  // FaultPlan::check judges the plan they make.
+  if (fault_delay_max < 0 || fault_partition_start < 0 ||
+      fault_partition_rounds < 0 || fault_replay_history < 0 ||
+      adversary_delay < 1) {
+    std::fprintf(stderr,
+                 "fault counts must be non-negative, --adversary-delay must "
+                 "be positive\n");
+    return 1;
+  }
   sim::FaultPlan faults;
   faults.duplicate_probability = fault_duplicate;
   faults.delay_probability = fault_delay;
@@ -233,14 +244,8 @@ int main(int argc, char** argv) {
   faults.partition_pivot = fault_partition_pivot;
   faults.replay_probability = fault_replay;
   faults.replay_history = static_cast<std::size_t>(fault_replay_history);
-  if (fault_duplicate < 0 || fault_duplicate >= 1 || fault_delay < 0 ||
-      fault_delay >= 1 || fault_replay < 0 || fault_replay >= 1 ||
-      fault_delay_max < 0 || fault_partition_start < 0 ||
-      fault_partition_rounds < 0 || fault_replay_history < 0 ||
-      adversary_delay < 1) {
-    std::fprintf(stderr,
-                 "fault probabilities must lie in [0,1), counts must be "
-                 "non-negative, --adversary-delay must be positive\n");
+  if (const std::string problem = faults.check(); !problem.empty()) {
+    std::fprintf(stderr, "bad fault plan: %s\n", problem.c_str());
     return 1;
   }
   if (message_loss < 0 || message_loss >= 1 || crash_frac < 0 ||
@@ -276,14 +281,15 @@ int main(int argc, char** argv) {
       *shape, static_cast<std::size_t>(n), static_cast<std::uint64_t>(seed),
       options);
 
-  // Scheduled crash: once the engine reaches --crash-round, crash-stop a
-  // random --crash-frac of the nodes (the fuzzer's pick, so a fuzz case
-  // reproduces here with the same seed).
+  // Scheduled crash: before round --crash-round runs, i.e. once the engine
+  // has run crash_round - 1 rounds, crash-stop a random --crash-frac of the
+  // nodes — the fuzzer's pick and its timing (FuzzCase::crash_round), so a
+  // fuzz case reproduces here with the same seed.
   bool crash_pending = crash_frac > 0 && crash_round > 0;
+  const std::uint64_t crash_at =
+      crash_pending ? static_cast<std::uint64_t>(crash_round) - 1 : 0;
   const auto maybe_crash = [&]() {
-    if (!crash_pending ||
-        net.engine().round() < static_cast<std::uint64_t>(crash_round))
-      return;
+    if (!crash_pending || net.engine().round() < crash_at) return;
     crash_pending = false;
     for (const sim::Id victim : core::crash_victims(
              net.engine().id_span(), crash_frac, static_cast<std::uint64_t>(seed))) {
@@ -298,10 +304,9 @@ int main(int argc, char** argv) {
       std::size_t chunk = rounds;
       if (crash_pending) {
         const std::uint64_t now = net.engine().round();
-        if (static_cast<std::uint64_t>(crash_round) > now)
-          chunk = std::min<std::size_t>(
-              rounds, static_cast<std::size_t>(
-                          static_cast<std::uint64_t>(crash_round) - now));
+        if (crash_at > now)
+          chunk = std::min<std::size_t>(rounds,
+                                        static_cast<std::size_t>(crash_at - now));
       }
       net.run_rounds(chunk);
       rounds -= chunk;
@@ -397,9 +402,7 @@ int main(int argc, char** argv) {
         words >> budget;
         if (crash_pending) {
           const std::uint64_t now = net.engine().round();
-          if (static_cast<std::uint64_t>(crash_round) > now)
-            step_rounds(static_cast<std::size_t>(
-                static_cast<std::uint64_t>(crash_round) - now));
+          if (crash_at > now) step_rounds(static_cast<std::size_t>(crash_at - now));
           maybe_crash();
         }
         const auto rounds = net.run_until_sorted_ring(budget);
